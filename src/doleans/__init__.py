@@ -20,6 +20,7 @@ from .paths import (
     ExpCompensatorDrift,
     JumpPath,
     LinearQv,
+    PathBatch,
     PredictableControl,
     ProcessModel,
     ScaledDrift,
@@ -40,14 +41,17 @@ from .stochexp import (
     ConditionSpec,
     FunctionalValue,
     UnsupportedModelError,
+    jacod_batch,
     jacod_functional,
     jump_term_reduction_gap,
+    lemma1_batch,
     lemma1_functional,
     lepingle_memin_A,
     log_stoch_exponential,
     protter_shimbo_functional,
     sde_residual,
     stoch_exponential,
+    theorem1_batch,
     theorem1_functional,
 )
 from .girsanov import (

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import JumpPath, PredictableControl
-from .stochexp import jacod_functional, stoch_exponential
+from .stochexp import exp_or_inf, jacod_functional, stoch_exponential
 
 __all__ = [
     "MeasureChangeDecomposition",
@@ -40,13 +40,6 @@ __all__ = [
     "lemma2_lhs",
     "lemma3_gap",
 ]
-
-
-def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -66,19 +59,19 @@ class MeasureChangeDecomposition:
 
     @property
     def density_factor(self) -> float:
-        return _safe_exp(self.log_density_factor)
+        return exp_or_inf(self.log_density_factor)
 
     @property
     def transformed_exponential(self) -> float:
-        return _safe_exp(self.log_transformed_exponential)
+        return exp_or_inf(self.log_transformed_exponential)
 
     @property
     def product(self) -> float:
-        return _safe_exp(self.log_density_factor + self.log_transformed_exponential)
+        return exp_or_inf(self.log_density_factor + self.log_transformed_exponential)
 
     @property
     def reference(self) -> float:
-        return _safe_exp(self.log_reference)
+        return exp_or_inf(self.log_reference)
 
     def identity_relative_error(self) -> float:
         """Signed relative defect of ``density * transformed == E_T(M)``."""

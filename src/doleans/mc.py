@@ -17,7 +17,9 @@ truncation threshold, which linearizes the growth.
 
 Monte Carlo streams are counter-based (Philox keyed by the seed, jumped
 per stream), so results are bit-reproducible for a fixed ``SeedSpec`` and
-stream partitioning regardless of worker scheduling.
+stream partitioning regardless of worker scheduling.  Where the model has
+``build_batch`` and the condition a batch kernel, a stream is evaluated as
+one :class:`~doleans.paths.PathBatch`, bit-identical to the per-path loop.
 """
 
 from __future__ import annotations
@@ -34,15 +36,15 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .distributions import InverseCdfDistribution
-from .paths import Driver, JumpPath, ProcessModel
+from .paths import Driver, JumpPath, PathBatch, ProcessModel
 from .stochexp import (
     ConditionSpec,
     UnsupportedModelError,
+    exp_or_inf,
+    exp_or_inf_array,
     jacod_functional,
-    lemma1_functional,
     log_stoch_exponential,
-    protter_shimbo_functional,
-    theorem1_functional,
+    pathwise_functional,
 )
 
 __all__ = [
@@ -106,11 +108,70 @@ class Estimate(NamedTuple):
 
 def _worker_count(chunks: int) -> int:
     raw = os.environ.get("DOLEANS_THREADS", "")
+    if not raw:
+        return 1
     try:
-        cap = int(raw) if raw else 1
+        cap = int(raw)
     except ValueError:
-        cap = 1
-    return max(1, min(cap, chunks))
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            f"DOLEANS_THREADS must be a positive integer, got {raw!r}"
+        )
+    return min(cap, chunks)
+
+
+#: A stream kernel maps ``(rng, m)`` to the ``m`` values of one stream.
+StreamKernel = Callable[[np.random.Generator, int], np.ndarray]
+
+
+def _run_streams(n: int, seeds: SeedSpec, kernel: StreamKernel,
+                 what: str = "functional values") -> Estimate:
+    """Mean and standard error of ``n`` values drawn stream by stream.
+
+    Stream ``j`` gets its share of ``n`` and its own Philox counter block
+    (the seed's generator jumped ``j`` times), so the values do not depend
+    on how many workers run the streams.  Non-finite values are counted,
+    reported, and excluded; more than 0.1% of them aborts the estimate.
+    The reduction runs over the values in stream order.
+    """
+    streams = min(seeds.streams, n)
+    base, extra = divmod(n, streams)
+    sizes = [base + (1 if j < extra else 0) for j in range(streams)]
+
+    def run_stream(j: int) -> np.ndarray:
+        rng = np.random.Generator(np.random.Philox(key=seeds.seed).jumped(j))
+        return kernel(rng, sizes[j])
+
+    workers = _worker_count(streams)
+    if workers == 1:
+        parts = [run_stream(j) for j in range(streams)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run_stream, range(streams)))
+
+    values = np.concatenate(parts)
+    finite = np.isfinite(values)
+    bad = int(n - int(finite.sum()))
+    if bad:
+        logger.warning("%d of %d %s were non-finite", bad, n, what)
+        if bad > 0.001 * n:
+            raise EstimationError(f"{bad} of {n} {what} non-finite (> 0.1%)")
+        values = values[finite]
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(len(values)))
+    return Estimate(mean, se, len(values), bad)
+
+
+def _path_kernel(model: ProcessModel,
+                 functional: Callable[[JumpPath], float]) -> StreamKernel:
+    """Stream kernel sampling paths one by one and applying ``functional``."""
+
+    def kernel(rng: np.random.Generator, m: int) -> np.ndarray:
+        paths = model.sample_chunk(rng, m)
+        return np.fromiter((functional(p) for p in paths), dtype=float, count=m)
+
+    return kernel
 
 
 def estimate_expectation(
@@ -128,35 +189,7 @@ def estimate_expectation(
     """
     if n < 2:
         raise ValueError("need at least two samples")
-    streams = min(seeds.streams, n)
-    base, extra = divmod(n, streams)
-    sizes = [base + (1 if j < extra else 0) for j in range(streams)]
-
-    def run_stream(j: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.Philox(key=seeds.seed).jumped(j))
-        paths = model.sample_chunk(rng, sizes[j])
-        return np.fromiter((functional(p) for p in paths), dtype=float, count=sizes[j])
-
-    workers = _worker_count(streams)
-    if workers == 1:
-        parts = [run_stream(j) for j in range(streams)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_stream, range(streams)))
-
-    values = np.concatenate(parts)
-    finite = np.isfinite(values)
-    bad = int(n - int(finite.sum()))
-    if bad:
-        logger.warning("%d of %d functional values were non-finite", bad, n)
-        if bad > 0.001 * n:
-            raise EstimationError(
-                f"{bad} of {n} functional values non-finite (> 0.1%)"
-            )
-        values = values[finite]
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(len(values)))
-    return Estimate(mean, se, len(values), bad)
+    return _run_streams(n, seeds, _path_kernel(model, functional))
 
 
 # ----------------------------------------------------------------------
@@ -443,13 +476,6 @@ class ConditionReport:
 _LOG_SCALE_KINDS = ("protter_shimbo", "lepingle_memin")
 
 
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 # ----------------------------------------------------------------------
 # Importance-sampled Monte Carlo cross-check for condition expectations.
 #
@@ -524,19 +550,18 @@ def _driver_proposal(
 def _importance_estimate(
     model: ProcessModel,
     f_path: Callable[[JumpPath], float],
+    f_batch: Callable[[PathBatch], np.ndarray] | None,
     factors: list[tuple[Driver, Callable[[float], float]]],
     n: int,
     seeds: SeedSpec,
 ) -> Estimate:
+    """IS estimate of ``E exp(F)``; ``f_batch`` evaluates ``F`` on whole
+    streams when the model builds batches, else paths are built one by one."""
     proposals = [_driver_proposal(driver, g) for driver, g in factors]
     log_densities = [driver.dist.log_density for driver, _ in factors]
-    streams = min(seeds.streams, n)
-    base, extra = divmod(n, streams)
-    sizes = [base + (1 if j < extra else 0) for j in range(streams)]
+    batched = f_batch is not None and model.build_batch is not None
 
-    def run_stream(j: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.Philox(key=seeds.seed).jumped(j))
-        m = sizes[j]
+    def kernel(rng: np.random.Generator, m: int) -> np.ndarray:
         log_w = np.zeros(m)
         columns = []
         for prop, log_density in zip(proposals, log_densities):
@@ -545,60 +570,21 @@ def _importance_estimate(
             log_w += (np.log(prop.width[idx]) - np.log(prop.prob[idx])
                       + log_density(x))
             columns.append(x)
-        out = np.empty(m)
-        for k in range(m):
-            lw = log_w[k]
-            if lw == -math.inf:
-                out[k] = 0.0
-                continue
+        # zero-weight draws (off the support) are never evaluated
+        live = log_w != -math.inf
+        out = np.zeros(m)
+        if batched:
+            if not live.all():
+                columns = [col[live] for col in columns]
+            batch = model.build_batch(*columns)
+            out[live] = exp_or_inf_array(f_batch(batch) + log_w[live])
+            return out
+        for k in np.flatnonzero(live):
             path = model.build(*(float(col[k]) for col in columns))
-            out[k] = _exp_or_inf(f_path(path) + lw)
+            out[k] = exp_or_inf(f_path(path) + log_w[k])
         return out
 
-    workers = _worker_count(streams)
-    if workers == 1:
-        parts = [run_stream(j) for j in range(streams)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_stream, range(streams)))
-    values = np.concatenate(parts)
-    finite = np.isfinite(values)
-    bad = int(n - int(finite.sum()))
-    if bad:
-        logger.warning("%d of %d importance-sampled values were non-finite",
-                       bad, n)
-        if bad > 0.001 * n:
-            raise EstimationError(
-                f"{bad} of {n} importance-sampled values non-finite (> 0.1%)"
-            )
-        values = values[finite]
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(len(values)))
-    return Estimate(mean, se, len(values), bad)
-
-
-def _timed_log_functional(
-    spec: ConditionSpec, model: ProcessModel
-) -> Callable[[JumpPath, float], float]:
-    kind = spec.kind
-    if kind == "jacod":
-        return lambda p, t: jacod_functional(p, t).log_value
-    if kind == "theorem1":
-        a, eps = spec.control, spec.epsilon
-        return lambda p, t: theorem1_functional(p, a, eps, t).log_value
-    if kind == "protter_shimbo":
-        if model.disc_qv is None:
-            raise UnsupportedModelError(
-                f"model {model.name!r} carries no closed-form <M^d>"
-            )
-        return lambda p, t: protter_shimbo_functional(model, p, t).log_value
-    if kind == "lepingle_memin":
-        if model.lm_compensator is None:
-            raise UnsupportedModelError(
-                f"model {model.name!r} carries no closed-form compensator"
-            )
-        return lambda p, t: model.lm_compensator(p, t)
-    raise ValueError(f"kind {kind!r} has no exponential-family functional")
+    return _run_streams(n, seeds, kernel, "importance-sampled values")
 
 
 def _value_at_time(
@@ -807,6 +793,22 @@ def _evaluate_lemma1(
     return "finite", t1 * t2 + t3 * t4, None
 
 
+def _lemma1_kernel(
+    model: ProcessModel,
+    f_scalar: Callable[[JumpPath, float], float],
+    f_batch: Callable[[PathBatch], np.ndarray],
+) -> StreamKernel:
+    """Plain Monte Carlo kernel for ``lemma1`` at the horizon: whole streams
+    through ``build_batch`` when the model has it, else path by path."""
+    if model.build_batch is None:
+        return _path_kernel(model, lambda p: f_scalar(p, p.horizon))
+
+    def kernel(rng: np.random.Generator, m: int) -> np.ndarray:
+        return f_batch(model.build_batch(*model.driver_columns(rng, m)))
+
+    return kernel
+
+
 def evaluate_condition(
     model: ProcessModel,
     spec: ConditionSpec,
@@ -833,6 +835,13 @@ def evaluate_condition(
     Deterministic: equal arguments (including ``SeedSpec``) produce
     bit-identical reports.
     """
+    if spec.kind == "lemma1" and times:
+        raise ValueError(
+            "lemma1 is evaluated at the path horizon only; it takes no family times"
+        )
+    estimator = None
+    if n >= 2:
+        estimator = "pathwise" if spec.kind == "lemma1" else "importance-quantile"
     condition_doc = {
         "model": model.name,
         "kind": spec.kind,
@@ -843,15 +852,14 @@ def evaluate_condition(
         "n": n,
         "levels": None if levels is None else [float(x) for x in levels],
         "times": [float(t) for t in times],
-        "estimator": "importance-quantile" if spec.kind != "lemma1"
-        else "pathwise",
+        "estimator": estimator,
     }
 
+    timed, f_batch = pathwise_functional(spec, model)
     factors = None
     if spec.kind == "lemma1":
         verdict, value, evidence = _evaluate_lemma1(model, spec, levels)
     else:
-        timed = _timed_log_functional(spec, model)
         f_path = lambda p: timed(p, p.horizon)
         f_vals = lambda vals: f_path(model.build(*vals))
         factors = _split_factors(model, f_vals)
@@ -877,11 +885,11 @@ def evaluate_condition(
     if n >= 2:
         try:
             if factors is None:
-                estimate = estimate_expectation(
-                    model, lambda p: lemma1_functional(p, p.horizon), n, seeds
-                )
+                estimate = _run_streams(n, seeds, _lemma1_kernel(model, timed, f_batch))
             else:
-                estimate = _importance_estimate(model, f_path, factors, n, seeds)
+                estimate = _importance_estimate(
+                    model, f_path, f_batch, factors, n, seeds
+                )
         except EstimationError as exc:
             logger.warning("Monte Carlo cross-check unavailable: %s", exc)
 

@@ -13,7 +13,6 @@ laws from :mod:`doleans.distributions` through inverse-transform sampling.
 
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -36,6 +35,7 @@ __all__ = [
     "LinearQv",
     "ScaledQv",
     "JumpPath",
+    "PathBatch",
     "PredictableControl",
     "control_indicator_after",
     "integrate_control",
@@ -50,20 +50,32 @@ __all__ = [
     "EXAMPLE_MODELS",
 ]
 
-logger = logging.getLogger(__name__)
-
 # Smallest uniform admitted by samplers; keeps inverse CDFs off the 0 endpoint.
 _MIN_UNIFORM = 1e-300
 
 #: Default cap on exponentially distributed jump times.  Jump sizes are
 #: e^{tau}, and e^{700} ~ 1.01e304 is the largest power that stays well
-#: inside float64 range for every downstream functional; the probability
-#: of hitting the cap is e^{-700}.
+#: inside float64 range for every downstream functional.  Inverse-CDF
+#: draws from 53-bit uniforms never reach it (tau <= 53 ln 2 ~ 36.7);
+#: importance-sampling proposals, which reach tau = 2^60, do.
 DEFAULT_JUMP_TIME_CAP = 700.0
+
+
+def apply_math(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn`` (a scalar ``math`` function) applied to every element of ``x``.
+
+    NumPy's vectorized transcendentals may differ from ``math`` in the last
+    bit, so batch kernels use this to stay bit-identical to the scalar path.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size)
+    return out.reshape(x.shape)
 
 
 # ----------------------------------------------------------------------
 # Drift and continuous-quadratic-variation components (closed form).
+# ``array(t)`` evaluates a component at every element of a float array,
+# bit-identical to calling it element by element.
 # ----------------------------------------------------------------------
 
 class ZeroDrift:
@@ -74,6 +86,9 @@ class ZeroDrift:
 
     def __call__(self, t: float) -> float:
         return 0.0
+
+    def array(self, t: np.ndarray) -> np.ndarray:
+        return np.zeros(np.shape(t))
 
     def derivative(self, t: float) -> float:
         return 0.0
@@ -100,6 +115,13 @@ class ExpCompensatorDrift:
             return 0.0
         return -math.expm1(t - self.start)
 
+    def array(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape)
+        live = ~(t <= self.start)
+        out[live] = -apply_math(math.expm1, t[live] - self.start)
+        return out
+
     def derivative(self, t: float) -> float:
         if t <= self.start:
             return 0.0
@@ -119,6 +141,9 @@ class ScaledDrift:
     def __call__(self, t: float) -> float:
         return self.factor * self.base(t)
 
+    def array(self, t: np.ndarray) -> np.ndarray:
+        return self.factor * self.base.array(t)
+
     def derivative(self, t: float) -> float:
         return self.factor * self.base.derivative(t)
 
@@ -131,6 +156,9 @@ class ZeroQv:
 
     def __call__(self, t: float) -> float:
         return 0.0
+
+    def array(self, t: np.ndarray) -> np.ndarray:
+        return np.zeros(np.shape(t))
 
 
 class LinearQv:
@@ -149,6 +177,9 @@ class LinearQv:
 
     def __call__(self, t: float) -> float:
         return self.rate * t
+
+    def array(self, t: np.ndarray) -> np.ndarray:
+        return self.rate * np.asarray(t, dtype=float)
 
 
 class ScaledQv:
@@ -217,6 +248,58 @@ class JumpPath:
     def _check_time(self, t: float) -> None:
         if not (0.0 <= t <= self.horizon):
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
+
+
+@dataclass(frozen=True, eq=False)
+class PathBatch:
+    """``n`` paths with ``k`` jumps each, as a struct of arrays.
+
+    Row ``i`` is the :class:`JumpPath` with horizon ``horizon[i]``, jumps
+    ``zip(jump_t[i], jump_dm[i])`` and the shared ``drift`` and
+    ``cont_qv``; the same invariants are checked for every row.  Batch
+    kernels evaluate functionals at each row's horizon.
+    """
+
+    horizon: np.ndarray
+    jump_t: np.ndarray
+    jump_dm: np.ndarray
+    drift: Callable = _ZERO_DRIFT
+    cont_qv: Callable = _ZERO_QV
+
+    def __post_init__(self):
+        n = len(self.horizon)
+        if self.jump_t.ndim != 2 or self.jump_t.shape != self.jump_dm.shape \
+                or self.jump_t.shape[0] != n:
+            raise ValueError("jump arrays must both have shape (len(horizon), k)")
+        bad = ~(self.horizon >= 0.0)
+        if bad.any():
+            raise ValueError(
+                f"horizon must be nonnegative, got {self.horizon[bad][0]}"
+            )
+        prev = np.zeros(n)
+        for t in self.jump_t.T:
+            bad = ~((prev < t) & (t <= self.horizon))
+            if bad.any():
+                raise ValueError(
+                    "jump times must be strictly increasing in (0, horizon], "
+                    f"got {t[bad][0]}"
+                )
+            prev = t
+        bad = ~(self.jump_dm > -1.0)
+        if bad.any():
+            raise ValueError(f"jump sizes must exceed -1, got {self.jump_dm[bad][0]}")
+
+    def __len__(self) -> int:
+        return len(self.horizon)
+
+    def path(self, i: int) -> JumpPath:
+        """Row ``i`` as a :class:`JumpPath`."""
+        return JumpPath(
+            horizon=float(self.horizon[i]),
+            jumps=tuple(zip(self.jump_t[i].tolist(), self.jump_dm[i].tolist())),
+            drift=self.drift,
+            cont_qv=self.cont_qv,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -362,6 +445,10 @@ class ProcessModel:
 
     ``build(*driver_values)`` maps realized driver values to a
     :class:`JumpPath`; sampling composes it with inverse-transform draws.
+    ``build_batch(*driver_columns)``, when present, maps equal-length
+    arrays of driver values to a :class:`PathBatch` whose row ``i`` equals
+    ``build(*(col[i] for col in driver_columns))`` bit for bit; Monte Carlo
+    kernels then evaluate whole streams at once.
     ``disc_qv`` and ``lm_compensator``, when present, give the closed-form
     predictable quadratic variation of the purely discontinuous part and
     the compensator used by the compensator-based integrability condition,
@@ -374,33 +461,27 @@ class ProcessModel:
     disc_qv: Callable[[JumpPath, float], float] | None = None
     lm_compensator: Callable[[JumpPath, float], float] | None = None
     description: str = ""
-    truncation_flag: Callable[[JumpPath], bool] | None = None
+    build_batch: Callable[..., PathBatch] | None = None
 
     def sampler(self, seed: int, stream_index: int) -> JumpPath:
         """Deterministic path for ``(seed, stream_index)`` via a counter-based RNG."""
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(stream_index))
         return self.sample_chunk(rng, 1)[0]
 
-    def sample_chunk(self, rng: np.random.Generator, count: int) -> list[JumpPath]:
-        """Draw ``count`` paths from one RNG stream, consuming uniforms in order.
+    def driver_columns(self, rng: np.random.Generator, count: int) -> list[np.ndarray]:
+        """Inverse-transform draws of every driver for ``count`` paths.
 
-        Paths truncated by the model's jump-time cap are counted and
-        reported (53-bit uniforms cannot actually reach the default cap;
-        the guard matters only for exotic caps).
+        Uniforms are consumed row by row (one per driver per path), so the
+        draws do not depend on how paths are built from them.
         """
         u = rng.random((count, len(self.drivers)))
         np.clip(u, _MIN_UNIFORM, None, out=u)
-        cols = [d.dist.inverse_cdf(u[:, i]) for i, d in enumerate(self.drivers)]
-        paths = [
-            self.build(*(float(col[k]) for col in cols)) for k in range(count)
-        ]
-        if self.truncation_flag is not None:
-            truncated = sum(1 for p in paths if self.truncation_flag(p))
-            if truncated:
-                logger.warning(
-                    "%d of %d sampled paths hit the jump-time cap", truncated, count
-                )
-        return paths
+        return [d.dist.inverse_cdf(u[:, i]) for i, d in enumerate(self.drivers)]
+
+    def sample_chunk(self, rng: np.random.Generator, count: int) -> list[JumpPath]:
+        """Draw ``count`` paths from one RNG stream, consuming uniforms in order."""
+        cols = self.driver_columns(rng, count)
+        return [self.build(*(float(col[k]) for col in cols)) for k in range(count)]
 
 
 def example1_model() -> ProcessModel:
@@ -420,11 +501,20 @@ def example1_model() -> ProcessModel:
     def build(x: float) -> JumpPath:
         return JumpPath(horizon=1.0, jumps=((1.0, x),))
 
+    def build_batch(x: np.ndarray) -> PathBatch:
+        n = len(x)
+        return PathBatch(
+            horizon=np.ones(n),
+            jump_t=np.ones((n, 1)),
+            jump_dm=np.asarray(x, dtype=float).reshape(n, 1),
+        )
+
     return ProcessModel(
         name="example1",
         drivers=drivers,
         build=build,
         description="single jump drawn from the xi law at time 1, horizon 1",
+        build_batch=build_batch,
     )
 
 
@@ -484,12 +574,24 @@ def example2_model(jump_time_cap: float = DEFAULT_JUMP_TIME_CAP) -> ProcessModel
     )
 
     def build(e: float) -> JumpPath:
-        # floor keeps the horizon strictly positive in float
+        # floor keeps the horizon strictly positive in float; the cap keeps
+        # e^tau finite for proposal draws far out in the tail
         tau = _capped(max(e, 1e-300), jump_time_cap)
         return JumpPath(
             horizon=tau,
             jumps=((tau, math.exp(tau)),),
             drift=ExpCompensatorDrift(0.0),
+        )
+
+    drift = ExpCompensatorDrift(0.0)
+
+    def build_batch(e: np.ndarray) -> PathBatch:
+        tau = np.minimum(np.maximum(e, 1e-300), jump_time_cap)
+        return PathBatch(
+            horizon=tau,
+            jump_t=tau[:, None],
+            jump_dm=apply_math(math.exp, tau)[:, None],
+            drift=drift,
         )
 
     return ProcessModel(
@@ -500,7 +602,7 @@ def example2_model(jump_time_cap: float = DEFAULT_JUMP_TIME_CAP) -> ProcessModel
         lm_compensator=_lm_compensator,
         description="compensated integral of e^s against a Poisson process, "
         "stopped at the first jump",
-        truncation_flag=lambda p: p.horizon >= jump_time_cap,
+        build_batch=build_batch,
     )
 
 
@@ -542,13 +644,24 @@ def example3_model(jump_time_cap: float = DEFAULT_JUMP_TIME_CAP) -> ProcessModel
             drift=ExpCompensatorDrift(1.0),
         )
 
+    drift = ExpCompensatorDrift(1.0)
+
+    def build_batch(x: np.ndarray, e: np.ndarray) -> PathBatch:
+        tau_hat = 1.0 + np.minimum(np.maximum(e, 1e-15), jump_time_cap)
+        return PathBatch(
+            horizon=tau_hat,
+            jump_t=np.column_stack((np.ones(len(tau_hat)), tau_hat)),
+            jump_dm=np.column_stack((x, apply_math(math.exp, tau_hat - 1.0))),
+            drift=drift,
+        )
+
     return ProcessModel(
         name="example3",
         drivers=drivers,
         build=build,
         description="eta jump at time 1 plus a restarted compensated "
         "exponential Poisson integral stopped at its first jump",
-        truncation_flag=lambda p: p.horizon >= 1.0 + jump_time_cap,
+        build_batch=build_batch,
     )
 
 

@@ -16,6 +16,13 @@ The condition functionals share the per-jump building block
 ``log(1+d) - d/(1+d)`` and differ in the control-process and
 quadratic-variation terms.  The evaluator with control ``a == 0`` is
 arranged to reproduce the plain jump functional bit for bit.
+
+Next to the scalar functionals sit batch kernels over a
+:class:`~doleans.paths.PathBatch`, evaluated at each row's horizon.  They
+repeat the scalar arithmetic operation for operation (transcendentals
+through ``math``, control segments summed as ``math.fsum`` does), so every
+row is bit-identical to the scalar value; :func:`pathwise_functional`
+pairs the two per condition kind.
 """
 
 from __future__ import annotations
@@ -29,9 +36,11 @@ from scipy.integrate import quad
 
 from .paths import (
     JumpPath,
+    PathBatch,
     PredictableControl,
     ProcessModel,
     ZeroDrift,
+    apply_math,
     integrate_control_drift,
 )
 
@@ -49,6 +58,11 @@ __all__ = [
     "theorem1_functional",
     "lemma1_functional",
     "jump_term_reduction_gap",
+    "exp_or_inf",
+    "jacod_batch",
+    "theorem1_batch",
+    "lemma1_batch",
+    "pathwise_functional",
 ]
 
 CONDITION_KINDS = ("jacod", "protter_shimbo", "lepingle_memin", "theorem1", "lemma1")
@@ -116,9 +130,33 @@ class FunctionalValue:
         return math.exp(self.log_value)
 
 
+def exp_or_inf(x: float) -> float:
+    """``math.exp(x)``, with ``inf`` where the result overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def exp_or_inf_array(x: np.ndarray) -> np.ndarray:
+    out = np.empty(len(x))
+    # exp(709) ~ 8.2e307 cannot overflow; larger (and nan) arguments go
+    # through the scalar helper
+    safe = x <= 709.0
+    out[safe] = apply_math(math.exp, x[safe])
+    rest = ~safe
+    if rest.any():
+        out[rest] = apply_math(exp_or_inf, x[rest])
+    return out
+
+
 def _jump_term(dm: float) -> float:
     # log(1+d) - d/(1+d); nonnegative, zero only at d = 0
     return math.log1p(dm) - dm / (1.0 + dm)
+
+
+def _jump_term_array(dm: np.ndarray) -> np.ndarray:
+    return apply_math(math.log1p, dm) - dm / (1.0 + dm)
 
 
 def log_stoch_exponential(path: JumpPath, t: float) -> float:
@@ -263,6 +301,138 @@ def lemma1_functional(path: JumpPath, t: float) -> float:
     """``E_t(M)`` times the jump-condition exponent; the integrand whose
     bounded expectation forces uniform integrability of the exponential."""
     return stoch_exponential(path, t) * jacod_functional(path, t).log_value
+
+
+# ----------------------------------------------------------------------
+# Batch kernels: the functionals above at every row's horizon.
+# ----------------------------------------------------------------------
+
+def _fsum_rows(terms: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of the present terms of every row.
+
+    With at most two terms the correctly rounded sum is one IEEE addition
+    started from +0.0 (fsum never returns -0.0); rows with more terms, or
+    with a non-finite sum, go through ``math.fsum`` itself.
+    """
+    out = np.zeros(len(terms))
+    for col, live in zip(terms.T, present.T):
+        out = out + np.where(live, col, 0.0)
+    slow = (present.sum(axis=1) > 2) | ~np.isfinite(out)
+    for i in np.flatnonzero(slow):
+        out[i] = math.fsum(terms[i][present[i]].tolist())
+    return out
+
+
+def jacod_batch(batch: PathBatch) -> np.ndarray:
+    """:func:`jacod_functional` log values at every row's horizon."""
+    s = np.zeros(len(batch))
+    for dm in batch.jump_dm.T:
+        s = s + _jump_term_array(dm)
+    return 0.5 * batch.cont_qv.array(batch.horizon) + s
+
+
+def theorem1_batch(
+    batch: PathBatch, a: PredictableControl, eps: float
+) -> np.ndarray:
+    """:func:`theorem1_functional` log values at every row's horizon."""
+    if not (0.0 < eps < 1.0):
+        raise ValueError("epsilon must lie strictly in (0, 1)")
+    T = batch.horizon
+    drift, qv = batch.drift, batch.cont_qv
+    drift_T = drift.array(T)
+    qv_T = qv.array(T)
+
+    # slot j carries values[j] on (breaks[j-1], min(breaks[j], T)], with
+    # breaks[-1] = 0 and a final break at infinity: the segments of
+    # PredictableControl.segments_until(T), empty slots masked out.  Drift
+    # and qv are evaluated at a break only where some row's segment ends
+    # there, as in the scalar path (e^b may overflow for breaks past every
+    # horizon).
+    lows = (0.0,) + a.breaks
+    highs = a.breaks + (math.inf,)
+    terms = np.zeros((len(batch), len(a.values)))
+    present = np.empty(terms.shape, dtype=bool)
+    qv_part = np.zeros(len(batch))
+    eps_part = np.zeros(len(batch))
+    for j, (lo, hi, v) in enumerate(zip(lows, highs, a.values)):
+        live = present[:, j]
+        np.greater(np.minimum(hi, T), lo, out=live)
+        if not live.any():
+            continue
+        cut = hi < T
+        d_hi, q_hi = drift_T, qv_T
+        if cut.any():
+            d_hi = np.where(cut, drift(hi), drift_T)
+            q_hi = np.where(cut, qv(hi), qv_T)
+        terms[:, j] = v * (d_hi - drift(lo))
+        dq = q_hi - qv(lo)
+        qv_part = np.where(live, qv_part + (0.5 - v) * dq, qv_part)
+        if 1.0 - v < eps:
+            eps_part = np.where(live, eps_part + eps * dq, eps_part)
+    drift_part = _fsum_rows(terms, present)
+
+    values = np.asarray(a.values)
+    breaks = np.asarray(a.breaks, dtype=float)
+    s = np.zeros(len(batch))
+    for t, dm in zip(batch.jump_t.T, batch.jump_dm.T):
+        av = values[np.searchsorted(breaks, t, side="left")]
+        s = s + (_jump_term_array(dm) + apply_math(math.log1p, av * dm))
+    return ((drift_part + qv_part) + eps_part) + s
+
+
+def lemma1_batch(batch: PathBatch) -> np.ndarray:
+    """:func:`lemma1_functional` values at every row's horizon."""
+    T = batch.horizon
+    s = np.zeros(len(batch))
+    for dm in batch.jump_dm.T:
+        s = s + apply_math(math.log1p, dm)
+    log_e = batch.drift.array(T) - 0.5 * batch.cont_qv.array(T) + s
+    return exp_or_inf_array(log_e) * jacod_batch(batch)
+
+
+def _theorem1_pair(spec: ConditionSpec, model: ProcessModel):
+    a, eps = spec.control, spec.epsilon
+    return (lambda p, t: theorem1_functional(p, a, eps, t).log_value,
+            lambda b: theorem1_batch(b, a, eps))
+
+
+def _protter_shimbo_pair(spec: ConditionSpec, model: ProcessModel):
+    if model.disc_qv is None:
+        raise UnsupportedModelError(
+            f"model {model.name!r} carries no closed-form <M^d>"
+        )
+    return lambda p, t: protter_shimbo_functional(model, p, t).log_value, None
+
+
+def _lepingle_memin_pair(spec: ConditionSpec, model: ProcessModel):
+    if model.lm_compensator is None:
+        raise UnsupportedModelError(
+            f"model {model.name!r} carries no closed-form compensator"
+        )
+    return model.lm_compensator, None
+
+
+_FUNCTIONALS = {
+    "jacod": lambda spec, model: (
+        lambda p, t: jacod_functional(p, t).log_value, jacod_batch),
+    "theorem1": _theorem1_pair,
+    "protter_shimbo": _protter_shimbo_pair,
+    "lepingle_memin": _lepingle_memin_pair,
+    "lemma1": lambda spec, model: (lemma1_functional, lemma1_batch),
+}
+
+
+def pathwise_functional(spec: ConditionSpec, model: ProcessModel):
+    """The pathwise functional of ``spec`` on ``model``, scalar and batched.
+
+    Returns ``(scalar, batch)``: ``scalar(path, t)`` is the log exponent of
+    the condition (for ``lemma1``, the integrand itself) and
+    ``batch(path_batch)`` its values at every row's horizon, bit-identical
+    to ``scalar(row, row.horizon)``.  ``batch`` is ``None`` for the kinds
+    evaluated path by path only.  Raises :class:`UnsupportedModelError`
+    when the model lacks the closed forms the kind needs.
+    """
+    return _FUNCTIONALS[spec.kind](spec, model)
 
 
 def jump_term_reduction_gap(a, dm):

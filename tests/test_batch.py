@@ -1,0 +1,341 @@
+"""Batch kernels over PathBatch against the scalar per-path functionals, bit for bit."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from doleans import (
+    ConditionSpec,
+    Estimate,
+    ExpCompensatorDrift,
+    JumpPath,
+    LinearQv,
+    PathBatch,
+    PredictableControl,
+    ScaledDrift,
+    SeedSpec,
+    control_indicator_after,
+    evaluate_condition,
+    example1_model,
+    example2_model,
+    example3_model,
+    jacod_batch,
+    jacod_functional,
+    lemma1_batch,
+    lemma1_functional,
+    theorem1_batch,
+    theorem1_functional,
+)
+from doleans import mc
+
+MODELS = {m.name: m for m in (example1_model(), example2_model(), example3_model())}
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+# ----------------------------------------------------------------------
+# Driver values: the support, its edges, and jump times past the 700 cap
+# ----------------------------------------------------------------------
+
+XI_VALUES = st.one_of(
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([float(np.nextafter(-1.0, 0.0)), float(np.nextafter(1.0, 0.0)),
+                     0.0, -0.0, 5e-324, -5e-324]),
+)
+ETA_VALUES = st.one_of(
+    st.floats(-0.5, 0.0),
+    st.floats(1.0, 1e300),
+    st.sampled_from([-0.5, -0.0, 0.0, 1.0, 1e300]),
+)
+TAU_VALUES = st.one_of(
+    st.floats(0.0, 800.0),
+    st.floats(0.0, 2.0 ** 61),
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e-15, 2e-15, 699.9999999999999, 700.0,
+                     float(np.nextafter(700.0, math.inf)), 709.0, 710.0, 2.0 ** 60]),
+)
+DRIVER_VALUES = {
+    "example1": st.tuples(XI_VALUES),
+    "example2": st.tuples(TAU_VALUES),
+    "example3": st.tuples(ETA_VALUES, TAU_VALUES),
+}
+
+UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]))
+# eps = 0.5 meets 1 - a == eps at a = 0.5, the edge of the eps term
+EPS = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                st.just(0.5))
+# a break past e^709 would overflow the compensator drift if it were evaluated
+BREAK = st.one_of(st.floats(0.0, 4.0),
+                  st.sampled_from([0.0, 1.0, 1e-300, 2.0, 750.0]))
+
+
+@st.composite
+def controls(draw) -> PredictableControl:
+    kind = draw(st.sampled_from(["zero", "one", "constant", "indicator", "piecewise"]))
+    if kind == "zero":
+        return PredictableControl.constant(0.0)
+    if kind == "one":
+        return PredictableControl.constant(1.0)
+    if kind == "constant":
+        return PredictableControl.constant(draw(UNIT))
+    if kind == "indicator":
+        return control_indicator_after(1.0)
+    breaks = sorted(draw(st.sets(BREAK, min_size=2, max_size=4)))
+    values = draw(st.lists(UNIT, min_size=len(breaks) + 1, max_size=len(breaks) + 1))
+    return PredictableControl(tuple(breaks), tuple(values))
+
+
+@st.composite
+def model_batches(draw):
+    name = draw(st.sampled_from(sorted(MODELS)))
+    rows = draw(st.lists(DRIVER_VALUES[name], min_size=1, max_size=12))
+    return MODELS[name], rows
+
+
+def scalar_paths(model, rows):
+    return [model.build(*vals) for vals in rows]
+
+
+def build_batch(model, rows) -> PathBatch:
+    columns = [np.array(col, dtype=float) for col in zip(*rows)]
+    return model.build_batch(*columns)
+
+
+@given(model_batches())
+@settings(max_examples=300, deadline=None)
+def test_build_batch_rows_equal_build(case):
+    model, rows = case
+    batch = build_batch(model, rows)
+    assert len(batch) == len(rows)
+    for i, path in enumerate(scalar_paths(model, rows)):
+        row = batch.path(i)
+        assert bits([row.horizon]) == bits([path.horizon])
+        assert [bits(j) for j in row.jumps] == [bits(j) for j in path.jumps]
+        assert row.drift.kind == path.drift.kind
+        assert row.cont_qv.kind == path.cont_qv.kind
+
+
+@given(model_batches())
+@settings(max_examples=300, deadline=None)
+def test_jacod_and_lemma1_batches_equal_scalar(case):
+    model, rows = case
+    batch = build_batch(model, rows)
+    paths = scalar_paths(model, rows)
+    assert bits(jacod_batch(batch)) == bits(
+        jacod_functional(p, p.horizon).log_value for p in paths
+    )
+    assert bits(lemma1_batch(batch)) == bits(
+        lemma1_functional(p, p.horizon) for p in paths
+    )
+
+
+@given(model_batches(), controls(), EPS)
+@settings(max_examples=500, deadline=None)
+def test_theorem1_batch_equals_scalar(case, a, eps):
+    model, rows = case
+    batch = build_batch(model, rows)
+    expected = [theorem1_functional(p, a, eps, p.horizon).log_value
+                for p in scalar_paths(model, rows)]
+    assert bits(theorem1_batch(batch, a, eps)) == bits(expected)
+
+
+@st.composite
+def synthetic_batches(draw):
+    """Rows with k shared-layout jumps under a scaled compensator drift and a
+    linear continuous quadratic variation, as PathBatch and as JumpPaths."""
+    drift = ScaledDrift(ExpCompensatorDrift(draw(st.sampled_from([0.0, 1.0]))),
+                        draw(st.floats(-1.0, 1.0)))
+    qv = LinearQv(draw(st.floats(0.0, 0.5)))
+    k = draw(st.integers(0, 3))
+    paths = []
+    for _ in range(draw(st.integers(1, 8))):
+        times = sorted(draw(st.sets(st.floats(1e-3, 4.0), min_size=k, max_size=k)))
+        last = times[-1] if times else 0.0
+        horizon = last + draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                                        st.floats(0.0, 2.0)))
+        sizes = draw(st.lists(st.floats(-0.99, 50.0), min_size=k, max_size=k))
+        paths.append(JumpPath(horizon, tuple(zip(times, sizes)), drift, qv))
+    jumps = np.array([p.jumps for p in paths]).reshape(len(paths), k, 2)
+    batch = PathBatch(np.array([p.horizon for p in paths]), jumps[:, :, 0],
+                      jumps[:, :, 1], drift, qv)
+    return batch, paths
+
+
+@given(synthetic_batches(), controls(), EPS)
+@settings(max_examples=500, deadline=None)
+def test_batches_with_drift_and_qv_equal_scalar(case, a, eps):
+    batch, paths = case
+    horizons = batch.horizon.tolist()
+    for component in (batch.drift, batch.cont_qv):
+        assert bits(component.array(batch.horizon)) == bits(map(component, horizons))
+    assert bits(theorem1_batch(batch, a, eps)) == bits(
+        theorem1_functional(p, a, eps, p.horizon).log_value for p in paths
+    )
+    assert bits(jacod_batch(batch)) == bits(
+        jacod_functional(p, p.horizon).log_value for p in paths
+    )
+    assert bits(lemma1_batch(batch)) == bits(
+        lemma1_functional(p, p.horizon) for p in paths
+    )
+
+
+def test_theorem1_batch_skips_breaks_past_every_horizon():
+    # the drift e^750 overflows; like the scalar path, the kernel must not
+    # evaluate it at a break no row reaches
+    batch = MODELS["example2"].build_batch(np.array([0.5, 3.0, 700.0]))
+    for a in (control_indicator_after(750.0),
+              PredictableControl((2.0, 750.0, 800.0), (0.2, 0.4, 0.6, 0.8))):
+        paths = [batch.path(i) for i in range(len(batch))]
+        expected = [theorem1_functional(p, a, 0.5, p.horizon).log_value for p in paths]
+        assert bits(theorem1_batch(batch, a, 0.5)) == bits(expected)
+
+
+def test_theorem1_batch_sums_many_segments_as_fsum():
+    # four control segments per row: a plain running sum of the drift terms
+    # rounds differently from math.fsum on about one row in ten
+    tau = np.random.Generator(np.random.Philox(key=5)).uniform(0.0, 6.0, 5000)
+    batch = MODELS["example2"].build_batch(tau)
+    a = PredictableControl((0.5, 1.0, 2.0), (0.3, 0.7, 0.1, 0.9))
+    paths = [batch.path(i) for i in range(len(batch))]
+    expected = [theorem1_functional(p, a, 0.5, p.horizon).log_value for p in paths]
+    assert bits(theorem1_batch(batch, a, 0.5)) == bits(expected)
+
+
+def test_theorem1_batch_at_zero_control_equals_jacod_batch():
+    rng = np.random.Generator(np.random.Philox(key=3))
+    for model in MODELS.values():
+        batch = model.build_batch(*model.driver_columns(rng, 500))
+        zero = theorem1_batch(batch, PredictableControl.constant(0.0), 0.5)
+        assert bits(zero) == bits(jacod_batch(batch))
+
+
+def test_theorem1_batch_rejects_bad_epsilon():
+    batch = example1_model().build_batch(np.array([0.5]))
+    with pytest.raises(ValueError):
+        theorem1_batch(batch, PredictableControl.constant(0.5), 1.0)
+
+
+class TestPathBatchInvariants:
+    def test_rejects_jump_at_minus_one(self):
+        with pytest.raises(ValueError):
+            PathBatch(np.ones(2), np.ones((2, 1)), np.array([[0.5], [-1.0]]))
+
+    def test_rejects_unordered_jumps(self):
+        with pytest.raises(ValueError):
+            PathBatch(np.full(1, 2.0), np.array([[1.5, 1.0]]), np.full((1, 2), 0.1))
+
+    def test_rejects_jump_beyond_horizon(self):
+        with pytest.raises(ValueError):
+            PathBatch(np.ones(1), np.array([[1.5]]), np.array([[0.1]]))
+
+    def test_rejects_jump_at_zero(self):
+        with pytest.raises(ValueError):
+            PathBatch(np.ones(1), np.array([[0.0]]), np.array([[0.1]]))
+
+    def test_rejects_negative_horizon(self):
+        with pytest.raises(ValueError):
+            PathBatch(np.array([-1.0]), np.zeros((1, 0)), np.zeros((1, 0)))
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            PathBatch(np.ones(2), np.ones((2, 1)), np.ones((2, 2)))
+
+
+def test_driver_columns_are_the_sample_chunk_draws():
+    for model in MODELS.values():
+        rng_a = np.random.Generator(np.random.Philox(key=8).jumped(2))
+        rng_b = np.random.Generator(np.random.Philox(key=8).jumped(2))
+        paths = model.sample_chunk(rng_a, 300)
+        batch = model.build_batch(*model.driver_columns(rng_b, 300))
+        for i, p in enumerate(paths):
+            row = batch.path(i)
+            assert row.horizon == p.horizon and row.jumps == p.jumps
+
+
+# ----------------------------------------------------------------------
+# evaluate_condition estimates against a per-path reference loop
+# ----------------------------------------------------------------------
+
+def reference_estimate(model, spec: ConditionSpec, seeds: SeedSpec, n: int) -> Estimate:
+    """The Monte Carlo cross-check path by path: the same streams and draws,
+    one ``build`` and one scalar functional per path.
+
+    The IS proposals come from the engine's own (scalar) constructors; the
+    stream loop, path building, evaluation and reduction are spelled out.
+    """
+    if spec.kind == "jacod":
+        f_path = lambda p: jacod_functional(p, p.horizon).log_value
+    elif spec.kind == "theorem1":
+        f_path = lambda p: theorem1_functional(
+            p, spec.control, spec.epsilon, p.horizon).log_value
+    else:
+        f_path = lambda p: lemma1_functional(p, p.horizon)
+    streams = min(seeds.streams, n)
+    base, extra = divmod(n, streams)
+    sizes = [base + (1 if j < extra else 0) for j in range(streams)]
+    if spec.kind != "lemma1":
+        factors = mc._split_factors(model, lambda vals: f_path(model.build(*vals)))
+        proposals = [mc._driver_proposal(driver, g) for driver, g in factors]
+
+    values = []
+    for j, m in enumerate(sizes):
+        rng = np.random.Generator(np.random.Philox(key=seeds.seed).jumped(j))
+        if spec.kind == "lemma1":
+            u = np.clip(rng.random((m, len(model.drivers))), 1e-300, None)
+            cols = [d.dist.inverse_cdf(u[:, i]) for i, d in enumerate(model.drivers)]
+            for k in range(m):
+                values.append(f_path(model.build(*(float(c[k]) for c in cols))))
+            continue
+        log_w = np.zeros(m)
+        cols = []
+        for prop, (driver, _) in zip(proposals, factors):
+            idx = rng.choice(len(prop.prob), size=m, p=prop.prob)
+            x = prop.lo[idx] + prop.width[idx] * rng.random(m)
+            log_w += (np.log(prop.width[idx]) - np.log(prop.prob[idx])
+                      + driver.dist.log_density(x))
+            cols.append(x)
+        for k in range(m):
+            if log_w[k] == -math.inf:
+                values.append(0.0)
+                continue
+            p = model.build(*(float(c[k]) for c in cols))
+            try:
+                values.append(math.exp(f_path(p) + log_w[k]))
+            except OverflowError:
+                values.append(math.inf)
+
+    arr = np.array(values)
+    finite = np.isfinite(arr)
+    arr = arr[finite]
+    return Estimate(float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr))),
+                    len(arr), int(n - finite.sum()))
+
+
+CROSSCHECK_SPECS = [
+    ("example1", ConditionSpec("theorem1", PredictableControl.constant(1.0))),
+    ("example2", ConditionSpec("theorem1", PredictableControl.constant(0.6))),
+    ("example3", ConditionSpec("theorem1", control_indicator_after(1.0))),
+    ("example3", ConditionSpec("theorem1", PredictableControl.constant(0.3))),
+    ("example1", ConditionSpec("jacod")),
+    ("example1", ConditionSpec("lemma1")),
+    ("example2", ConditionSpec("lemma1")),
+    ("example3", ConditionSpec("lemma1")),
+]
+
+
+@pytest.mark.parametrize("streams, n", [(1, 2000), (16, 2000), (32, 20)])
+@pytest.mark.parametrize("name, spec", CROSSCHECK_SPECS,
+                         ids=[f"{n} {s.label()}" for n, s in CROSSCHECK_SPECS])
+def test_estimate_equals_per_path_reference(name, spec, streams, n):
+    model = MODELS[name]
+    seeds = SeedSpec(12345, streams)
+    expected = reference_estimate(model, spec, seeds, n)
+    batched = evaluate_condition(model, spec, seeds, n).estimate
+    assert repr(batched) == repr(expected)
+    # a model without build_batch takes the per-path kernel
+    per_path = evaluate_condition(replace(model, build_batch=None), spec, seeds, n)
+    assert repr(per_path.estimate) == repr(expected)

@@ -72,6 +72,15 @@ class TestEstimateExpectation:
         threaded = estimate_expectation(model2, f, 20_000, SeedSpec(55, 8))
         assert serial == threaded
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-1", "1.5"])
+    def test_invalid_worker_count_rejected(self, model1, monkeypatch, raw):
+        monkeypatch.setenv("DOLEANS_THREADS", raw)
+        with pytest.raises(ValueError, match="DOLEANS_THREADS"):
+            estimate_expectation(model1, lambda p: 1.0, 100, SeedSpec(0, 4))
+        spec = ConditionSpec("theorem1", PredictableControl.constant(1.0))
+        with pytest.raises(ValueError, match="DOLEANS_THREADS"):
+            evaluate_condition(model1, spec, SeedSpec(0, 4), 100)
+
 
 class TestQuadratureExpectation:
     def test_normalization(self):
@@ -283,6 +292,20 @@ class TestEvaluateCondition:
         assert r.estimate is None
         r = evaluate_condition(model1, spec, SeedSpec(3, 4), 10_000)
         assert r.estimate is not None and r.estimate.n == 10_000
+
+    def test_estimator_label_reflects_what_ran(self, model1):
+        for kind, label in (("jacod", "importance-quantile"), ("lemma1", "pathwise")):
+            spec = ConditionSpec(kind)
+            for n in (0, 1):
+                doc = evaluate_condition(model1, spec, SeedSpec(3, 4), n).to_json()
+                assert doc["condition"]["estimator"] is None
+                assert doc["estimate"] is None
+            doc = evaluate_condition(model1, spec, SeedSpec(3, 4), 100).to_json()
+            assert doc["condition"]["estimator"] == label
+
+    def test_lemma1_rejects_family_times(self, model3):
+        with pytest.raises(ValueError, match="times"):
+            evaluate_condition(model3, ConditionSpec("lemma1"), times=(0.5,))
 
     def test_stopping_time_family_max(self, model1, model2):
         # before the jump the functional is 0, so those family members
