@@ -17,18 +17,17 @@ truncation threshold, which linearizes the growth.
 
 Monte Carlo streams are counter-based (Philox keyed by the seed, jumped
 per stream), so results are bit-reproducible for a fixed ``SeedSpec`` and
-stream partitioning regardless of worker scheduling.  Where the model has
-``build_batch`` and the condition a batch kernel, a stream is evaluated as
-one :class:`~doleans.paths.PathBatch`, bit-identical to the per-path loop.
+stream partitioning.  The condition cross-check evaluates each stream as
+one :class:`~doleans.paths.PathBatch`, bit-identical to the per-path
+functionals; the log-scale kinds, whose exponents exceed float range, have
+no cross-check.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -40,7 +39,6 @@ from .paths import Driver, JumpPath, PathBatch, ProcessModel
 from .stochexp import (
     ConditionSpec,
     UnsupportedModelError,
-    exp_or_inf,
     exp_or_inf_array,
     jacod_functional,
     log_stoch_exponential,
@@ -106,21 +104,6 @@ class Estimate(NamedTuple):
     nonfinite: int
 
 
-def _worker_count(chunks: int) -> int:
-    raw = os.environ.get("DOLEANS_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(
-            f"DOLEANS_THREADS must be a positive integer, got {raw!r}"
-        )
-    return min(cap, chunks)
-
-
 #: A stream kernel maps ``(rng, m)`` to the ``m`` values of one stream.
 StreamKernel = Callable[[np.random.Generator, int], np.ndarray]
 
@@ -130,26 +113,17 @@ def _run_streams(n: int, seeds: SeedSpec, kernel: StreamKernel,
     """Mean and standard error of ``n`` values drawn stream by stream.
 
     Stream ``j`` gets its share of ``n`` and its own Philox counter block
-    (the seed's generator jumped ``j`` times), so the values do not depend
-    on how many workers run the streams.  Non-finite values are counted,
+    (the seed's generator jumped ``j`` times), so each stream's values
+    depend only on the seed and ``j``.  Non-finite values are counted,
     reported, and excluded; more than 0.1% of them aborts the estimate.
     The reduction runs over the values in stream order.
     """
     streams = min(seeds.streams, n)
     base, extra = divmod(n, streams)
-    sizes = [base + (1 if j < extra else 0) for j in range(streams)]
-
-    def run_stream(j: int) -> np.ndarray:
+    parts = []
+    for j in range(streams):
         rng = np.random.Generator(np.random.Philox(key=seeds.seed).jumped(j))
-        return kernel(rng, sizes[j])
-
-    workers = _worker_count(streams)
-    if workers == 1:
-        parts = [run_stream(j) for j in range(streams)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_stream, range(streams)))
-
+        parts.append(kernel(rng, base + (1 if j < extra else 0)))
     values = np.concatenate(parts)
     finite = np.isfinite(values)
     bad = int(n - int(finite.sum()))
@@ -182,10 +156,10 @@ def estimate_expectation(
 ) -> Estimate:
     """Sample mean and standard error of a path functional over ``n`` paths.
 
-    Non-finite functional values are counted, reported, and excluded; more
-    than 0.1% of them aborts the estimate.  Aggregation is a deterministic
-    reduction in stream order, so the result does not depend on how many
-    workers execute the streams.
+    Paths are built and evaluated one by one, so ``functional`` may be any
+    callable.  Non-finite functional values are counted, reported, and
+    excluded; more than 0.1% of them aborts the estimate.  Aggregation is a
+    deterministic reduction in stream order.
     """
     if n < 2:
         raise ValueError("need at least two samples")
@@ -368,8 +342,9 @@ class DivergenceEvidence:
     """Truncated-expectation family with its growth fit.
 
     ``model == "log"`` fits values against ``ln(1/level)``; ``"linear"``
-    fits against the level itself.  ``diverging`` requires strictly
-    increasing values and a fit with R^2 >= 0.99.
+    fits against the level itself.  Levels and values are held in the
+    order of that x-axis.  ``diverging`` requires strictly increasing
+    values and a fit with R^2 >= 0.99.
     """
 
     levels: tuple[float, ...]
@@ -392,6 +367,30 @@ class DivergenceEvidence:
         }
 
 
+def _fit(levels: Sequence[float], values: Sequence[float],
+         model_tag: str) -> DivergenceEvidence:
+    """Least-squares growth fit of ``values`` over the model's x-axis.
+
+    Points are sorted by that x-axis first, so monotonicity, the fit and
+    the returned evidence do not depend on the order the levels came in.
+    """
+    lv = np.asarray(levels, dtype=float)
+    x = np.log(1.0 / lv) if model_tag == "log" else lv
+    order = np.argsort(x)
+    xs = x[order]
+    vs = np.asarray(values, dtype=float)[order]
+
+    slope, intercept = np.polyfit(xs, vs, 1)
+    fitted = slope * xs + intercept
+    ss_res = float(np.sum((vs - fitted) ** 2))
+    ss_tot = float(np.sum((vs - vs.mean()) ** 2))
+    r2 = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return DivergenceEvidence(
+        tuple(float(v) for v in lv[order]), tuple(float(v) for v in vs),
+        float(slope), model_tag, r2, bool(np.all(np.diff(vs) > 0.0)),
+    )
+
+
 def detect_divergence(
     family: Callable[[float], float],
     levels: Sequence[float],
@@ -399,9 +398,9 @@ def detect_divergence(
 ) -> DivergenceEvidence:
     """Evaluate truncated expectations on a level grid and fit their growth.
 
-    Levels must be at least four and strictly ordered.  Non-monotone values
-    yield evidence whose ``diverging`` flag is false (an inconclusive
-    probe), never an exception.
+    Levels must be at least four and strictly ordered, in either direction.
+    Non-monotone values yield evidence whose ``diverging`` flag is false
+    (an inconclusive probe), never an exception.
     """
     if model_tag not in ("log", "linear"):
         raise ValueError(f"unknown growth model {model_tag!r}")
@@ -411,20 +410,7 @@ def detect_divergence(
     diffs = np.diff(lv)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("levels must be strictly ordered")
-
-    values = tuple(float(family(x)) for x in lv)
-    x = np.log(1.0 / np.asarray(lv)) if model_tag == "log" else np.asarray(lv)
-    order = np.argsort(x)
-    xs = x[order]
-    vs = np.asarray(values)[order]
-    increasing = bool(np.all(np.diff(vs) > 0.0))
-
-    slope, intercept = np.polyfit(xs, vs, 1)
-    fitted = slope * xs + intercept
-    ss_res = float(np.sum((vs - fitted) ** 2))
-    ss_tot = float(np.sum((vs - vs.mean()) ** 2))
-    r2 = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return DivergenceEvidence(lv, values, float(slope), model_tag, r2, increasing)
+    return _fit(lv, [float(family(x)) for x in lv], model_tag)
 
 
 # ----------------------------------------------------------------------
@@ -549,17 +535,14 @@ def _driver_proposal(
 
 def _importance_estimate(
     model: ProcessModel,
-    f_path: Callable[[JumpPath], float],
-    f_batch: Callable[[PathBatch], np.ndarray] | None,
+    f_batch: Callable[[PathBatch], np.ndarray],
     factors: list[tuple[Driver, Callable[[float], float]]],
     n: int,
     seeds: SeedSpec,
 ) -> Estimate:
-    """IS estimate of ``E exp(F)``; ``f_batch`` evaluates ``F`` on whole
-    streams when the model builds batches, else paths are built one by one."""
+    """IS estimate of ``E exp(F)``; ``f_batch`` evaluates ``F`` on whole streams."""
     proposals = [_driver_proposal(driver, g) for driver, g in factors]
     log_densities = [driver.dist.log_density for driver, _ in factors]
-    batched = f_batch is not None and model.build_batch is not None
 
     def kernel(rng: np.random.Generator, m: int) -> np.ndarray:
         log_w = np.zeros(m)
@@ -573,15 +556,10 @@ def _importance_estimate(
         # zero-weight draws (off the support) are never evaluated
         live = log_w != -math.inf
         out = np.zeros(m)
-        if batched:
-            if not live.all():
-                columns = [col[live] for col in columns]
-            batch = model.build_batch(*columns)
-            out[live] = exp_or_inf_array(f_batch(batch) + log_w[live])
-            return out
-        for k in np.flatnonzero(live):
-            path = model.build(*(float(col[k]) for col in columns))
-            out[k] = exp_or_inf(f_path(path) + log_w[k])
+        if not live.all():
+            columns = [col[live] for col in columns]
+        batch = model.build_batch(*columns)
+        out[live] = exp_or_inf_array(f_batch(batch) + log_w[live])
         return out
 
     return _run_streams(n, seeds, kernel, "importance-sampled values")
@@ -642,8 +620,7 @@ def _split_factors(
 class _FactorAnalysis:
     verdict: str
     value: float | None
-    evidence: DivergenceEvidence | None
-    probe_values: tuple[float, ...]
+    evidence: DivergenceEvidence
 
 
 def _material_growth(values: Sequence[float], scale: str) -> bool:
@@ -658,7 +635,9 @@ def _analyze_factor(
     g: Callable[[float], float],
     levels: Sequence[float],
     probe_scale: str,
+    weight: Callable[[float], float] | None = None,
 ) -> _FactorAnalysis:
+    """Verdict on ``E exp(g) [weight]`` over one driver from its truncations."""
     if probe_scale == "log":
         # Exponents beyond float range: probe ln E[...] and fit it against
         # the functional's own truncation threshold, which linearizes
@@ -672,72 +651,58 @@ def _analyze_factor(
         table = dict(pairs)
         evidence = detect_divergence(lambda l: table[l], thresholds, "linear")
         if evidence.diverging and _material_growth(evidence.values, "log"):
-            return _FactorAnalysis("diverging", None, evidence, evidence.values)
-        return _FactorAnalysis("inconclusive", None, evidence, evidence.values)
-
-    probe_values = tuple(
-        _quad_exp_weighted(driver.dist, g, driver.truncate(level)) for level in levels
-    )
-    try:
-        full = _quad_exp_weighted(driver.dist, g, None)
-    except QuadratureAccuracyError:
-        full = None
+            return _FactorAnalysis("diverging", None, evidence)
+        return _FactorAnalysis("inconclusive", None, evidence)
 
     evidence = detect_divergence(
-        lambda l, _t=dict(zip(levels, probe_values)): _t[l], levels, driver.growth
+        lambda l: _quad_exp_weighted(driver.dist, g, driver.truncate(l), weight),
+        levels,
+        driver.growth,
     )
-    if full is not None and not (
-        evidence.diverging and _material_growth(probe_values, "linear")
-    ):
-        return _FactorAnalysis("finite", full, evidence, probe_values)
-    if evidence.diverging and _material_growth(probe_values, "linear"):
-        return _FactorAnalysis("diverging", None, evidence, probe_values)
-    return _FactorAnalysis("inconclusive", None, evidence, probe_values)
+    try:
+        full = _quad_exp_weighted(driver.dist, g, None, weight)
+    except QuadratureAccuracyError:
+        full = None
+    growing = evidence.diverging and _material_growth(evidence.values, "linear")
+    if full is not None and not growing:
+        return _FactorAnalysis("finite", full, evidence)
+    if growing:
+        return _FactorAnalysis("diverging", None, evidence)
+    return _FactorAnalysis("inconclusive", None, evidence)
 
 
 def _combine_factors(
     analyses: list[_FactorAnalysis],
 ) -> tuple[str, float | None, DivergenceEvidence | None]:
-    diverging = [i for i, a in enumerate(analyses) if a.verdict == "diverging"]
-    if diverging:
-        # truncate the (first) divergent driver; hold finite factors at
-        # their full values so the product family stays monotone
-        i = diverging[0]
-        lead = analyses[i]
-        scale = 1.0
-        for j, a in enumerate(analyses):
-            if j == i:
-                continue
-            scale *= a.value if a.value is not None else a.probe_values[-1]
-        values = tuple(v * scale for v in lead.probe_values)
-        ev = lead.evidence
-        x = (
-            np.log(1.0 / np.asarray(ev.levels))
-            if ev.model == "log"
-            else np.asarray(ev.levels)
-        )
-        slope, intercept = np.polyfit(x, np.asarray(values), 1)
-        fitted = slope * x + intercept
-        ss_res = float(np.sum((np.asarray(values) - fitted) ** 2))
-        ss_tot = float(np.sum((np.asarray(values) - np.mean(values)) ** 2))
-        r2 = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-        combined = DivergenceEvidence(
-            ev.levels, values, float(slope), ev.model, r2,
-            bool(np.all(np.diff(values) > 0.0)),
-        )
-        return "diverging", None, combined
+    """Verdict on the product of independent factors.
+
+    A lone factor that is not finite reports its own evidence.
+    """
     if all(a.verdict == "finite" for a in analyses):
         value = 1.0
         for a in analyses:
             value *= a.value
         return "finite", value, None
+    if len(analyses) == 1:
+        return analyses[0].verdict, None, analyses[0].evidence
+    diverging = [i for i, a in enumerate(analyses) if a.verdict == "diverging"]
+    if diverging:
+        # truncate the (first) divergent driver; hold finite factors at
+        # their full values so the product family stays monotone
+        i = diverging[0]
+        lead = analyses[i].evidence
+        scale = 1.0
+        for j, a in enumerate(analyses):
+            if j != i:
+                scale *= a.value if a.value is not None else a.evidence.values[-1]
+        values = [v * scale for v in lead.values]
+        return "diverging", None, _fit(lead.levels, values, lead.model)
     return "inconclusive", None, None
 
 
 def _evaluate_lemma1(
     model: ProcessModel,
-    spec: ConditionSpec,
-    levels_override,
+    levels: Sequence[float] | None,
 ) -> tuple[str, float | None, DivergenceEvidence | None]:
     drivers = model.drivers
 
@@ -751,26 +716,14 @@ def _evaluate_lemma1(
 
     if len(drivers) == 1:
         d = drivers[0]
-        g = lambda x: log_e((x,))
-        w = lambda x: bracket((x,))
-        levels = tuple(levels_override) if levels_override else d.levels
-        probe_values = tuple(
-            _quad_exp_weighted(d.dist, g, d.truncate(l), weight=w) for l in levels
+        analysis = _analyze_factor(
+            d,
+            lambda x: log_e((x,)),
+            tuple(levels) if levels is not None else d.levels,
+            "linear",
+            weight=lambda x: bracket((x,)),
         )
-        try:
-            full = _quad_exp_weighted(d.dist, g, None, weight=w)
-        except QuadratureAccuracyError:
-            full = None
-        evidence = detect_divergence(
-            lambda l, _t=dict(zip(levels, probe_values)): _t[l], levels, d.growth
-        )
-        if full is not None and not (
-            evidence.diverging and _material_growth(probe_values, "linear")
-        ):
-            return "finite", full, None
-        if evidence.diverging and _material_growth(probe_values, "linear"):
-            return "diverging", None, evidence
-        return "inconclusive", None, evidence
+        return _combine_factors([analysis])
 
     if len(drivers) != 2:
         raise UnsupportedModelError("factorization supports at most two drivers")
@@ -791,22 +744,6 @@ def _evaluate_lemma1(
     except QuadratureAccuracyError:
         return "inconclusive", None, None
     return "finite", t1 * t2 + t3 * t4, None
-
-
-def _lemma1_kernel(
-    model: ProcessModel,
-    f_scalar: Callable[[JumpPath, float], float],
-    f_batch: Callable[[PathBatch], np.ndarray],
-) -> StreamKernel:
-    """Plain Monte Carlo kernel for ``lemma1`` at the horizon: whole streams
-    through ``build_batch`` when the model has it, else path by path."""
-    if model.build_batch is None:
-        return _path_kernel(model, lambda p: f_scalar(p, p.horizon))
-
-    def kernel(rng: np.random.Generator, m: int) -> np.ndarray:
-        return f_batch(model.build_batch(*model.driver_columns(rng, m)))
-
-    return kernel
 
 
 def evaluate_condition(
@@ -830,7 +767,9 @@ def evaluate_condition(
     path horizon (the dominating value for the built-in models) together
     with any fixed ``times``; a finite verdict reports the maximum over
     the family.  With ``n >= 2`` a Monte Carlo estimate of the horizon
-    value over ``n`` paths is attached as an independent cross-check.
+    value over ``n`` paths is attached as an independent cross-check;
+    the log-scale kinds (``protter_shimbo``, ``lepingle_memin``), whose
+    exponents exceed float range, reject ``n >= 2`` with ``ValueError``.
 
     Deterministic: equal arguments (including ``SeedSpec``) produce
     bit-identical reports.
@@ -838,6 +777,11 @@ def evaluate_condition(
     if spec.kind == "lemma1" and times:
         raise ValueError(
             "lemma1 is evaluated at the path horizon only; it takes no family times"
+        )
+    if spec.kind in _LOG_SCALE_KINDS and n >= 2:
+        raise ValueError(
+            f"{spec.kind} has no Monte Carlo cross-check: its exponents exceed "
+            "float range (use n = 0)"
         )
     estimator = None
     if n >= 2:
@@ -858,10 +802,12 @@ def evaluate_condition(
     timed, f_batch = pathwise_functional(spec, model)
     factors = None
     if spec.kind == "lemma1":
-        verdict, value, evidence = _evaluate_lemma1(model, spec, levels)
+        verdict, value, evidence = _evaluate_lemma1(model, levels)
     else:
-        f_path = lambda p: timed(p, p.horizon)
-        f_vals = lambda vals: f_path(model.build(*vals))
+        def f_vals(vals):
+            p = model.build(*vals)
+            return timed(p, p.horizon)
+
         factors = _split_factors(model, f_vals)
         probe_scale = "log" if spec.kind in _LOG_SCALE_KINDS else "linear"
         analyses = []
@@ -885,11 +831,10 @@ def evaluate_condition(
     if n >= 2:
         try:
             if factors is None:
-                estimate = _run_streams(n, seeds, _lemma1_kernel(model, timed, f_batch))
+                estimate = _run_streams(n, seeds, lambda rng, m: f_batch(
+                    model.build_batch(*model.driver_columns(rng, m))))
             else:
-                estimate = _importance_estimate(
-                    model, f_path, f_batch, factors, n, seeds
-                )
+                estimate = _importance_estimate(model, f_batch, factors, n, seeds)
         except EstimationError as exc:
             logger.warning("Monte Carlo cross-check unavailable: %s", exc)
 

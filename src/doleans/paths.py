@@ -53,12 +53,12 @@ __all__ = [
 # Smallest uniform admitted by samplers; keeps inverse CDFs off the 0 endpoint.
 _MIN_UNIFORM = 1e-300
 
-#: Default cap on exponentially distributed jump times.  Jump sizes are
+#: Cap on exponentially distributed jump times.  Jump sizes are
 #: e^{tau}, and e^{700} ~ 1.01e304 is the largest power that stays well
 #: inside float64 range for every downstream functional.  Inverse-CDF
 #: draws from 53-bit uniforms never reach it (tau <= 53 ln 2 ~ 36.7);
 #: importance-sampling proposals, which reach tau = 2^60, do.
-DEFAULT_JUMP_TIME_CAP = 700.0
+_JUMP_TIME_CAP = 700.0
 
 
 def apply_math(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
@@ -445,10 +445,10 @@ class ProcessModel:
 
     ``build(*driver_values)`` maps realized driver values to a
     :class:`JumpPath`; sampling composes it with inverse-transform draws.
-    ``build_batch(*driver_columns)``, when present, maps equal-length
-    arrays of driver values to a :class:`PathBatch` whose row ``i`` equals
-    ``build(*(col[i] for col in driver_columns))`` bit for bit; Monte Carlo
-    kernels then evaluate whole streams at once.
+    ``build_batch(*driver_columns)`` maps equal-length arrays of driver
+    values to a :class:`PathBatch` whose row ``i`` equals
+    ``build(*(col[i] for col in driver_columns))`` bit for bit; the
+    condition cross-check evaluates whole streams through it.
     ``disc_qv`` and ``lm_compensator``, when present, give the closed-form
     predictable quadratic variation of the purely discontinuous part and
     the compensator used by the compensator-based integrability condition,
@@ -458,10 +458,10 @@ class ProcessModel:
     name: str
     drivers: tuple[Driver, ...]
     build: Callable[..., JumpPath]
+    build_batch: Callable[..., PathBatch]
     disc_qv: Callable[[JumpPath, float], float] | None = None
     lm_compensator: Callable[[JumpPath, float], float] | None = None
     description: str = ""
-    build_batch: Callable[..., PathBatch] | None = None
 
     def sampler(self, seed: int, stream_index: int) -> JumpPath:
         """Deterministic path for ``(seed, stream_index)`` via a counter-based RNG."""
@@ -552,7 +552,7 @@ def _lm_compensator(path: JumpPath, t: float) -> float:
     return _lm_profile(min(t, path.horizon))
 
 
-def example2_model(jump_time_cap: float = DEFAULT_JUMP_TIME_CAP) -> ProcessModel:
+def example2_model() -> ProcessModel:
     """Compensated Poisson integral of e^s stopped at the first jump.
 
     The path has one jump of size ``e^{tau}`` at the exponential time
@@ -576,7 +576,7 @@ def example2_model(jump_time_cap: float = DEFAULT_JUMP_TIME_CAP) -> ProcessModel
     def build(e: float) -> JumpPath:
         # floor keeps the horizon strictly positive in float; the cap keeps
         # e^tau finite for proposal draws far out in the tail
-        tau = _capped(max(e, 1e-300), jump_time_cap)
+        tau = _capped(max(e, 1e-300), _JUMP_TIME_CAP)
         return JumpPath(
             horizon=tau,
             jumps=((tau, math.exp(tau)),),
@@ -586,7 +586,7 @@ def example2_model(jump_time_cap: float = DEFAULT_JUMP_TIME_CAP) -> ProcessModel
     drift = ExpCompensatorDrift(0.0)
 
     def build_batch(e: np.ndarray) -> PathBatch:
-        tau = np.minimum(np.maximum(e, 1e-300), jump_time_cap)
+        tau = np.minimum(np.maximum(e, 1e-300), _JUMP_TIME_CAP)
         return PathBatch(
             horizon=tau,
             jump_t=tau[:, None],
@@ -606,7 +606,7 @@ def example2_model(jump_time_cap: float = DEFAULT_JUMP_TIME_CAP) -> ProcessModel
     )
 
 
-def example3_model(jump_time_cap: float = DEFAULT_JUMP_TIME_CAP) -> ProcessModel:
+def example3_model() -> ProcessModel:
     """Two-jump local martingale: an eta jump at time 1, then a restarted
     compensated Poisson integral of ``e^{s-1}`` stopped at its first jump.
 
@@ -637,7 +637,7 @@ def example3_model(jump_time_cap: float = DEFAULT_JUMP_TIME_CAP) -> ProcessModel
     def build(x: float, e: float) -> JumpPath:
         # floor keeps 1 + e strictly above 1 in float so the two jump
         # times stay ordered; the displaced mass is ~1e-15
-        tau_hat = 1.0 + _capped(max(e, 1e-15), jump_time_cap)
+        tau_hat = 1.0 + _capped(max(e, 1e-15), _JUMP_TIME_CAP)
         return JumpPath(
             horizon=tau_hat,
             jumps=((1.0, x), (tau_hat, math.exp(tau_hat - 1.0))),
@@ -647,7 +647,7 @@ def example3_model(jump_time_cap: float = DEFAULT_JUMP_TIME_CAP) -> ProcessModel
     drift = ExpCompensatorDrift(1.0)
 
     def build_batch(x: np.ndarray, e: np.ndarray) -> PathBatch:
-        tau_hat = 1.0 + np.minimum(np.maximum(e, 1e-15), jump_time_cap)
+        tau_hat = 1.0 + np.minimum(np.maximum(e, 1e-15), _JUMP_TIME_CAP)
         return PathBatch(
             horizon=tau_hat,
             jump_t=np.column_stack((np.ones(len(tau_hat)), tau_hat)),

@@ -1,7 +1,6 @@
 """Batch kernels over PathBatch against the scalar per-path functionals, bit for bit."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -336,6 +335,3 @@ def test_estimate_equals_per_path_reference(name, spec, streams, n):
     expected = reference_estimate(model, spec, seeds, n)
     batched = evaluate_condition(model, spec, seeds, n).estimate
     assert repr(batched) == repr(expected)
-    # a model without build_batch takes the per-path kernel
-    per_path = evaluate_condition(replace(model, build_batch=None), spec, seeds, n)
-    assert repr(per_path.estimate) == repr(expected)

@@ -110,6 +110,14 @@ class TestConditionCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("kind", ["protter-shimbo", "lepingle-memin"])
+    def test_log_scale_kind_monte_carlo_is_an_error(self, capsys, kind):
+        code, out, err = run_cli(capsys, "condition", "--model", "example2",
+                                 "--kind", kind, "--n", "100")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_invalid_combo_usage_error(self, capsys):
         # control forbidden for the plain jump condition
         with pytest.raises(SystemExit) as exc:

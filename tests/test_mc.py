@@ -64,23 +64,6 @@ class TestEstimateExpectation:
         with pytest.raises(ValueError):
             SeedSpec(0, 0)
 
-    def test_worker_count_does_not_change_result(self, model2, monkeypatch):
-        f = lambda p: stoch_exponential(p, p.horizon)
-        monkeypatch.delenv("DOLEANS_THREADS", raising=False)
-        serial = estimate_expectation(model2, f, 20_000, SeedSpec(55, 8))
-        monkeypatch.setenv("DOLEANS_THREADS", "4")
-        threaded = estimate_expectation(model2, f, 20_000, SeedSpec(55, 8))
-        assert serial == threaded
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-1", "1.5"])
-    def test_invalid_worker_count_rejected(self, model1, monkeypatch, raw):
-        monkeypatch.setenv("DOLEANS_THREADS", raw)
-        with pytest.raises(ValueError, match="DOLEANS_THREADS"):
-            estimate_expectation(model1, lambda p: 1.0, 100, SeedSpec(0, 4))
-        spec = ConditionSpec("theorem1", PredictableControl.constant(1.0))
-        with pytest.raises(ValueError, match="DOLEANS_THREADS"):
-            evaluate_condition(model1, spec, SeedSpec(0, 4), 100)
-
 
 class TestQuadratureExpectation:
     def test_normalization(self):
@@ -201,6 +184,31 @@ class TestEvaluateCondition:
         r = evaluate_condition(model2, ConditionSpec("lepingle_memin"))
         assert r.verdict == "diverging"
         assert abs(r.divergence.slope - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("kind", ["protter_shimbo", "lepingle_memin"])
+    def test_log_scale_kinds_reject_monte_carlo(self, model2, kind):
+        # exponents beyond float range: no sampled value can be finite
+        with pytest.raises(ValueError, match="Monte Carlo"):
+            evaluate_condition(model2, ConditionSpec(kind), SeedSpec(0), 100)
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_verdict_independent_of_level_order(self, name, all_models):
+        model = {m.name: m for m in all_models}[name]
+        spec = ConditionSpec("jacod")
+        levels = model.drivers[0].levels
+        forward = evaluate_condition(model, spec, levels=levels)
+        backward = evaluate_condition(model, spec, levels=levels[::-1])
+        assert forward.verdict == backward.verdict == "diverging"
+        assert backward.divergence.slope == forward.divergence.slope
+        assert backward.divergence == forward.divergence
+
+    def test_lone_inconclusive_factor_keeps_evidence(self, model1):
+        r = evaluate_condition(
+            model1, ConditionSpec("theorem1", PredictableControl.constant(0.999))
+        )
+        assert r.verdict == "inconclusive"
+        assert r.divergence is not None
+        assert r.to_json()["divergence"]["levels"] == list(model1.drivers[0].levels)
 
     def test_example1_protter_shimbo_unsupported(self, model1):
         with pytest.raises(UnsupportedModelError):
