@@ -12,7 +12,6 @@ from .distributions import (
     make_eta_distribution,
     make_first_jump_time,
     make_xi_distribution,
-    sample,
 )
 from .paths import (
     Driver,

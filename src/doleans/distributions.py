@@ -4,6 +4,14 @@ Every law is packaged as an :class:`InverseCdfDistribution` whose density,
 CDF and inverse CDF are exact elementary expressions, so inverse-transform
 sampling is a pure function of the driving uniform and needs no
 root-finding.  All callables accept a float or a NumPy array.
+
+Quadrature calls ``density``, ``log_density`` and ``cdf`` on one float per
+node, so :func:`_branchwise` gives float input (``np.float64`` included) a
+scalar route: the branch masks are tested on the float itself and only the
+matching branch formula runs, on a 1-element array.  That is exactly what
+the array route evaluates for a 1-element input, so the two routes agree
+bit for bit.  The formulas are never run on a bare ``np.float64``: NumPy's
+scalar ``**`` is not always the array ``**`` in the last bit.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ __all__ = [
     "make_xi_distribution",
     "make_eta_distribution",
     "make_first_jump_time",
-    "sample",
 ]
 
 Interval = tuple[float, float]
@@ -28,7 +35,22 @@ _LOG2 = math.log(2.0)
 
 
 def _branchwise(x, branches, default=0.0):
-    """Evaluate ``(mask_fn, value_fn)`` branches over a scalar or array."""
+    """Evaluate ``(mask_fn, value_fn)`` branches over a scalar or array.
+
+    The branch masks must be disjoint; points no mask selects get
+    ``default``.  A float ``x`` (``np.float64`` included) takes the scalar
+    route: each mask is tested on ``x`` itself and the first match returns
+    ``value_fn(np.array([x]))[0]``, the ufuncs the array route applies to a
+    1-element input, so both routes give the same bits.  Running
+    ``value_fn`` on the ``np.float64`` scalar instead would be faster but
+    not identical: the scalar ``**`` power differs from the array one in
+    the last bit on some inputs (the density of ``xi`` and of ``eta``).
+    """
+    if isinstance(x, float):
+        for mask_fn, value_fn in branches:
+            if mask_fn(x):
+                return float(value_fn(np.array([x]))[0])
+        return float(default)
     arr = np.asarray(x, dtype=float)
     flat = np.atleast_1d(arr)
     out = np.full(flat.shape, default, dtype=float)
@@ -71,18 +93,6 @@ class InverseCdfDistribution:
     cdf: Callable
     inverse_cdf: Callable
     support: tuple[Interval, ...]
-
-
-def sample(dist: InverseCdfDistribution, u):
-    """Inverse-transform sample: return ``inverse_cdf(u)`` for ``u in (0, 1)``.
-
-    Deterministic in ``u``; rejects arguments on or outside the unit
-    interval boundary.
-    """
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError(f"uniform argument must lie strictly in (0, 1), got {u!r}")
-    return dist.inverse_cdf(u)
 
 
 # ----------------------------------------------------------------------

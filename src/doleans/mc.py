@@ -404,13 +404,19 @@ def detect_divergence(
     """
     if model_tag not in ("log", "linear"):
         raise ValueError(f"unknown growth model {model_tag!r}")
+    lv = _check_levels(levels)
+    return _fit(lv, [float(family(x)) for x in lv], model_tag)
+
+
+def _check_levels(levels: Sequence[float]) -> tuple[float, ...]:
+    """At least four strictly ordered levels (either direction), as floats."""
     lv = tuple(float(x) for x in levels)
     if len(lv) < 4:
         raise ValueError("need at least four truncation levels")
     diffs = np.diff(lv)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("levels must be strictly ordered")
-    return _fit(lv, [float(family(x)) for x in lv], model_tag)
+    return lv
 
 
 # ----------------------------------------------------------------------
@@ -770,6 +776,8 @@ def evaluate_condition(
     value over ``n`` paths is attached as an independent cross-check;
     the log-scale kinds (``protter_shimbo``, ``lepingle_memin``), whose
     exponents exceed float range, reject ``n >= 2`` with ``ValueError``.
+    Explicit ``levels`` must be at least four and strictly ordered for
+    every kind, or ``ValueError`` is raised.
 
     Deterministic: equal arguments (including ``SeedSpec``) produce
     bit-identical reports.
@@ -778,6 +786,10 @@ def evaluate_condition(
         raise ValueError(
             "lemma1 is evaluated at the path horizon only; it takes no family times"
         )
+    if levels is not None:
+        # one rule for every kind, including the two-driver lemma1, whose
+        # product formula probes no truncation levels
+        _check_levels(levels)
     if spec.kind in _LOG_SCALE_KINDS and n >= 2:
         raise ValueError(
             f"{spec.kind} has no Monte Carlo cross-check: its exponents exceed "

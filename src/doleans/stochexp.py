@@ -41,7 +41,6 @@ from .paths import (
     ProcessModel,
     ZeroDrift,
     apply_math,
-    integrate_control_drift,
 )
 
 __all__ = [
@@ -279,14 +278,18 @@ def theorem1_functional(
         raise ValueError("epsilon must lie strictly in (0, 1)")
     path._check_time(t)
 
-    drift_part = integrate_control_drift(path, a, t)
+    # one pass over the control segments; the drift terms are summed by
+    # math.fsum in segment order, exactly as integrate_control_drift does
+    drift_terms = []
     qv_part = 0.0
     eps_part = 0.0
     for lo, hi, v in a.segments_until(t):
+        drift_terms.append(v * (path.drift(hi) - path.drift(lo)))
         dq = path.cont_qv(hi) - path.cont_qv(lo)
         qv_part += (0.5 - v) * dq
         if 1.0 - v < eps:
             eps_part += eps * dq
+    drift_part = math.fsum(drift_terms)
 
     s = 0.0
     for ti, dm in path.jumps:

@@ -118,6 +118,13 @@ class TestConditionCommand:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_two_driver_lemma1_rejects_short_levels(self, capsys):
+        code, out, err = run_cli(capsys, "condition", "--model", "example3",
+                                 "--kind", "lemma1", "--levels", "1.0")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_invalid_combo_usage_error(self, capsys):
         # control forbidden for the plain jump condition
         with pytest.raises(SystemExit) as exc:

@@ -202,6 +202,23 @@ class TestEvaluateCondition:
         assert backward.divergence.slope == forward.divergence.slope
         assert backward.divergence == forward.divergence
 
+    @pytest.mark.parametrize("name, spec", [
+        ("example1", ConditionSpec("lemma1")),
+        ("example3", ConditionSpec("lemma1")),  # two drivers: product formula
+        ("example2", ConditionSpec("jacod")),
+        ("example3", ConditionSpec("theorem1", control_indicator_after(1.0))),
+        ("example2", ConditionSpec("protter_shimbo")),
+    ], ids=lambda v: v if isinstance(v, str) else v.label())
+    @pytest.mark.parametrize("levels, match", [
+        ((1.0,), "four"),
+        ((1.0, 2.0, 2.0, 3.0), "ordered"),
+        ((1.0, 3.0, 2.0, 4.0), "ordered"),
+    ])
+    def test_every_kind_checks_levels(self, name, spec, levels, match, all_models):
+        model = {m.name: m for m in all_models}[name]
+        with pytest.raises(ValueError, match=match):
+            evaluate_condition(model, spec, levels=levels)
+
     def test_lone_inconclusive_factor_keeps_evidence(self, model1):
         r = evaluate_condition(
             model1, ConditionSpec("theorem1", PredictableControl.constant(0.999))
