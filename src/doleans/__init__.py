@@ -23,7 +23,6 @@ from .paths import (
     PredictableControl,
     ProcessModel,
     ScaledDrift,
-    ScaledQv,
     ZeroDrift,
     ZeroQv,
     control_indicator_after,
@@ -47,9 +46,11 @@ from .stochexp import (
     lemma1_functional,
     lepingle_memin_A,
     log_stoch_exponential,
+    log_stoch_exponential_batch,
     protter_shimbo_functional,
     sde_residual,
     stoch_exponential,
+    stoch_exponential_batch,
     theorem1_batch,
     theorem1_functional,
 )
@@ -70,6 +71,7 @@ from .mc import (
     QuadratureAccuracyError,
     SeedSpec,
     detect_divergence,
+    estimate_batch,
     estimate_expectation,
     evaluate_condition,
     quadrature_expectation,

@@ -20,7 +20,9 @@ per stream), so results are bit-reproducible for a fixed ``SeedSpec`` and
 stream partitioning.  The condition cross-check evaluates each stream as
 one :class:`~doleans.paths.PathBatch`, bit-identical to the per-path
 functionals; the log-scale kinds, whose exponents exceed float range, have
-no cross-check.
+no cross-check.  :func:`estimate_batch` runs any batch kernel over plain
+draws the same way; :func:`estimate_expectation` is its per-path
+counterpart for arbitrary callables.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "QuadratureAccuracyError",
     "EstimationError",
     "estimate_expectation",
+    "estimate_batch",
     "quadrature_expectation",
     "detect_divergence",
     "evaluate_condition",
@@ -164,6 +167,26 @@ def estimate_expectation(
     if n < 2:
         raise ValueError("need at least two samples")
     return _run_streams(n, seeds, _path_kernel(model, functional))
+
+
+def estimate_batch(
+    model: ProcessModel,
+    f_batch: Callable[[PathBatch], np.ndarray],
+    n: int,
+    seeds: SeedSpec,
+) -> Estimate:
+    """:func:`estimate_expectation` for a batch kernel, one stream at a time.
+
+    Each stream's paths are drawn as ``ProcessModel.sample_chunk`` draws
+    them, built as one :class:`~doleans.paths.PathBatch`, and evaluated by
+    ``f_batch`` at every row's horizon.  For a kernel bit-identical to a
+    per-path functional, the estimate equals :func:`estimate_expectation`
+    of that functional exactly.
+    """
+    if n < 2:
+        raise ValueError("need at least two samples")
+    return _run_streams(n, seeds, lambda rng, m: f_batch(
+        model.build_batch(*model.driver_columns(rng, m))))
 
 
 # ----------------------------------------------------------------------
@@ -682,7 +705,10 @@ def _combine_factors(
 ) -> tuple[str, float | None, DivergenceEvidence | None]:
     """Verdict on the product of independent factors.
 
-    A lone factor that is not finite reports its own evidence.
+    A product that is not finite leads with the first diverging factor, or
+    else the first inconclusive one, and takes its verdict.  Its evidence
+    is that factor's family scaled by the other factors; a lone factor
+    reports its own evidence.
     """
     if all(a.verdict == "finite" for a in analyses):
         value = 1.0
@@ -691,19 +717,17 @@ def _combine_factors(
         return "finite", value, None
     if len(analyses) == 1:
         return analyses[0].verdict, None, analyses[0].evidence
-    diverging = [i for i, a in enumerate(analyses) if a.verdict == "diverging"]
-    if diverging:
-        # truncate the (first) divergent driver; hold finite factors at
-        # their full values so the product family stays monotone
-        i = diverging[0]
-        lead = analyses[i].evidence
-        scale = 1.0
-        for j, a in enumerate(analyses):
-            if j != i:
-                scale *= a.value if a.value is not None else a.evidence.values[-1]
-        values = [v * scale for v in lead.values]
-        return "diverging", None, _fit(lead.levels, values, lead.model)
-    return "inconclusive", None, None
+    open_factors = [a for a in analyses if a.verdict != "finite"]
+    lead = next((a for a in open_factors if a.verdict == "diverging"),
+                open_factors[0])
+    # truncate the lead driver; hold finite factors at their full values
+    # (the others at their last probe) so the product family stays monotone
+    scale = 1.0
+    for a in analyses:
+        if a is not lead:
+            scale *= a.value if a.value is not None else a.evidence.values[-1]
+    values = [v * scale for v in lead.evidence.values]
+    return lead.verdict, None, _fit(lead.evidence.levels, values, lead.evidence.model)
 
 
 def _evaluate_lemma1(
@@ -843,8 +867,7 @@ def evaluate_condition(
     if n >= 2:
         try:
             if factors is None:
-                estimate = _run_streams(n, seeds, lambda rng, m: f_batch(
-                    model.build_batch(*model.driver_columns(rng, m))))
+                estimate = estimate_batch(model, f_batch, n, seeds)
             else:
                 estimate = _importance_estimate(model, f_batch, factors, n, seeds)
         except EstimationError as exc:

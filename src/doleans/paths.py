@@ -33,7 +33,6 @@ __all__ = [
     "ScaledDrift",
     "ZeroQv",
     "LinearQv",
-    "ScaledQv",
     "JumpPath",
     "PathBatch",
     "PredictableControl",
@@ -180,22 +179,6 @@ class LinearQv:
 
     def array(self, t: np.ndarray) -> np.ndarray:
         return self.rate * np.asarray(t, dtype=float)
-
-
-class ScaledQv:
-    """A quadratic variation multiplied by a nonnegative factor."""
-
-    __slots__ = ("base", "factor")
-    kind = "derived"
-
-    def __init__(self, base, factor: float):
-        if factor < 0.0:
-            raise ValueError("quadratic variation factor must be nonnegative")
-        self.base = base
-        self.factor = float(factor)
-
-    def __call__(self, t: float) -> float:
-        return self.factor * self.base(t)
 
 
 _ZERO_DRIFT = ZeroDrift()
@@ -357,21 +340,6 @@ class PredictableControl:
                 yield (lo, b, v)
             lo = b
         yield (lo, t, self.values[-1])
-
-    def complement(self) -> "PredictableControl":
-        return PredictableControl(self.breaks, tuple(1.0 - v for v in self.values))
-
-    def blend(self, other: "PredictableControl", alpha: float) -> "PredictableControl":
-        """Convex combination ``alpha * self + (1 - alpha) * other``."""
-        if not (0.0 <= alpha <= 1.0):
-            raise ValueError("blend weight must lie in [0, 1]")
-        breaks = tuple(sorted(set(self.breaks) | set(other.breaks)))
-        probes = [b for b in breaks] + [(breaks[-1] + 1.0) if breaks else 0.0]
-        values = tuple(
-            alpha * self.value_at(p) + (1.0 - alpha) * other.value_at(p)
-            for p in probes
-        )
-        return PredictableControl(breaks, values)
 
     def label(self) -> str:
         """Short parseable description, e.g. ``0.5`` or ``indicator:1.0``."""

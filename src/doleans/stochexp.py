@@ -58,6 +58,8 @@ __all__ = [
     "lemma1_functional",
     "jump_term_reduction_gap",
     "exp_or_inf",
+    "log_stoch_exponential_batch",
+    "stoch_exponential_batch",
     "jacod_batch",
     "theorem1_batch",
     "lemma1_batch",
@@ -326,6 +328,20 @@ def _fsum_rows(terms: np.ndarray, present: np.ndarray) -> np.ndarray:
     return out
 
 
+def log_stoch_exponential_batch(batch: PathBatch) -> np.ndarray:
+    """:func:`log_stoch_exponential` at every row's horizon."""
+    T = batch.horizon
+    s = np.zeros(len(batch))
+    for dm in batch.jump_dm.T:
+        s = s + apply_math(math.log1p, dm)
+    return batch.drift.array(T) - 0.5 * batch.cont_qv.array(T) + s
+
+
+def stoch_exponential_batch(batch: PathBatch) -> np.ndarray:
+    """:func:`stoch_exponential` at every row's horizon."""
+    return exp_or_inf_array(log_stoch_exponential_batch(batch))
+
+
 def jacod_batch(batch: PathBatch) -> np.ndarray:
     """:func:`jacod_functional` log values at every row's horizon."""
     s = np.zeros(len(batch))
@@ -385,12 +401,7 @@ def theorem1_batch(
 
 def lemma1_batch(batch: PathBatch) -> np.ndarray:
     """:func:`lemma1_functional` values at every row's horizon."""
-    T = batch.horizon
-    s = np.zeros(len(batch))
-    for dm in batch.jump_dm.T:
-        s = s + apply_math(math.log1p, dm)
-    log_e = batch.drift.array(T) - 0.5 * batch.cont_qv.array(T) + s
-    return exp_or_inf_array(log_e) * jacod_batch(batch)
+    return stoch_exponential_batch(batch) * jacod_batch(batch)
 
 
 def _theorem1_pair(spec: ConditionSpec, model: ProcessModel):

@@ -19,7 +19,7 @@ from doleans import (
     SeedSpec,
     control_indicator_after,
     decompose,
-    estimate_expectation,
+    estimate_batch,
     evaluate_condition,
     jacod_functional,
     jump_term_reduction_gap,
@@ -31,6 +31,7 @@ from doleans import (
     quadrature_expectation,
     sde_residual,
     stoch_exponential,
+    stoch_exponential_batch,
     theorem1_functional,
 )
 
@@ -160,15 +161,14 @@ def test_criterion_06_example3_contrast(model3):
 
 def test_criterion_07_martingale_property(model1, model2):
     with criterion(7, "E[E_T(M)] equals 1 for examples 1 and 2", 60.0) as rec:
-        est1 = estimate_expectation(
-            model1, lambda p: stoch_exponential(p, 1.0), 1_000_000,
-            SeedSpec(71, 32),
+        # example1's horizon is 1, so both estimates are of E_T at the horizon
+        est1 = estimate_batch(
+            model1, stoch_exponential_batch, 1_000_000, SeedSpec(71, 32),
         )
         assert abs(est1.mean - 1.0) <= 3.0 * est1.se
 
-        est2 = estimate_expectation(
-            model2, lambda p: stoch_exponential(p, p.horizon), 1_000_000,
-            SeedSpec(72, 32),
+        est2 = estimate_batch(
+            model2, stoch_exponential_batch, 1_000_000, SeedSpec(72, 32),
         )
         assert abs(est2.mean - 1.0) <= 3.0 * est2.se
 

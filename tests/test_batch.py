@@ -17,6 +17,8 @@ from doleans import (
     ScaledDrift,
     SeedSpec,
     control_indicator_after,
+    estimate_batch,
+    estimate_expectation,
     evaluate_condition,
     example1_model,
     example2_model,
@@ -25,6 +27,10 @@ from doleans import (
     jacod_functional,
     lemma1_batch,
     lemma1_functional,
+    log_stoch_exponential,
+    log_stoch_exponential_batch,
+    stoch_exponential,
+    stoch_exponential_batch,
     theorem1_batch,
     theorem1_functional,
 )
@@ -62,6 +68,12 @@ DRIVER_VALUES = {
     "example2": st.tuples(TAU_VALUES),
     "example3": st.tuples(ETA_VALUES, TAU_VALUES),
 }
+# eta jumps near the float maximum push log E_T past 709.78, where E_T
+# overflows to inf
+HUGE_ETA = st.one_of(st.floats(1e307, 1.7976931348623157e308),
+                     st.sampled_from([1e308, 1.7976931348623157e308]))
+EXPONENTIAL_DRIVER_VALUES = dict(
+    DRIVER_VALUES, example3=st.tuples(st.one_of(ETA_VALUES, HUGE_ETA), TAU_VALUES))
 
 UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]))
 # eps = 0.5 meets 1 - a == eps at a = 0.5, the edge of the eps term
@@ -89,9 +101,9 @@ def controls(draw) -> PredictableControl:
 
 
 @st.composite
-def model_batches(draw):
+def model_batches(draw, driver_values=DRIVER_VALUES):
     name = draw(st.sampled_from(sorted(MODELS)))
-    rows = draw(st.lists(DRIVER_VALUES[name], min_size=1, max_size=12))
+    rows = draw(st.lists(driver_values[name], min_size=1, max_size=12))
     return MODELS[name], rows
 
 
@@ -130,6 +142,34 @@ def test_jacod_and_lemma1_batches_equal_scalar(case):
     assert bits(lemma1_batch(batch)) == bits(
         lemma1_functional(p, p.horizon) for p in paths
     )
+
+
+def reprs(values) -> list[str]:
+    return [repr(float(v)) for v in values]
+
+
+@given(model_batches(EXPONENTIAL_DRIVER_VALUES))
+@settings(max_examples=300, deadline=None)
+def test_stoch_exponential_batches_equal_scalar(case):
+    model, rows = case
+    batch = build_batch(model, rows)
+    paths = [batch.path(i) for i in range(len(batch))]
+    assert reprs(log_stoch_exponential_batch(batch)) == reprs(
+        log_stoch_exponential(p, p.horizon) for p in paths
+    )
+    assert reprs(stoch_exponential_batch(batch)) == reprs(
+        stoch_exponential(p, p.horizon) for p in paths
+    )
+
+
+def test_stoch_exponential_batch_overflows_to_inf():
+    batch = MODELS["example3"].build_batch(np.array([1.7e308, 1.0]),
+                                           np.array([1e-15, 1.0]))
+    assert log_stoch_exponential_batch(batch)[0] > 709.79
+    paths = [batch.path(i) for i in range(len(batch))]
+    expected = [stoch_exponential(p, p.horizon) for p in paths]
+    assert expected[0] == math.inf
+    assert reprs(stoch_exponential_batch(batch)) == reprs(expected)
 
 
 @given(model_batches(), controls(), EPS)
@@ -179,6 +219,9 @@ def test_batches_with_drift_and_qv_equal_scalar(case, a, eps):
     )
     assert bits(lemma1_batch(batch)) == bits(
         lemma1_functional(p, p.horizon) for p in paths
+    )
+    assert bits(log_stoch_exponential_batch(batch)) == bits(
+        log_stoch_exponential(p, p.horizon) for p in paths
     )
 
 
@@ -335,3 +378,24 @@ def test_estimate_equals_per_path_reference(name, spec, streams, n):
     expected = reference_estimate(model, spec, seeds, n)
     batched = evaluate_condition(model, spec, seeds, n).estimate
     assert repr(batched) == repr(expected)
+
+
+# ----------------------------------------------------------------------
+# estimate_batch against the per-path estimator
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("streams, n", [(1, 2000), (16, 2000), (32, 20)])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_estimate_batch_equals_estimate_expectation(name, streams, n):
+    model = MODELS[name]
+    seeds = SeedSpec(2024, streams)
+    per_path = estimate_expectation(
+        model, lambda p: stoch_exponential(p, p.horizon), n, seeds)
+    batched = estimate_batch(model, stoch_exponential_batch, n, seeds)
+    assert repr(batched) == repr(per_path)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_estimate_batch_rejects_fewer_than_two_paths(n):
+    with pytest.raises(ValueError, match="at least two"):
+        estimate_batch(MODELS["example1"], stoch_exponential_batch, n, SeedSpec(0))

@@ -10,7 +10,6 @@ from doleans import (
     JumpPath,
     PredictableControl,
     ScaledDrift,
-    ScaledQv,
     control_indicator_after,
     decompose,
     jacod_functional,
@@ -63,7 +62,7 @@ class TestDecompose:
                 horizon=p.horizon,
                 jumps=tuple((t, a * dm) for t, dm in p.jumps),
                 drift=ScaledDrift(p.drift, a),
-                cont_qv=ScaledQv(p.cont_qv, a * a),
+                cont_qv=p.cont_qv,
             )
             direct = log_stoch_exponential(scaled, p.horizon)
             d = decompose(p, ctrl)

@@ -4,9 +4,11 @@ Per-node speedups of the quadrature route (the driver-law callables, the
 pathwise functionals) are only admissible when every output bit stays the
 same.  These strings are ``json.dumps(report.to_json(), sort_keys=True)``
 of reports covering ``jacod``, ``theorem1`` with constant and indicator
-controls and family times, and ``lemma1`` on all three models.
+controls and family times, and ``lemma1`` on all three models.  The
+``reproduce`` documents, Monte Carlo rows included, are pinned by digest.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -17,6 +19,7 @@ from doleans import (
     control_indicator_after,
     evaluate_condition,
 )
+from doleans.cli import run_reproduction
 
 CASES = {
     "example1_jacod": ("example1", ConditionSpec("jacod"), ()),
@@ -94,3 +97,19 @@ def test_report_bytes_unchanged(case, all_models):
     model = {m.name: m for m in all_models}[name]
     report = evaluate_condition(model, spec, times=times)
     assert json.dumps(report.to_json(), sort_keys=True) == GOLDEN[case]
+
+
+#: sha256 of the ``reproduce`` document as ``doleans reproduce --seed 7``
+#: writes it (``json.dumps(doc, indent=2) + "\n"``) at the default 200k
+#: Monte Carlo paths, one per counterexample suite.
+REPRODUCE_SHA256 = {
+    1: "b172521b66ccc3bc6583defe9bd4b1a4a8afc87f0cc8cea71229df29cf3ea2eb",
+    2: "3e068f4e288dfd52724615f305d58f6dfee502d088fae568a48932551fb9b7d7",
+    3: "5a0de317e3b8d3903c20f2bcba8f86cae0bd081b27078fd3c8c28b6406756355",
+}
+
+
+@pytest.mark.parametrize("which", sorted(REPRODUCE_SHA256))
+def test_reproduce_bytes_unchanged(which):
+    text = json.dumps(run_reproduction(which, 7, 200_000), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPRODUCE_SHA256[which]

@@ -227,6 +227,18 @@ class TestEvaluateCondition:
         assert r.divergence is not None
         assert r.to_json()["divergence"]["levels"] == list(model1.drivers[0].levels)
 
+    def test_multi_factor_inconclusive_keeps_evidence(self, model3):
+        # the eta factor does not settle at a = 0.017; the exponential
+        # factor is finite, so the report leads with the eta driver
+        r = evaluate_condition(
+            model3, ConditionSpec("theorem1", PredictableControl.constant(0.017))
+        )
+        assert r.verdict == "inconclusive"
+        assert r.divergence is not None
+        eta = model3.drivers[0]
+        assert eta.name == "eta"
+        assert r.to_json()["divergence"]["levels"] == list(eta.levels)
+
     def test_example1_protter_shimbo_unsupported(self, model1):
         with pytest.raises(UnsupportedModelError):
             evaluate_condition(model1, ConditionSpec("protter_shimbo"))

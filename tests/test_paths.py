@@ -17,8 +17,6 @@ from doleans import (
     path_to_json,
 )
 
-from conftest import random_two_jump_path
-
 
 class TestJumpPathInvariants:
     def test_rejects_jump_at_minus_one(self):
@@ -165,30 +163,6 @@ class TestIntegrateControl:
         for i in range(50):
             p = model2.sampler(43, i)
             assert abs(integrate_control(p, half, p.horizon) - 0.5) < 1e-12
-
-    def test_linearity(self):
-        rng = np.random.Generator(np.random.Philox(key=7))
-        a = PredictableControl((0.8,), (0.2, 0.9))
-        b = PredictableControl((1.2,), (0.7, 0.1))
-        for _ in range(100):
-            p = random_two_jump_path(rng)
-            alpha = float(rng.random())
-            mix = a.blend(b, alpha)
-            t = p.horizon
-            lhs = integrate_control(p, mix, t)
-            rhs = (alpha * integrate_control(p, a, t)
-                   + (1.0 - alpha) * integrate_control(p, b, t))
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-    def test_complementarity(self):
-        rng = np.random.Generator(np.random.Philox(key=8))
-        a = PredictableControl((0.6, 1.4), (0.3, 0.8, 0.05))
-        for _ in range(100):
-            p = random_two_jump_path(rng)
-            t = p.horizon
-            total = (integrate_control(p, a, t)
-                     + integrate_control(p, a.complement(), t))
-            assert abs(total - p.value_at(t)) <= 1e-12 * max(1.0, abs(total))
 
 
 class TestSerialization:
