@@ -191,9 +191,9 @@ def run_reproduction(which: int, seed: int, n: int) -> dict:
 
     if which == 1:
         model = EXAMPLE_MODELS["example1"]()
-        row, rep = _condition_row(model, ConditionSpec("jacod"), "diverging", seeds)
+        row, jac = _condition_row(model, ConditionSpec("jacod"), "diverging", seeds)
         rows.append(row)
-        families.append(("jacod", rep))
+        families.append(("jacod", jac))
 
         row, rep = _condition_row(
             model,
@@ -205,7 +205,6 @@ def run_reproduction(which: int, seed: int, n: int) -> dict:
         row["bound"] = 2.5
         rows.append(row)
 
-        jac = evaluate_condition(model, ConditionSpec("jacod"), seeds)
         red = evaluate_condition(
             model, ConditionSpec("theorem1", PredictableControl.constant(0.0)), seeds
         )

@@ -222,12 +222,16 @@ def _quad_piece(f: Callable[[float], float], lo: float, hi: float) -> tuple[floa
                     limit=200)[:2]
 
 
-def _quad_pieces(f, pieces) -> float:
+PieceIntegrator = Callable[[float, float], tuple[float, float]]
+
+
+def _quad_pieces(piece: PieceIntegrator, pieces) -> float:
+    """Sum of ``piece(lo, hi)`` values in piece order, within the contract."""
     total = 0.0
     err = 0.0
     for lo, hi in pieces:
         try:
-            v, e = _quad_piece(f, lo, hi)
+            v, e = piece(lo, hi)
         except OverflowError:
             raise QuadratureAccuracyError(
                 "integrand overflowed during refinement", math.inf, math.inf
@@ -258,22 +262,21 @@ def quadrature_expectation(
     """
     pieces = _clipped_pieces(dist.support, truncation)
     density = dist.density
-    return _quad_pieces(lambda x: integrand(x) * density(x), pieces)
+    f = lambda x: integrand(x) * density(x)
+    return _quad_pieces(lambda lo, hi: _quad_piece(f, lo, hi), pieces)
 
 
-def _quad_exp_weighted(
+def _exp_weighted_piece(
     dist: InverseCdfDistribution,
     log_integrand: Callable[[float], float],
-    truncation=None,
     weight: Callable[[float], float] | None = None,
-) -> float:
-    """``int exp(log_integrand(x) + log_density(x)) [weight(x)] dx``.
+) -> PieceIntegrator:
+    """Piece integrator of ``exp(log_integrand(x) + log_density(x)) [weight(x)]``.
 
     Combining the exponent with the log density before exponentiating keeps
     integrands finite where the mathematical product is bounded but the
     factors are not.
     """
-    pieces = _clipped_pieces(dist.support, truncation)
     log_density = dist.log_density
 
     def f(x: float) -> float:
@@ -284,7 +287,18 @@ def _quad_exp_weighted(
         value = math.exp(log_integrand(x) + ld)
         return value if weight is None else value * weight(x)
 
-    return _quad_pieces(f, pieces)
+    return lambda lo, hi: _quad_piece(f, lo, hi)
+
+
+def _quad_exp_weighted(
+    dist: InverseCdfDistribution,
+    log_integrand: Callable[[float], float],
+    truncation=None,
+    weight: Callable[[float], float] | None = None,
+) -> float:
+    """``int exp(log_integrand(x) + log_density(x)) [weight(x)] dx``."""
+    return _quad_pieces(_exp_weighted_piece(dist, log_integrand, weight),
+                        _clipped_pieces(dist.support, truncation))
 
 
 # Log-domain quadrature for exponents far beyond float range.
@@ -631,7 +645,8 @@ def _split_factors(
     base = f_vals(anchors)
     g0 = lambda x: f_vals((x, anchors[1])) - base
     g1 = lambda y: f_vals((anchors[0], y))
-    qs = (0.25, 0.5, 0.75)
+    # interior quantiles plus both tails, where the log functional is largest
+    qs = (1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9)
     for ux in qs:
         for uy in qs:
             x = drivers[0].dist.inverse_cdf(ux)
@@ -666,7 +681,15 @@ def _analyze_factor(
     probe_scale: str,
     weight: Callable[[float], float] | None = None,
 ) -> _FactorAnalysis:
-    """Verdict on ``E exp(g) [weight]`` over one driver from its truncations."""
+    """Verdict on ``E exp(g) [weight]`` over one driver from its truncations.
+
+    On the linear probe scale, a truncated family that already grows
+    materially is ``diverging`` without a full-support integral; otherwise
+    the full integral decides between ``finite`` and ``inconclusive``.  Each
+    distinct support piece is integrated once per call: the pieces that
+    every truncation leaves whole reuse one ``(value, error)``, so totals
+    and error checks equal those of separate integrals bit for bit.
+    """
     if probe_scale == "log":
         # Exponents beyond float range: probe ln E[...] and fit it against
         # the functional's own truncation threshold, which linearizes
@@ -683,21 +706,26 @@ def _analyze_factor(
             return _FactorAnalysis("diverging", None, evidence)
         return _FactorAnalysis("inconclusive", None, evidence)
 
+    quad_piece = _exp_weighted_piece(driver.dist, g, weight)
+    done: dict[tuple[float, float], tuple[float, float]] = {}
+
+    def piece(lo: float, hi: float) -> tuple[float, float]:
+        # float keys: a -0.0 and a 0.0 endpoint give the same quadrature nodes
+        if (lo, hi) not in done:
+            done[lo, hi] = quad_piece(lo, hi)
+        return done[lo, hi]
+
+    def integral(truncation) -> float:
+        return _quad_pieces(piece, _clipped_pieces(driver.dist.support, truncation))
+
     evidence = detect_divergence(
-        lambda l: _quad_exp_weighted(driver.dist, g, driver.truncate(l), weight),
-        levels,
-        driver.growth,
-    )
-    try:
-        full = _quad_exp_weighted(driver.dist, g, None, weight)
-    except QuadratureAccuracyError:
-        full = None
-    growing = evidence.diverging and _material_growth(evidence.values, "linear")
-    if full is not None and not growing:
-        return _FactorAnalysis("finite", full, evidence)
-    if growing:
+        lambda l: integral(driver.truncate(l)), levels, driver.growth)
+    if evidence.diverging and _material_growth(evidence.values, "linear"):
         return _FactorAnalysis("diverging", None, evidence)
-    return _FactorAnalysis("inconclusive", None, evidence)
+    try:
+        return _FactorAnalysis("finite", integral(None), evidence)
+    except QuadratureAccuracyError:
+        return _FactorAnalysis("inconclusive", None, evidence)
 
 
 def _combine_factors(
@@ -791,7 +819,9 @@ def evaluate_condition(
     expectations are probed on the driver's level grid; stabilizing probes
     plus a convergent full integral give a ``finite`` verdict with the
     quadrature value, while materially growing monotone probes with a
-    clean fit give ``diverging`` with the fitted evidence.
+    clean fit give ``diverging`` with the fitted evidence and no
+    full-support integral.  Each driver's support pieces are integrated
+    once per factor and reused across its truncation levels.
 
     The functional is evaluated at the stopping-time family made of the
     path horizon (the dominating value for the built-in models) together

@@ -3,9 +3,12 @@
 Per-node speedups of the quadrature route (the driver-law callables, the
 pathwise functionals) are only admissible when every output bit stays the
 same.  These strings are ``json.dumps(report.to_json(), sort_keys=True)``
-of reports covering ``jacod``, ``theorem1`` with constant and indicator
-controls and family times, and ``lemma1`` on all three models.  The
-``reproduce`` documents, Monte Carlo rows included, are pinned by digest.
+of reports covering ``jacod`` and ``lemma1`` on all three models, and
+``theorem1`` with constant and indicator controls and family times.  The
+``theorem1`` constants reach every branch of the verdict table: finite,
+single- and multi-factor inconclusive, and a multi-factor diverging
+product scaled by its finite factor.  The ``reproduce`` documents, Monte
+Carlo rows included, are pinned by digest.
 """
 
 import hashlib
@@ -30,6 +33,14 @@ CASES = {
         (0.5, 2.0)),
     "example3_theorem1_indicator": (
         "example3", ConditionSpec("theorem1", control_indicator_after(1.0)), ()),
+    "example1_theorem1_a0999": (
+        "example1", ConditionSpec("theorem1", PredictableControl.constant(0.999)), ()),
+    "example3_theorem1_a001": (
+        "example3", ConditionSpec("theorem1", PredictableControl.constant(0.01)), ()),
+    "example3_theorem1_a05": (
+        "example3", ConditionSpec("theorem1", PredictableControl.constant(0.5)), ()),
+    "example2_jacod": ("example2", ConditionSpec("jacod"), ()),
+    "example3_jacod": ("example3", ConditionSpec("jacod"), ()),
     "example1_lemma1": ("example1", ConditionSpec("lemma1"), ()),
     "example2_lemma1": ("example2", ConditionSpec("lemma1"), ()),
     "example3_lemma1": ("example3", ConditionSpec("lemma1"), ()),
@@ -66,6 +77,59 @@ GOLDEN = {
         '"model": "example3", "n": 0, "seed": 0, "streams": 1, '
         '"times": []}, "divergence": null, "estimate": null, '
         '"quadrature": 1.6398388435133684, "verdict": "finite"}'
+    ),
+    "example1_theorem1_a0999": (
+        '{"condition": {"control": "0.999", "epsilon": 0.5, '
+        '"estimator": null, "kind": "theorem1", "levels": null, '
+        '"model": "example1", "n": 0, "seed": 0, "streams": 1, '
+        '"times": []}, "divergence": {"levels": [0.01, 0.001, '
+        '0.0001, 1e-05], "model": "log", "slope": '
+        '0.0011696631992850462, "values": [1.2453295094788723, '
+        '1.2509763020253697, 1.252577144571866, '
+        '1.2537733921183651]}, "estimate": null, "quadrature": '
+        'null, "verdict": "inconclusive"}'
+    ),
+    "example3_theorem1_a001": (
+        '{"condition": {"control": "0.01", "epsilon": 0.5, '
+        '"estimator": null, "kind": "theorem1", "levels": null, '
+        '"model": "example3", "n": 0, "seed": 0, "streams": 1, '
+        '"times": []}, "divergence": {"levels": [0.01, 0.001, '
+        '0.0001, 1e-05], "model": "log", "slope": '
+        '0.00279338297438329, "values": [3.1128635313662705, '
+        '3.1207928954686377, 3.1266701849699206, '
+        '3.132344441518638]}, "estimate": null, "quadrature": null, '
+        '"verdict": "inconclusive"}'
+    ),
+    "example3_theorem1_a05": (
+        '{"condition": {"control": "0.5", "epsilon": 0.5, '
+        '"estimator": null, "kind": "theorem1", "levels": null, '
+        '"model": "example3", "n": 0, "seed": 0, "streams": 1, '
+        '"times": []}, "divergence": {"levels": [0.01, 0.001, '
+        '0.0001, 1e-05], "model": "log", "slope": '
+        '0.07038483575292268, "values": [2.0242168461774277, '
+        '2.1879505974307105, 2.3494006569500465, '
+        '2.510623738262696]}, "estimate": null, "quadrature": null, '
+        '"verdict": "diverging"}'
+    ),
+    "example2_jacod": (
+        '{"condition": {"control": null, "epsilon": null, '
+        '"estimator": null, "kind": "jacod", "levels": null, '
+        '"model": "example2", "n": 0, "seed": 0, "streams": 1, '
+        '"times": []}, "divergence": {"levels": [10.0, 20.0, 40.0, '
+        '80.0], "model": "linear", "slope": 0.3678797606932843, '
+        '"values": [4.478695274907739, 8.157523088696792, '
+        '15.515111913642151, 30.230289560499845]}, "estimate": '
+        'null, "quadrature": null, "verdict": "diverging"}'
+    ),
+    "example3_jacod": (
+        '{"condition": {"control": null, "epsilon": null, '
+        '"estimator": null, "kind": "jacod", "levels": null, '
+        '"model": "example3", "n": 0, "seed": 0, "streams": 1, '
+        '"times": []}, "divergence": {"levels": [10.0, 20.0, 40.0, '
+        '80.0], "model": "linear", "slope": 0.4282041940719587, '
+        '"values": [5.213105763338525, 9.495182864194387, '
+        '18.059259309066583, 35.1874121952806]}, "estimate": null, '
+        '"quadrature": null, "verdict": "diverging"}'
     ),
     "example1_lemma1": (
         '{"condition": {"control": null, "epsilon": null, '

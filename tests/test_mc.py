@@ -22,6 +22,7 @@ from doleans import (
     quadrature_expectation,
     stoch_exponential,
 )
+from doleans import mc
 from doleans.mc import EstimationError
 
 XI = make_xi_distribution()
@@ -239,6 +240,17 @@ class TestEvaluateCondition:
         assert eta.name == "eta"
         assert r.to_json()["divergence"]["levels"] == list(eta.levels)
 
+    def test_split_rejects_tail_only_coupling(self, model3):
+        # separable wherever eta < 1, i.e. at every interior eta quantile;
+        # only the tail probes reach the coupled branch
+        def f_vals(vals):
+            x, y = vals
+            return x + y + (1e-3 * x * y if x >= 1.0 else 0.0)
+
+        assert len(mc._split_factors(model3, lambda v: v[0] + v[1])) == 2
+        with pytest.raises(UnsupportedModelError):
+            mc._split_factors(model3, f_vals)
+
     def test_example1_protter_shimbo_unsupported(self, model1):
         with pytest.raises(UnsupportedModelError):
             evaluate_condition(model1, ConditionSpec("protter_shimbo"))
@@ -401,3 +413,42 @@ class TestExample2MartingaleOracle:
 
         v = quadrature_expectation(EXP_LAW, integrand)
         assert abs(v - 1.0) < 1e-10
+
+
+class TestIntegrationWork:
+    """Each support piece is integrated once per factor, and a diverging
+    factor never asks for its full-support integral."""
+
+    @pytest.mark.parametrize("name, spec, pieces, diverging", [
+        ("example1", ConditionSpec("jacod"), 5, {"xi"}),
+        ("example1", ConditionSpec("theorem1", PredictableControl.constant(1.0)),
+         6, set()),
+        ("example2", ConditionSpec("jacod"), 4, {"tau1"}),
+        ("example3", ConditionSpec("theorem1", PredictableControl.constant(0.5)),
+         10, {"eta"}),
+        ("example3", ConditionSpec("theorem1", control_indicator_after(1.0)),
+         11, set()),
+    ])
+    def test_quad_pieces_per_verdict(self, name, spec, pieces, diverging,
+                                     all_models, monkeypatch):
+        model = {m.name: m for m in all_models}[name]
+        integrated, clips = [], []
+        quad_piece, clipped_pieces = mc._quad_piece, mc._clipped_pieces
+
+        def counting_piece(f, lo, hi):
+            integrated.append((lo, hi))
+            return quad_piece(f, lo, hi)
+
+        def recording_clip(support, truncation):
+            clips.append((support, truncation))
+            return clipped_pieces(support, truncation)
+
+        monkeypatch.setattr(mc, "_quad_piece", counting_piece)
+        monkeypatch.setattr(mc, "_clipped_pieces", recording_clip)
+        report = evaluate_condition(model, spec)
+
+        assert report.verdict == ("diverging" if diverging else "finite")
+        assert len(integrated) == pieces
+        full = [support for support, truncation in clips if truncation is None]
+        assert full == [d.dist.support for d in model.drivers
+                        if d.name not in diverging]
