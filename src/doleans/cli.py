@@ -6,10 +6,11 @@ Subcommands:
 * ``exponential``  -- stochastic exponential at the horizon per path
 * ``condition``    -- evaluate one integrability condition, emit a report
 * ``reproduce``    -- run the full experiment suite for one counterexample;
-                      exit 0 iff every verdict matches the expected claim;
-                      its martingale rows estimate E[E_T(M)] = 1 with the
-                      batched ``estimate_batch`` over
-                      ``stoch_exponential_batch``
+                      exit 0 iff every row holds.  The verdict rows walk
+                      :data:`CLAIMS`, the paper's expected verdicts and
+                      bounds; the martingale rows estimate E[E_T(M)] = 1
+                      with ``estimate_batch`` over ``stoch_exponential_batch``
+                      and check the closed-form oracles defined here
 * ``lemmas``       -- grid + random property suites for the two scalar
                       inequalities; exit 0 iff no violation beyond -1e-12
 
@@ -25,12 +26,10 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .distributions import make_first_jump_time, make_xi_distribution
 from .girsanov import lemma2_lhs, lemma3_gap
 from .mc import (
     ConditionReport,
@@ -60,26 +59,6 @@ _KIND_FLAGS = {
     "lemma1": "lemma1",
 }
 
-_CONTROL_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag combination for one CLI invocation."""
-
-    command: str
-    model: str | None = None
-    kind: str | None = None
-    control: PredictableControl | None = None
-    epsilon: float | None = None
-    n: int = 0
-    seed: int = 0
-    streams: int = 16
-    levels: tuple[float, ...] | None = None
-    out: str | None = None
-    fmt: str = "json"
-    which: int | None = None
-
 
 def parse_control(text: str) -> PredictableControl:
     """Control grammar: a constant (``0.5``) or ``indicator:<t0>``."""
@@ -88,9 +67,9 @@ def parse_control(text: str) -> PredictableControl:
     return PredictableControl.constant(float(text))
 
 
-def _emit(payload, rows, config: RunConfig) -> None:
+def _emit(payload, rows, args: argparse.Namespace) -> None:
     """Write JSON (payload) or CSV (rows) to --out or stdout."""
-    if config.fmt == "json":
+    if args.fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -98,83 +77,77 @@ def _emit(payload, rows, config: RunConfig) -> None:
         for row in rows:
             writer.writerow(row)
         text = buf.getvalue()
-    if config.out:
-        Path(config.out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_sample(config: RunConfig) -> int:
-    model = EXAMPLE_MODELS[config.model]()
+def _cmd_sample(args: argparse.Namespace) -> int:
+    model = EXAMPLE_MODELS[args.model]()
     docs = []
     rows = [("index", "horizon", "t1", "dm1", "t2", "dm2", "drift_kind", "cont_qv_kind")]
-    for i in range(config.n):
-        path = model.sampler(config.seed, i)
+    for i in range(args.n):
+        path = model.sampler(args.seed, i)
         doc = path_to_json(path)
         docs.append(doc)
         jumps = list(path.jumps) + [("", "")] * (2 - len(path.jumps))
         rows.append((i, path.horizon, jumps[0][0], jumps[0][1],
                      jumps[1][0], jumps[1][1], doc["drift_kind"],
                      doc["cont_qv_kind"]))
-    _emit(docs, rows, config)
+    _emit(docs, rows, args)
     return 0
 
 
-def _cmd_exponential(config: RunConfig) -> int:
-    model = EXAMPLE_MODELS[config.model]()
+def _cmd_exponential(args: argparse.Namespace) -> int:
+    model = EXAMPLE_MODELS[args.model]()
     docs = []
     rows = [("index", "horizon", "log_value", "value")]
-    for i in range(config.n):
-        path = model.sampler(config.seed, i)
+    for i in range(args.n):
+        path = model.sampler(args.seed, i)
         lv = log_stoch_exponential(path, path.horizon)
         v = stoch_exponential(path, path.horizon)
         docs.append({"index": i, "horizon": path.horizon,
                      "log_value": lv, "value": v})
         rows.append((i, path.horizon, lv, v))
-    _emit(docs, rows, config)
+    _emit(docs, rows, args)
     return 0
 
 
-def _cmd_condition(config: RunConfig) -> int:
-    model = EXAMPLE_MODELS[config.model]()
-    spec = ConditionSpec(config.kind, config.control, config.epsilon)
+def _condition_spec(parser: argparse.ArgumentParser,
+                    args: argparse.Namespace) -> ConditionSpec:
+    """The ``condition`` flags as a spec; a bad combination is a usage error."""
+    control = None
+    if args.a is not None:
+        try:
+            control = parse_control(args.a)
+        except ValueError as exc:
+            parser.error(f"bad control spec {args.a!r}: {exc}")
+    try:
+        return ConditionSpec(_KIND_FLAGS[args.kind], control, args.eps)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _cmd_condition(args: argparse.Namespace) -> int:
+    model = EXAMPLE_MODELS[args.model]()
     report = evaluate_condition(
         model,
-        spec,
-        SeedSpec(config.seed, config.streams),
-        config.n,
-        levels=config.levels,
+        args.spec,
+        SeedSpec(args.seed, args.streams),
+        args.n,
+        levels=args.levels,
     )
     rows = [("level", "value")] + report.csv_rows()
-    _emit(report.to_json(), rows, config)
+    _emit(report.to_json(), rows, args)
     return 0
 
 
 # ----------------------------------------------------------------------
-# reproduce
+# reproduce: the paper's claims and their closed-form oracles
 # ----------------------------------------------------------------------
 
-def _row(check: str, expected: str, observed: str, ok: bool, **extra) -> dict:
-    row = {"check": check, "expected": expected, "observed": observed, "ok": ok}
-    row.update(extra)
-    return row
-
-
-def _condition_row(model, spec, expected: str, seeds, n=0, **extra) -> tuple[dict, ConditionReport]:
-    report = evaluate_condition(model, spec, seeds, n)
-    row = _row(
-        f"{model.name} {spec.label()}",
-        expected,
-        report.verdict,
-        report.verdict == expected,
-        quadrature=report.quadrature,
-        slope=None if report.divergence is None else report.divergence.slope,
-        **extra,
-    )
-    return row, report
-
-
-def _example2_exponential(t: float) -> float:
+def example2_exponential(t: float) -> float:
     """E_tau(M) of example2 as a function of the jump time ``tau = t``;
     0 where it underflows."""
     if t > 650.0:
@@ -183,158 +156,168 @@ def _example2_exponential(t: float) -> float:
     return math.exp(e) if e > -745.0 else 0.0
 
 
-def run_reproduction(which: int, seed: int, n: int) -> dict:
-    """Experiment suite for one counterexample; returns the report document."""
-    seeds = SeedSpec(seed, 16)
-    rows: list[dict] = []
-    families: list[tuple[str, ConditionReport]] = []
+def example2_bound(a: float) -> float:
+    """The paper's bound on example2 ``theorem1`` at the constant control
+    ``a``: ``exp(a + 2 delta + 2(-ln delta - 1))``, ``delta = a / (2(1 + a))``."""
+    delta = a / (2.0 * (1.0 + a))
+    return math.exp(a + 2.0 * delta + 2.0 * (-math.log(delta) - 1.0))
 
-    if which == 1:
-        model = EXAMPLE_MODELS["example1"]()
-        row, jac = _condition_row(model, ConditionSpec("jacod"), "diverging", seeds)
-        rows.append(row)
-        families.append(("jacod", jac))
 
-        row, rep = _condition_row(
-            model,
-            ConditionSpec("theorem1", PredictableControl.constant(1.0)),
-            "finite",
-            seeds,
-        )
-        row["ok"] = row["ok"] and rep.quadrature is not None and rep.quadrature <= 2.5
-        row["bound"] = 2.5
-        rows.append(row)
+def example3_eta_factor(x: float) -> float:
+    """The eta factor of example3 ``theorem1(indicator:1.0)``: the jump
+    ``x`` at time 1 sees control 0."""
+    return (1.0 + x) * math.exp(-x / (1.0 + x))
 
-        red = evaluate_condition(
-            model, ConditionSpec("theorem1", PredictableControl.constant(0.0)), seeds
-        )
-        rows.append(_row(
-            "example1 theorem1(a=0) reduces to jacod",
-            "identical values",
-            "identical" if (jac.verdict == red.verdict
-                            and jac.divergence.values == red.divergence.values)
-            else "different",
-            jac.verdict == red.verdict
-            and jac.divergence.values == red.divergence.values,
-        ))
 
-        est = estimate_batch(model, stoch_exponential_batch, n, seeds)
-        quad_mean = quadrature_expectation(make_xi_distribution(), lambda x: 1.0 + x)
-        ok = abs(est.mean - 1.0) <= 3.0 * est.se and abs(quad_mean - 1.0) <= 1e-8
-        rows.append(_row(
-            "example1 martingale property E[E_T(M)] = 1",
-            "1 within 3 SE (MC) and 1e-8 (quadrature)",
-            f"mc={est.mean!r} se={est.se!r} quad={quad_mean!r}",
-            ok,
-        ))
+def example3_tau_factor(y: float) -> float:
+    """The waiting-time factor of example3 ``theorem1(indicator:1.0)`` at
+    ``y = tau_hat - 1``, under control 1; 0 where it underflows."""
+    if y > 650.0:
+        return 0.0
+    delta = math.exp(y)
+    e = 1.0 - delta + 2.0 * math.log1p(delta) - delta / (1.0 + delta)
+    return math.exp(e) if e > -745.0 else 0.0
 
-    elif which == 2:
-        model = EXAMPLE_MODELS["example2"]()
-        row, rep = _condition_row(model, ConditionSpec("jacod"), "diverging", seeds)
-        rows.append(row)
-        families.append(("jacod", rep))
 
-        for a in (0.25, 0.5, 0.75, 1.0):
-            row, rep = _condition_row(
-                model,
-                ConditionSpec("theorem1", PredictableControl.constant(a)),
-                "finite",
-                seeds,
-            )
-            delta = a / (2.0 * (1.0 + a))
-            bound = math.exp(a + 2.0 * delta + 2.0 * (-math.log(delta) - 1.0))
-            row["ok"] = row["ok"] and rep.quadrature is not None and rep.quadrature <= bound
-            row["bound"] = bound
-            rows.append(row)
+def _theorem1(a: float) -> ConditionSpec:
+    return ConditionSpec("theorem1", PredictableControl.constant(a))
 
-        est = estimate_batch(model, stoch_exponential_batch, n, seeds)
-        quad_mean = quadrature_expectation(make_first_jump_time(),
-                                           _example2_exponential)
-        ok = abs(est.mean - 1.0) <= 3.0 * est.se and abs(quad_mean - 1.0) <= 1e-8
-        rows.append(_row(
-            "example2 martingale property E[E_T(M)] = 1",
-            "1 within 3 SE (MC) and 1e-8 (quadrature)",
-            f"mc={est.mean!r} se={est.se!r} quad={quad_mean!r}",
-            ok,
-        ))
 
-    elif which == 3:
-        model = EXAMPLE_MODELS["example3"]()
-        for a in _CONTROL_GRID:
-            row, rep = _condition_row(
-                model,
-                ConditionSpec("theorem1", PredictableControl.constant(a)),
-                "diverging",
-                seeds,
-            )
-            rows.append(row)
-            families.append((f"theorem1 a={a!r}", rep))
+_CONTROL_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-        row, rep = _condition_row(
-            model,
-            ConditionSpec("theorem1", control_indicator_after(1.0)),
-            "finite",
-            seeds,
-        )
-        rows.append(row)
-        value = rep.quadrature
+#: ``which -> (model name, ((spec, expected verdict, bound or None), ...))``.
+#: Jacod's condition fails on examples 1 and 2 while ``theorem1`` holds
+#: under its bound; on example3 every constant control diverges and only
+#: the predictable ``1{s > 1}`` is finite.
+CLAIMS = {
+    1: ("example1", (
+        (ConditionSpec("jacod"), "diverging", None),
+        (_theorem1(1.0), "finite", 2.5),
+    )),
+    2: ("example2", (
+        (ConditionSpec("jacod"), "diverging", None),
+        *((_theorem1(a), "finite", example2_bound(a))
+          for a in (0.25, 0.5, 0.75, 1.0)),
+    )),
+    3: ("example3", (
+        *((_theorem1(a), "diverging", None) for a in _CONTROL_GRID),
+        (ConditionSpec("theorem1", control_indicator_after(1.0)), "finite", None),
+    )),
+}
 
-        # the finite value must factor over the two independent drivers
-        eta_d, exp_d = model.drivers
-        factor_a = quadrature_expectation(
-            eta_d.dist, lambda x: (1.0 + x) * math.exp(-x / (1.0 + x))
-        )
 
-        def factor_b_integrand(y):
-            if y > 650.0:
-                return 0.0
-            delta = math.exp(y)
-            e = (1.0 - delta + 2.0 * math.log1p(delta) - delta / (1.0 + delta))
-            return math.exp(e) if e > -745.0 else 0.0
+def _row(check: str, expected: str, observed: str, ok: bool, **extra) -> dict:
+    row = {"check": check, "expected": expected, "observed": observed, "ok": ok}
+    row.update(extra)
+    return row
 
-        factor_b = quadrature_expectation(exp_d.dist, factor_b_integrand)
-        ok = (
-            value is not None
-            and abs(value - factor_a * factor_b) <= 1e-8 * abs(factor_a * factor_b)
-        )
-        rows.append(_row(
+
+def _condition_row(model, spec, expected: str, bound: float | None,
+                   seeds) -> tuple[dict, ConditionReport]:
+    report = evaluate_condition(model, spec, seeds)
+    row = _row(
+        f"{model.name} {spec.label()}",
+        expected,
+        report.verdict,
+        report.verdict == expected,
+        quadrature=report.quadrature,
+        slope=None if report.divergence is None else report.divergence.slope,
+    )
+    if bound is not None:
+        row["ok"] = (row["ok"] and report.quadrature is not None
+                     and report.quadrature <= bound)
+        row["bound"] = bound
+    return row, report
+
+
+def _martingale_row(model, integrand, n: int, seeds) -> dict:
+    """E[E_T(M)] = 1 by batched Monte Carlo and by quadrature of ``integrand``
+    against the model's one driver."""
+    est = estimate_batch(model, stoch_exponential_batch, n, seeds)
+    quad_mean = quadrature_expectation(model.drivers[0].dist, integrand)
+    ok = abs(est.mean - 1.0) <= 3.0 * est.se and abs(quad_mean - 1.0) <= 1e-8
+    return _row(
+        f"{model.name} martingale property E[E_T(M)] = 1",
+        "1 within 3 SE (MC) and 1e-8 (quadrature)",
+        f"mc={est.mean!r} se={est.se!r} quad={quad_mean!r}",
+        ok,
+    )
+
+
+def _example3_rows(model, value: float | None) -> list[dict]:
+    """The indicator value factorizes over the drivers, and E[E_T(M)] = 1
+    by quadrature (the eta factor has infinite variance, so a Monte Carlo
+    standard error is not meaningful here)."""
+    eta_d, exp_d = model.drivers
+    product = (quadrature_expectation(eta_d.dist, example3_eta_factor)
+               * quadrature_expectation(exp_d.dist, example3_tau_factor))
+    m_eta = quadrature_expectation(eta_d.dist, lambda x: 1.0 + x)
+    m_exp = quadrature_expectation(exp_d.dist, example2_exponential)
+    return [
+        _row(
             "example3 finite value factorizes over independent drivers",
             "product of single-driver factors within rel 1e-8",
-            f"value={value!r} product={(factor_a * factor_b)!r}",
-            ok,
-        ))
-
-        # martingale property by quadrature (the eta factor has infinite
-        # variance, so a Monte Carlo standard error is not meaningful here)
-        m_eta = quadrature_expectation(eta_d.dist, lambda x: 1.0 + x)
-        m_exp = quadrature_expectation(exp_d.dist, _example2_exponential)
-        ok = abs(m_eta * m_exp - 1.0) <= 1e-8
-        rows.append(_row(
+            f"value={value!r} product={product!r}",
+            value is not None and abs(value - product) <= 1e-8 * abs(product),
+        ),
+        _row(
             "example3 martingale property E[E_T(M)] = 1",
             "1 within 1e-8 (quadrature, factorized)",
             f"quad={(m_eta * m_exp)!r}",
-            ok,
-        ))
-    else:
+            abs(m_eta * m_exp - 1.0) <= 1e-8,
+        ),
+    ]
+
+
+def run_reproduction(which: int, seed: int, n: int) -> dict:
+    """Experiment suite for one counterexample; returns the report document."""
+    if which not in CLAIMS:
         raise ValueError("which must be 1, 2 or 3")
+    seeds = SeedSpec(seed, 16)
+    name, claims = CLAIMS[which]
+    model = EXAMPLE_MODELS[name]()
+    rows: list[dict] = []
+    families: dict[str, dict] = {}
+    reports = []
+    for spec, expected, bound in claims:
+        row, report = _condition_row(model, spec, expected, bound, seeds)
+        rows.append(row)
+        reports.append(report)
+        if expected == "diverging" and report.divergence is not None:
+            family = (spec.kind if spec.control is None
+                      else f"{spec.kind} a={spec.control.label()}")
+            families[family] = report.divergence.to_json()
+
+    if which == 1:
+        jac = reports[0]
+        red = evaluate_condition(model, _theorem1(0.0), seeds)
+        same = (jac.verdict == red.verdict
+                and jac.divergence.values == red.divergence.values)
+        rows.append(_row(
+            "example1 theorem1(a=0) reduces to jacod",
+            "identical values",
+            "identical" if same else "different",
+            same,
+        ))
+        rows.append(_martingale_row(model, lambda x: 1.0 + x, n, seeds))
+    elif which == 2:
+        rows.append(_martingale_row(model, example2_exponential, n, seeds))
+    else:
+        rows.extend(_example3_rows(model, reports[-1].quadrature))
 
     return {
         "which": which,
         "seed": seed,
         "n": n,
         "rows": rows,
-        "families": {
-            name: rep.divergence.to_json()
-            for name, rep in families
-            if rep.divergence is not None
-        },
+        "families": families,
         "ok": all(r["ok"] for r in rows),
     }
 
 
-def _cmd_reproduce(config: RunConfig) -> int:
-    doc = run_reproduction(config.which, config.seed, config.n or 200_000)
-    out = config.out or f"reproduce{config.which}.json"
+def _cmd_reproduce(args: argparse.Namespace) -> int:
+    doc = run_reproduction(args.which, args.seed, args.n or 200_000)
+    out = args.out or f"reproduce{args.which}.json"
     Path(out).write_text(json.dumps(doc, indent=2) + "\n")
 
     csv_path = Path(out).with_suffix(".csv")
@@ -403,14 +386,14 @@ def run_lemma_suites(
     return violations
 
 
-def _cmd_lemmas(config: RunConfig) -> int:
-    violations = run_lemma_suites(seed=config.seed)
+def _cmd_lemmas(args: argparse.Namespace) -> int:
+    violations = run_lemma_suites(seed=args.seed)
     if not violations:
         print("[ok ] lemma2 grid+random suites: no violation beyond -1e-12")
         print("[ok ] lemma3 random suite: no violation beyond -1e-12")
         return 0
-    for name, args, value in violations:
-        print(f"[FAIL] {name} at {args}: {value!r}", file=sys.stderr)
+    for name, point, value in violations:
+        print(f"[FAIL] {name} at {point}: {value!r}", file=sys.stderr)
     return 1
 
 
@@ -465,38 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(parser: argparse.ArgumentParser,
-                      args: argparse.Namespace) -> RunConfig:
-    kind = _KIND_FLAGS.get(getattr(args, "kind", None))
-    control = None
-    epsilon = getattr(args, "eps", None)
-    if getattr(args, "a", None) is not None:
-        try:
-            control = parse_control(args.a)
-        except ValueError as exc:
-            parser.error(f"bad control spec {args.a!r}: {exc}")
-    if kind is not None:
-        try:
-            ConditionSpec(kind, control, epsilon)
-        except ValueError as exc:
-            parser.error(str(exc))
-    return RunConfig(
-        command=args.command,
-        model=getattr(args, "model", None),
-        kind=kind,
-        control=control,
-        epsilon=epsilon,
-        n=getattr(args, "n", 0),
-        seed=getattr(args, "seed", 0),
-        streams=getattr(args, "streams", 16),
-        levels=None if getattr(args, "levels", None) is None
-        else tuple(args.levels),
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "fmt", "json"),
-        which=getattr(args, "which", None),
-    )
-
-
 _HANDLERS = {
     "sample": _cmd_sample,
     "exponential": _cmd_exponential,
@@ -509,9 +460,10 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(parser, args)
+    if args.command == "condition":
+        args.spec = _condition_spec(parser, args)
     try:
-        return _HANDLERS[config.command](config)
+        return _HANDLERS[args.command](args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

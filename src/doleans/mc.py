@@ -293,12 +293,12 @@ def _exp_weighted_piece(
 def _quad_exp_weighted(
     dist: InverseCdfDistribution,
     log_integrand: Callable[[float], float],
-    truncation=None,
     weight: Callable[[float], float] | None = None,
 ) -> float:
-    """``int exp(log_integrand(x) + log_density(x)) [weight(x)] dx``."""
+    """``int exp(log_integrand(x) + log_density(x)) [weight(x)] dx`` over
+    the full support."""
     return _quad_pieces(_exp_weighted_piece(dist, log_integrand, weight),
-                        _clipped_pieces(dist.support, truncation))
+                        dist.support)
 
 
 # Log-domain quadrature for exponents far beyond float range.
@@ -622,7 +622,7 @@ def _value_at_time(
     factors = _split_factors(model, f_vals)
     value = 1.0
     for driver, g in factors:
-        value *= _quad_exp_weighted(driver.dist, g, None)
+        value *= _quad_exp_weighted(driver.dist, g)
     return value
 
 
@@ -762,8 +762,6 @@ def _evaluate_lemma1(
     model: ProcessModel,
     levels: Sequence[float] | None,
 ) -> tuple[str, float | None, DivergenceEvidence | None]:
-    drivers = model.drivers
-
     def log_e(vals):
         p = model.build(*vals)
         return log_stoch_exponential(p, p.horizon)
@@ -772,33 +770,25 @@ def _evaluate_lemma1(
         p = model.build(*vals)
         return jacod_functional(p, p.horizon).log_value
 
-    if len(drivers) == 1:
-        d = drivers[0]
+    # both the exponent and the bracket must pass the separability probe
+    factors = _split_factors(model, log_e)
+    brackets = [b for _, b in _split_factors(model, bracket)]
+    if len(factors) == 1:
+        (d, u), b = factors[0], brackets[0]
         analysis = _analyze_factor(
-            d,
-            lambda x: log_e((x,)),
-            tuple(levels) if levels is not None else d.levels,
-            "linear",
-            weight=lambda x: bracket((x,)),
+            d, u, tuple(levels) if levels is not None else d.levels, "linear",
+            weight=b,
         )
         return _combine_factors([analysis])
 
-    if len(drivers) != 2:
-        raise UnsupportedModelError("factorization supports at most two drivers")
-    d0, d1 = drivers
-    anchors = (d0.anchor, d1.anchor)
-    base_e = log_e(anchors)
-    base_b = bracket(anchors)
-    u = lambda x: log_e((x, anchors[1])) - base_e
-    v = lambda y: log_e((anchors[0], y))
-    b0 = lambda x: bracket((x, anchors[1])) - base_b
-    b1 = lambda y: bracket((anchors[0], y))
+    (d0, u), (d1, v) = factors
+    b0, b1 = brackets
     try:
         # E[e^L (b0 + b1)] = E[e^u b0] E[e^v] + E[e^u] E[e^v b1]
-        t1 = _quad_exp_weighted(d0.dist, u, None, weight=b0)
-        t2 = _quad_exp_weighted(d1.dist, v, None)
-        t3 = _quad_exp_weighted(d0.dist, u, None)
-        t4 = _quad_exp_weighted(d1.dist, v, None, weight=b1)
+        t1 = _quad_exp_weighted(d0.dist, u, weight=b0)
+        t2 = _quad_exp_weighted(d1.dist, v)
+        t3 = _quad_exp_weighted(d0.dist, u)
+        t4 = _quad_exp_weighted(d1.dist, v, weight=b1)
     except QuadratureAccuracyError:
         return "inconclusive", None, None
     return "finite", t1 * t2 + t3 * t4, None

@@ -34,6 +34,7 @@ from doleans import (
     stoch_exponential_batch,
     theorem1_functional,
 )
+from doleans.cli import example2_bound, example3_eta_factor, example3_tau_factor
 
 XI = make_xi_distribution()
 ETA = make_eta_distribution()
@@ -121,9 +122,7 @@ def test_criterion_05_theorem1_finiteness_example2(model2):
         for a in (0.25, 0.5, 0.75, 1.0):
             spec = ConditionSpec("theorem1", PredictableControl.constant(a))
             r = evaluate_condition(model2, spec)
-            delta = a / (2.0 * (1.0 + a))
-            g = -math.log(delta) - 1.0
-            bound = math.exp(a + 2.0 * delta + 2.0 * g)
+            bound = example2_bound(a)
             assert r.verdict == "finite"
             assert r.quadrature <= bound
             details.append(f"{r.quadrature:.4f}<={bound:.1f}")
@@ -143,18 +142,8 @@ def test_criterion_06_example3_contrast(model3):
         assert r.verdict == "finite"
 
         # the finite value factorizes over the independent drivers
-        factor_a = quadrature_expectation(
-            ETA, lambda x: (1.0 + x) * math.exp(-x / (1.0 + x))
-        )
-
-        def factor_b(y):
-            if y > 650.0:
-                return 0.0
-            delta = math.exp(y)
-            e = 1.0 - delta + 2.0 * math.log1p(delta) - delta / (1.0 + delta)
-            return math.exp(e) if e > -745.0 else 0.0
-
-        product = factor_a * quadrature_expectation(EXP_LAW, factor_b)
+        factor_a = quadrature_expectation(ETA, example3_eta_factor)
+        product = factor_a * quadrature_expectation(EXP_LAW, example3_tau_factor)
         assert abs(r.quadrature - product) <= 1e-8 * product
         rec["detail"] = f"  finite value={r.quadrature:.9f} product={product:.9f}"
 

@@ -1,5 +1,6 @@
 """Monte Carlo engine, quadrature, divergence detection, condition verdicts."""
 
+import dataclasses
 import json
 import math
 
@@ -23,6 +24,12 @@ from doleans import (
     stoch_exponential,
 )
 from doleans import mc
+from doleans.cli import (
+    example2_bound,
+    example2_exponential,
+    example3_eta_factor,
+    example3_tau_factor,
+)
 from doleans.mc import EstimationError
 
 XI = make_xi_distribution()
@@ -170,9 +177,7 @@ class TestEvaluateCondition:
                 model2, ConditionSpec("theorem1", PredictableControl.constant(a))
             )
             assert r.verdict == "finite"
-            delta = a / (2.0 * (1.0 + a))
-            bound = math.exp(a + 2.0 * delta + 2.0 * (-math.log(delta) - 1.0))
-            assert r.quadrature <= bound
+            assert r.quadrature <= example2_bound(a)
 
     def test_example2_protter_shimbo_diverging(self, model2):
         r = evaluate_condition(model2, ConditionSpec("protter_shimbo"))
@@ -251,6 +256,21 @@ class TestEvaluateCondition:
         with pytest.raises(UnsupportedModelError):
             mc._split_factors(model3, f_vals)
 
+    def test_lemma1_rejects_coupled_drivers(self, model3):
+        # the second jump grows with eta above 0.5: neither the exponent
+        # nor the bracket separates, so no product formula applies
+        def build(x, e):
+            path = model3.build(x, e)
+            (t1, dm1), (t2, dm2) = path.jumps
+            scale = 1.5 if x > 0.5 else 1.0
+            return dataclasses.replace(path, jumps=((t1, dm1), (t2, dm2 * scale)))
+
+        coupled = dataclasses.replace(model3, build=build)
+        with pytest.raises(UnsupportedModelError):
+            evaluate_condition(coupled, ConditionSpec("lemma1"))
+        with pytest.raises(UnsupportedModelError):
+            evaluate_condition(coupled, ConditionSpec("jacod"))
+
     def test_example1_protter_shimbo_unsupported(self, model1):
         with pytest.raises(UnsupportedModelError):
             evaluate_condition(model1, ConditionSpec("protter_shimbo"))
@@ -270,18 +290,8 @@ class TestEvaluateCondition:
         assert r.verdict == "finite"
         # oracle: explicit single-driver factors of the product
         eta_d, exp_d = model3.drivers
-        factor_a = quadrature_expectation(
-            eta_d.dist, lambda x: (1.0 + x) * math.exp(-x / (1.0 + x))
-        )
-
-        def factor_b(y):
-            if y > 650.0:
-                return 0.0
-            delta = math.exp(y)
-            e = 1.0 - delta + 2.0 * math.log1p(delta) - delta / (1.0 + delta)
-            return math.exp(e) if e > -745.0 else 0.0
-
-        product = factor_a * quadrature_expectation(exp_d.dist, factor_b)
+        factor_a = quadrature_expectation(eta_d.dist, example3_eta_factor)
+        product = factor_a * quadrature_expectation(exp_d.dist, example3_tau_factor)
         assert abs(r.quadrature - product) <= 1e-8 * product
 
     def test_lemma1_finite_on_all_examples(self, all_models):
@@ -310,10 +320,8 @@ class TestEvaluateCondition:
 
         def exp_factor(weight):
             def g(y):
-                if y > 650.0:
-                    return 0.0
-                e = 1.0 - math.exp(y) + math.log1p(math.exp(y))
-                return (math.exp(e) if e > -745.0 else 0.0) * weight(y)
+                e = example2_exponential(y)
+                return e * weight(y) if e else 0.0
 
             return quadrature_expectation(EXP_LAW, g)
 
@@ -405,13 +413,7 @@ class TestExample2MartingaleOracle:
         )[0]
         assert abs(closed - 1.0) < 1e-10
 
-        def integrand(t):
-            if t > 650.0:
-                return 0.0
-            e = 1.0 - math.exp(t) + math.log1p(math.exp(t))
-            return math.exp(e) if e > -745.0 else 0.0
-
-        v = quadrature_expectation(EXP_LAW, integrand)
+        v = quadrature_expectation(EXP_LAW, example2_exponential)
         assert abs(v - 1.0) < 1e-10
 
 
