@@ -11,9 +11,10 @@ paths).
 Divergence is a first-class result: truncated expectations are evaluated
 on an explicit level grid and fitted against ``ln(1/level)`` (log model)
 or ``level`` (linear model).  Conditions whose exponents explode faster
-than any polynomial (the compensator-based kinds on the exponential-jump
-model) are probed in log space and fitted against the functional's own
-truncation threshold, which linearizes the growth.
+than any polynomial (the bracket and compensator kinds on the
+exponential-jump model) are decided without an integral: their log
+integrand at each cut, which stays in float range, is fitted against the
+functional's own truncation threshold, which linearizes the growth.
 
 Monte Carlo streams are counter-based (Philox keyed by the seed, jumped
 per stream), so results are bit-reproducible for a fixed ``SeedSpec`` and
@@ -301,75 +302,6 @@ def _quad_exp_weighted(
                         dist.support)
 
 
-# Log-domain quadrature for exponents far beyond float range.
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
-
-def _log_quad_interval(g: Callable[[float], float], lo: float, hi: float) -> float:
-    """``ln int_lo^hi exp(g(x)) dx`` by recursive Gauss-Legendre panels.
-
-    Panels whose best possible contribution is ~e^-60 below the running
-    maximum are dropped unrefined, so exponents spanning thousands of
-    e-folds cost only O(log range) panels along the dominant region.
-    """
-    parts: list[float] = []
-    stack = [(lo, hi)]
-    min_width = max((hi - lo) * 1e-12, 1e-300)
-    best = -math.inf
-    while stack:
-        a, b = stack.pop()
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        xs = mid + half * _GL_NODES
-        gv = np.array([g(float(x)) for x in xs])
-        m = float(gv.max())
-        if m == -math.inf:
-            continue
-        upper = m + math.log(b - a)
-        if upper < best - 60.0:
-            continue
-        if (m - float(gv.min()) > 25.0) and (b - a) > min_width:
-            # refine the hotter half first so pruning engages early
-            if xs[int(gv.argmax())] >= mid:
-                stack.append((a, mid))
-                stack.append((mid, b))
-            else:
-                stack.append((mid, b))
-                stack.append((a, mid))
-            continue
-        total = float(np.dot(_GL_WEIGHTS, np.exp(gv - m))) * half
-        if total > 0.0:
-            value = m + math.log(total)
-            parts.append(value)
-            best = max(best, value)
-    if not parts:
-        return -math.inf
-    return float(np.logaddexp.reduce(np.array(parts)))
-
-
-def _log_quad_exp_weighted(
-    dist: InverseCdfDistribution,
-    log_integrand: Callable[[float], float],
-    truncation,
-) -> float:
-    """Natural log of ``int exp(log_integrand + log_density) dx`` (finite clips only)."""
-    pieces = _clipped_pieces(dist.support, truncation)
-
-    def g(x: float) -> float:
-        ld = dist.log_density(x)
-        if ld == -math.inf:
-            return -math.inf
-        return log_integrand(x) + ld
-
-    vals = []
-    for lo, hi in pieces:
-        if math.isinf(hi):
-            raise ValueError("log-domain quadrature needs a finite truncation")
-        vals.append(_log_quad_interval(g, lo, hi))
-    return float(np.logaddexp.reduce(np.array(vals)))
-
-
 # ----------------------------------------------------------------------
 # Divergence detection
 # ----------------------------------------------------------------------
@@ -381,7 +313,9 @@ class DivergenceEvidence:
     ``model == "log"`` fits values against ``ln(1/level)``; ``"linear"``
     fits against the level itself.  Levels and values are held in the
     order of that x-axis.  ``diverging`` requires strictly increasing
-    values and a fit with R^2 >= 0.99.
+    values and a fit with R^2 >= 0.99.  For the log-scale kinds the levels
+    are the functional's thresholds and the values the log integrand at
+    each cut, not truncated expectations.
     """
 
     levels: tuple[float, ...]
@@ -435,7 +369,8 @@ def detect_divergence(
 ) -> DivergenceEvidence:
     """Evaluate truncated expectations on a level grid and fit their growth.
 
-    Levels must be at least four and strictly ordered, in either direction.
+    Levels must be at least four, finite, positive and strictly ordered,
+    in either direction.
     Non-monotone values yield evidence whose ``diverging`` flag is false
     (an inconclusive probe), never an exception.
     """
@@ -446,10 +381,12 @@ def detect_divergence(
 
 
 def _check_levels(levels: Sequence[float]) -> tuple[float, ...]:
-    """At least four strictly ordered levels (either direction), as floats."""
+    """At least four finite positive levels, strictly ordered either way."""
     lv = tuple(float(x) for x in levels)
     if len(lv) < 4:
         raise ValueError("need at least four truncation levels")
+    if not all(math.isfinite(x) and x > 0.0 for x in lv):
+        raise ValueError("levels must be finite and positive")
     diffs = np.diff(lv)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("levels must be strictly ordered")
@@ -667,45 +604,48 @@ class _FactorAnalysis:
     evidence: DivergenceEvidence
 
 
-def _material_growth(values: Sequence[float], scale: str) -> bool:
-    lo, hi = values[0], values[-1]
-    if scale == "log":
-        return hi - lo > 1.0
-    return hi - lo > 0.01 * max(abs(hi), 1e-300)
+def _analyze_log_scale(driver: Driver, g: Callable[[float], float],
+                       levels: Sequence[float]) -> _FactorAnalysis:
+    """Verdict on ``E exp(g)`` over one driver for an exponent beyond float range.
+
+    These kinds cut an infinite support end only.  The log integrand
+    ``L(T) = g(T) + log_density(T)`` at each cut ``T`` is fitted against
+    the threshold ``g(T)``, which linearizes its growth.  An ``e^L`` that
+    keeps growing (by more than one e-fold) toward an infinite end has an
+    infinite integral, so no integral is computed.
+    """
+    thresholds, values = [], []
+    for level in levels:
+        lo, hi = driver.truncate(level)
+        cut = hi if hi is not None else lo
+        try:
+            threshold = g(cut)
+        except OverflowError:
+            raise ValueError(
+                f"the exponent overflows float range at level {level!r}") from None
+        thresholds.append(threshold)
+        values.append(threshold + driver.dist.log_density(cut))
+    evidence = _fit(thresholds, values, "linear")
+    if evidence.diverging and evidence.values[-1] - evidence.values[0] > 1.0:
+        return _FactorAnalysis("diverging", None, evidence)
+    return _FactorAnalysis("inconclusive", None, evidence)
 
 
 def _analyze_factor(
     driver: Driver,
     g: Callable[[float], float],
     levels: Sequence[float],
-    probe_scale: str,
     weight: Callable[[float], float] | None = None,
 ) -> _FactorAnalysis:
     """Verdict on ``E exp(g) [weight]`` over one driver from its truncations.
 
-    On the linear probe scale, a truncated family that already grows
-    materially is ``diverging`` without a full-support integral; otherwise
-    the full integral decides between ``finite`` and ``inconclusive``.  Each
-    distinct support piece is integrated once per call: the pieces that
-    every truncation leaves whole reuse one ``(value, error)``, so totals
-    and error checks equal those of separate integrals bit for bit.
+    A truncated family that already grows materially is ``diverging``
+    without a full-support integral; otherwise the full integral decides
+    between ``finite`` and ``inconclusive``.  Each distinct support piece
+    is integrated once per call: the pieces that every truncation leaves
+    whole reuse one ``(value, error)``, so totals and error checks equal
+    those of separate integrals bit for bit.
     """
-    if probe_scale == "log":
-        # Exponents beyond float range: probe ln E[...] and fit it against
-        # the functional's own truncation threshold, which linearizes
-        # super-exponential growth.
-        pairs = []
-        for level in levels:
-            trunc = driver.truncate(level)
-            boundary = trunc[1] if trunc[1] is not None else trunc[0]
-            pairs.append((g(boundary), _log_quad_exp_weighted(driver.dist, g, trunc)))
-        thresholds = tuple(p[0] for p in pairs)
-        table = dict(pairs)
-        evidence = detect_divergence(lambda l: table[l], thresholds, "linear")
-        if evidence.diverging and _material_growth(evidence.values, "log"):
-            return _FactorAnalysis("diverging", None, evidence)
-        return _FactorAnalysis("inconclusive", None, evidence)
-
     quad_piece = _exp_weighted_piece(driver.dist, g, weight)
     done: dict[tuple[float, float], tuple[float, float]] = {}
 
@@ -720,7 +660,8 @@ def _analyze_factor(
 
     evidence = detect_divergence(
         lambda l: integral(driver.truncate(l)), levels, driver.growth)
-    if evidence.diverging and _material_growth(evidence.values, "linear"):
+    first, last = evidence.values[0], evidence.values[-1]
+    if evidence.diverging and last - first > 0.01 * max(abs(last), 1e-300):
         return _FactorAnalysis("diverging", None, evidence)
     try:
         return _FactorAnalysis("finite", integral(None), evidence)
@@ -776,8 +717,7 @@ def _evaluate_lemma1(
     if len(factors) == 1:
         (d, u), b = factors[0], brackets[0]
         analysis = _analyze_factor(
-            d, u, tuple(levels) if levels is not None else d.levels, "linear",
-            weight=b,
+            d, u, tuple(levels) if levels is not None else d.levels, weight=b,
         )
         return _combine_factors([analysis])
 
@@ -817,11 +757,13 @@ def evaluate_condition(
     path horizon (the dominating value for the built-in models) together
     with any fixed ``times``; a finite verdict reports the maximum over
     the family.  With ``n >= 2`` a Monte Carlo estimate of the horizon
-    value over ``n`` paths is attached as an independent cross-check;
-    the log-scale kinds (``protter_shimbo``, ``lepingle_memin``), whose
-    exponents exceed float range, reject ``n >= 2`` with ``ValueError``.
-    Explicit ``levels`` must be at least four and strictly ordered for
-    every kind, or ``ValueError`` is raised.
+    value over ``n`` paths is attached as an independent cross-check.
+    The log-scale kinds (``protter_shimbo``, ``lepingle_memin``), whose
+    exponents exceed float range, are decided from the log integrand at
+    each cut, which ``divergence.values`` then holds; ``n >= 2`` or an
+    exponent overflowing at a level raises ``ValueError``, as do explicit
+    ``levels`` that are not four or more finite positive strictly ordered
+    values, for every kind.
 
     Deterministic: equal arguments (including ``SeedSpec``) produce
     bit-identical reports.
@@ -865,11 +807,12 @@ def evaluate_condition(
             return timed(p, p.horizon)
 
         factors = _split_factors(model, f_vals)
-        probe_scale = "log" if spec.kind in _LOG_SCALE_KINDS else "linear"
+        analyze = (_analyze_log_scale if spec.kind in _LOG_SCALE_KINDS
+                   else _analyze_factor)
         analyses = []
         for driver, g in factors:
             lv = tuple(levels) if levels is not None else driver.levels
-            analyses.append(_analyze_factor(driver, g, lv, probe_scale))
+            analyses.append(analyze(driver, g, lv))
         verdict, value, evidence = _combine_factors(analyses)
 
         if verdict == "finite" and times:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from doleans import (
     ExpCompensatorDrift,
@@ -56,3 +57,18 @@ def random_two_jump_path(rng: np.random.Generator, with_qv: bool = True) -> Jump
         drift=drift,
         **({"cont_qv": qv} if qv is not None else {}),
     )
+
+
+def example1_full_control_integrand(x: float) -> float:
+    """``(1+x)^2 e^{-x/(1+x)}``: the example1 ``theorem1(a=1)`` integrand
+    against the law of ``xi``."""
+    return (1.0 + x) ** 2 * math.exp(-x / (1.0 + x))
+
+
+def example2_closed_form() -> float:
+    """``e * int_1^inf (1+u) e^{-u} u^{-2} du``, example2's ``E E_tau(M)``,
+    which equals 1."""
+    return math.e * quad(
+        lambda u: (1.0 + u) * math.exp(-u) / (u * u), 1.0, np.inf,
+        epsabs=1e-13,
+    )[0]

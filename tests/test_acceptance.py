@@ -11,7 +11,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.integrate import quad
 
 from doleans import (
     ConditionSpec,
@@ -35,6 +34,8 @@ from doleans import (
     theorem1_functional,
 )
 from doleans.cli import example2_bound, example3_eta_factor, example3_tau_factor
+
+from conftest import example2_closed_form
 
 XI = make_xi_distribution()
 ETA = make_eta_distribution()
@@ -165,10 +166,7 @@ def test_criterion_07_martingale_property(model1, model2):
         assert abs(exact1 - 1.0) <= 1e-8
 
         # derived closed form: e * int_1^inf (1+u) e^{-u} / u^2 du == 1
-        closed = math.e * quad(
-            lambda u: (1.0 + u) * math.exp(-u) / (u * u), 1.0, np.inf,
-            epsabs=1e-13,
-        )[0]
+        closed = example2_closed_form()
         assert abs(closed - 1.0) <= 1e-10
         rec["detail"] = (f"  mc1={est1.mean:.5f}±{est1.se:.1e}"
                          f" mc2={est2.mean:.5f}±{est2.se:.1e}"

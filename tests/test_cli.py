@@ -118,6 +118,16 @@ class TestConditionCommand:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_log_scale_exponent_overflow_is_an_error(self, capsys):
+        # <M^d> at T = 400 is e^800 / 2, beyond float range
+        code, out, err = run_cli(capsys, "condition", "--model", "example2",
+                                 "--kind", "protter-shimbo",
+                                 "--levels", "10", "20", "40", "400")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "400.0" in lines[0]
+
     def test_two_driver_lemma1_rejects_short_levels(self, capsys):
         code, out, err = run_cli(capsys, "condition", "--model", "example3",
                                  "--kind", "lemma1", "--levels", "1.0")

@@ -7,8 +7,9 @@ of reports covering ``jacod`` and ``lemma1`` on all three models, and
 ``theorem1`` with constant and indicator controls and family times.  The
 ``theorem1`` constants reach every branch of the verdict table: finite,
 single- and multi-factor inconclusive, and a multi-factor diverging
-product scaled by its finite factor.  The ``reproduce`` documents, Monte
-Carlo rows included, are pinned by digest.
+product scaled by its finite factor.  The two log-scale kinds on example2
+carry the log integrand at each cut as their values.  The ``reproduce``
+documents, Monte Carlo rows included, are pinned by digest.
 """
 
 import hashlib
@@ -44,6 +45,8 @@ CASES = {
     "example1_lemma1": ("example1", ConditionSpec("lemma1"), ()),
     "example2_lemma1": ("example2", ConditionSpec("lemma1"), ()),
     "example3_lemma1": ("example3", ConditionSpec("lemma1"), ()),
+    "example2_protter_shimbo": ("example2", ConditionSpec("protter_shimbo"), ()),
+    "example2_lepingle_memin": ("example2", ConditionSpec("lepingle_memin"), ()),
 }
 
 GOLDEN = {
@@ -151,6 +154,33 @@ GOLDEN = {
         '"model": "example3", "n": 0, "seed": 0, "streams": 1, '
         '"times": []}, "divergence": null, "estimate": null, '
         '"quadrature": 0.6049890133283415, "verdict": "finite"}'
+    ),
+    "example2_protter_shimbo": (
+        '{"condition": {"control": null, "epsilon": null, '
+        '"estimator": null, "kind": "protter_shimbo", '
+        '"levels": null, "model": "example2", "n": 0, "seed": 0, '
+        '"streams": 1, "times": []}, '
+        '"divergence": {"levels": [242582597.20489514, '
+        '1.1769263341850998e+17, 2.770311192196755e+34, '
+        '1.5349248203221212e+69], "model": "linear", "slope": 1.0, '
+        '"values": [242582587.20489514, 1.1769263341850997e+17, '
+        '2.770311192196755e+34, 1.5349248203221212e+69]}, '
+        '"estimate": null, "quadrature": null, '
+        '"verdict": "diverging"}'
+    ),
+    "example2_lepingle_memin": (
+        '{"condition": {"control": null, "epsilon": null, '
+        '"estimator": null, "kind": "lepingle_memin", '
+        '"levels": null, "model": "example2", "n": 0, "seed": 0, '
+        '"streams": 1, "times": []}, '
+        '"divergence": {"levels": [176274.1625084263, '
+        '8732973739.812397, 8.944640139806761e+18, '
+        '4.3216854598269374e+36], "model": "linear", '
+        '"slope": 0.9999999999999999, '
+        '"values": [176264.1625084263, 8732973719.812397, '
+        '8.944640139806761e+18, 4.3216854598269374e+36]}, '
+        '"estimate": null, "quadrature": null, '
+        '"verdict": "diverging"}'
     ),
 }
 

@@ -4,7 +4,6 @@ import dataclasses
 import json
 import math
 
-import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -31,6 +30,9 @@ from doleans.cli import (
     example3_tau_factor,
 )
 from doleans.mc import EstimationError
+from doleans.stochexp import pathwise_functional
+
+from conftest import example1_full_control_integrand, example2_closed_form
 
 XI = make_xi_distribution()
 EXP_LAW = make_first_jump_time()
@@ -79,12 +81,10 @@ class TestQuadratureExpectation:
 
     def test_theorem1_value_example1(self):
         # E (1+x)^2 e^{-x/(1+x)}: left branch integrand is exactly 1/2
-        v = quadrature_expectation(
-            XI, lambda x: (1.0 + x) ** 2 * math.exp(-x / (1.0 + x))
-        )
+        v = quadrature_expectation(XI, example1_full_control_integrand)
         assert v <= 2.5
         right = quad(
-            lambda x: (1.0 + x) ** 2 * math.exp(-x / (1.0 + x)) * XI.density(x),
+            lambda x: example1_full_control_integrand(x) * XI.density(x),
             0.0, 1.0, limit=200,
         )[0]
         assert abs(v - (0.5 + right)) < 1e-9
@@ -144,16 +144,14 @@ class TestEvaluateCondition:
         assert r.divergence.r_squared >= 0.99
         assert r.quadrature is None
 
-    def test_example1_theorem1_full_controlـfinite(self, model1):
+    def test_example1_theorem1_full_control_finite(self, model1):
         r = evaluate_condition(
             model1, ConditionSpec("theorem1", PredictableControl.constant(1.0))
         )
         assert r.verdict == "finite"
         assert r.quadrature <= 2.5
         # oracle: direct quadrature of the closed-form integrand
-        oracle = quadrature_expectation(
-            XI, lambda x: (1.0 + x) ** 2 * math.exp(-x / (1.0 + x))
-        )
+        oracle = quadrature_expectation(XI, example1_full_control_integrand)
         assert abs(r.quadrature - oracle) <= 1e-10 * oracle
 
     def test_example1_theorem1_zero_equals_jacod_report(self, model1):
@@ -219,6 +217,10 @@ class TestEvaluateCondition:
         ((1.0,), "four"),
         ((1.0, 2.0, 2.0, 3.0), "ordered"),
         ((1.0, 3.0, 2.0, 4.0), "ordered"),
+        ((1e-2, 1e-3, 1e-4, 0.0), "finite and positive"),
+        ((-1.0, 1.0, 2.0, 3.0), "finite and positive"),
+        ((1.0, 2.0, 3.0, math.inf), "finite and positive"),
+        ((1.0, 2.0, 3.0, math.nan), "finite and positive"),
     ])
     def test_every_kind_checks_levels(self, name, spec, levels, match, all_models):
         model = {m.name: m for m in all_models}[name]
@@ -407,10 +409,7 @@ class TestQuadratureMonteCarloAgreement:
 class TestExample2MartingaleOracle:
     def test_closed_form_integral_is_one(self, model2):
         # E E_tau(M) = e * int_1^inf (1+u) e^{-u} u^{-2} du = e * e^{-1}
-        closed = math.e * quad(
-            lambda u: (1.0 + u) * math.exp(-u) / (u * u), 1.0, np.inf,
-            epsabs=1e-13,
-        )[0]
+        closed = example2_closed_form()
         assert abs(closed - 1.0) < 1e-10
 
         v = quadrature_expectation(EXP_LAW, example2_exponential)
@@ -454,3 +453,27 @@ class TestIntegrationWork:
         full = [support for support, truncation in clips if truncation is None]
         assert full == [d.dist.support for d in model.drivers
                         if d.name not in diverging]
+
+    @pytest.mark.parametrize("kind", ["protter_shimbo", "lepingle_memin"])
+    def test_log_scale_kinds_integrate_nothing(self, kind, model2, monkeypatch):
+        integrated = []
+        quad_piece = mc._quad_piece
+
+        def counting_piece(f, lo, hi):
+            integrated.append((lo, hi))
+            return quad_piece(f, lo, hi)
+
+        monkeypatch.setattr(mc, "_quad_piece", counting_piece)
+        spec = ConditionSpec(kind)
+        report = evaluate_condition(model2, spec)
+
+        assert report.verdict == "diverging"
+        assert integrated == []
+        # each value is the log integrand g(T) + log_density(T) at the cut T
+        timed, _ = pathwise_functional(spec, model2)
+        driver = model2.drivers[0]
+        expected = []
+        for level in driver.levels:
+            path = model2.build(level)
+            expected.append(timed(path, path.horizon) + driver.dist.log_density(level))
+        assert report.divergence.values == tuple(expected)
