@@ -621,8 +621,11 @@ def _analyze_log_scale(driver: Driver, g: Callable[[float], float],
         try:
             threshold = g(cut)
         except OverflowError:
+            threshold = math.inf
+        # the fit sums squares of the thresholds over the levels
+        if math.isinf(len(levels) * threshold * threshold):
             raise ValueError(
-                f"the exponent overflows float range at level {level!r}") from None
+                f"the exponent overflows float range at level {level!r}")
         thresholds.append(threshold)
         values.append(threshold + driver.dist.log_density(cut))
     evidence = _fit(thresholds, values, "linear")
@@ -641,10 +644,13 @@ def _analyze_factor(
 
     A truncated family that already grows materially is ``diverging``
     without a full-support integral; otherwise the full integral decides
-    between ``finite`` and ``inconclusive``.  Each distinct support piece
-    is integrated once per call: the pieces that every truncation leaves
-    whole reuse one ``(value, error)``, so totals and error checks equal
-    those of separate integrals bit for bit.
+    between ``finite`` and ``inconclusive``.  The truncations telescope:
+    every support piece is split at the cuts of all levels that fall
+    inside it, each interval between successive cuts is integrated once
+    per call, and a level's value is the sum of its intervals in support
+    order, so it does not depend on the order of ``levels``.  The
+    full-support integral takes each support piece whole, reusing a piece
+    that no cut splits.
     """
     quad_piece = _exp_weighted_piece(driver.dist, g, weight)
     done: dict[tuple[float, float], tuple[float, float]] = {}
@@ -655,16 +661,23 @@ def _analyze_factor(
             done[lo, hi] = quad_piece(lo, hi)
         return done[lo, hi]
 
-    def integral(truncation) -> float:
-        return _quad_pieces(piece, _clipped_pieces(driver.dist.support, truncation))
+    support = driver.dist.support
+    cuts = sorted({c for l in levels for c in driver.truncate(l) if c is not None})
 
-    evidence = detect_divergence(
-        lambda l: integral(driver.truncate(l)), levels, driver.growth)
+    def truncated(level: float) -> float:
+        intervals = []
+        for lo, hi in _clipped_pieces(support, driver.truncate(level)):
+            edges = [lo, *(c for c in cuts if lo < c < hi), hi]
+            intervals.extend(zip(edges[:-1], edges[1:]))
+        return _quad_pieces(piece, intervals)
+
+    evidence = detect_divergence(truncated, levels, driver.growth)
     first, last = evidence.values[0], evidence.values[-1]
     if evidence.diverging and last - first > 0.01 * max(abs(last), 1e-300):
         return _FactorAnalysis("diverging", None, evidence)
     try:
-        return _FactorAnalysis("finite", integral(None), evidence)
+        return _FactorAnalysis("finite", _quad_pieces(
+            piece, _clipped_pieces(support, None)), evidence)
     except QuadratureAccuracyError:
         return _FactorAnalysis("inconclusive", None, evidence)
 
@@ -750,8 +763,9 @@ def evaluate_condition(
     plus a convergent full integral give a ``finite`` verdict with the
     quadrature value, while materially growing monotone probes with a
     clean fit give ``diverging`` with the fitted evidence and no
-    full-support integral.  Each driver's support pieces are integrated
-    once per factor and reused across its truncation levels.
+    full-support integral.  A factor's truncations telescope: each
+    interval between successive cuts is integrated once, and every level
+    sums its intervals.
 
     The functional is evaluated at the stopping-time family made of the
     path horizon (the dominating value for the built-in models) together
@@ -761,9 +775,10 @@ def evaluate_condition(
     The log-scale kinds (``protter_shimbo``, ``lepingle_memin``), whose
     exponents exceed float range, are decided from the log integrand at
     each cut, which ``divergence.values`` then holds; ``n >= 2`` or an
-    exponent overflowing at a level raises ``ValueError``, as do explicit
-    ``levels`` that are not four or more finite positive strictly ordered
-    values, for every kind.
+    exponent overflowing at a level (or whose square overflows in the
+    fit) raises ``ValueError``, as do explicit ``levels`` that are not four
+    or more finite positive strictly ordered values, for every kind, and
+    a jump-time level past the models' jump-time cap.
 
     Deterministic: equal arguments (including ``SeedSpec``) produce
     bit-identical reports.

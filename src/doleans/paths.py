@@ -390,7 +390,8 @@ class Driver:
     """One scalar law driving a model, with its divergence-probe policy.
 
     ``truncate(level)`` maps a probe level to a ``(lo, hi)`` clip of the
-    driver's domain (``None`` meaning unbounded) and ``growth`` names the
+    driver's domain (``None`` meaning unbounded), or raises ``ValueError``
+    for a level the model cannot probe, and ``growth`` names the
     growth model of truncated expectations: ``"log"`` (value against
     ``ln(1/level)``) or ``"linear"`` (value against ``level``).
     """
@@ -490,6 +491,15 @@ def _capped(value: float, cap: float) -> float:
     return cap if value > cap else value
 
 
+def _truncate_jump_time(T: float) -> tuple[None, float]:
+    # build caps the jump time, so past the cap the integrand is no longer
+    # the model's and a truncated family there stops growing
+    if T > _JUMP_TIME_CAP:
+        raise ValueError(
+            f"jump-time level {T!r} exceeds the jump-time cap {_JUMP_TIME_CAP!r}")
+    return None, T
+
+
 def _ps_disc_qv(path: JumpPath, t: float) -> float:
     # int_0^{t ^ horizon} e^{2s} ds
     return 0.5 * math.expm1(2.0 * min(t, path.horizon))
@@ -537,7 +547,7 @@ def example2_model() -> ProcessModel:
             anchor=1.0,
             levels=(10.0, 20.0, 40.0, 80.0),
             growth="linear",
-            truncate=lambda T: (None, T),
+            truncate=_truncate_jump_time,
         ),
     )
 
@@ -598,7 +608,7 @@ def example3_model() -> ProcessModel:
             anchor=1.0,
             levels=(10.0, 20.0, 40.0, 80.0),
             growth="linear",
-            truncate=lambda T: (None, T),
+            truncate=_truncate_jump_time,
         ),
     )
 

@@ -128,6 +128,15 @@ class TestConditionCommand:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "400.0" in lines[0]
 
+    def test_jump_time_level_past_the_cap_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "condition", "--model", "example2",
+                                 "--kind", "jacod",
+                                 "--levels", "10", "100", "1000", "1e5")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "1000.0" in lines[0] and "700.0" in lines[0]
+
     def test_two_driver_lemma1_rejects_short_levels(self, capsys):
         code, out, err = run_cli(capsys, "condition", "--model", "example3",
                                  "--kind", "lemma1", "--levels", "1.0")

@@ -10,6 +10,13 @@ single- and multi-factor inconclusive, and a multi-factor diverging
 product scaled by its finite factor.  The two log-scale kinds on example2
 carry the log integrand at each cut as their values.  The ``reproduce``
 documents, Monte Carlo rows included, are pinned by digest.
+
+A re-pin is allowed only for a change that regroups the quadrature on
+purpose, and only when a script compares every old and new report and
+``reproduce`` document and shows that nothing but ``divergence.values``
+and ``divergence.slope`` moved, each by at most 1e-11 relative, with the
+moved values held to an independent oracle (``test_mpmath_oracle.py``).
+Verdicts, levels and every ``finite`` value are never re-pinned.
 """
 
 import hashlib
@@ -55,9 +62,9 @@ GOLDEN = {
         '"estimator": null, "kind": "jacod", "levels": null, '
         '"model": "example1", "n": 0, "seed": 0, "streams": 1, '
         '"times": []}, "divergence": {"levels": [0.01, 0.001, 0.0001, '
-        '1e-05], "model": "log", "slope": 0.5000000000002042, '
-        '"values": [2.832539947105569, 3.983832493602624, '
-        '5.135125040099435, 6.286417586598278]}, "estimate": null, '
+        '1e-05], "model": "log", "slope": 0.5000000000007447, '
+        '"values": [2.832539947105569, 3.983832493602628, '
+        '5.135125040099565, 6.286417586602383]}, "estimate": null, '
         '"quadrature": null, "verdict": "diverging"}'
     ),
     "example1_theorem1_a1": (
@@ -87,9 +94,9 @@ GOLDEN = {
         '"model": "example1", "n": 0, "seed": 0, "streams": 1, '
         '"times": []}, "divergence": {"levels": [0.01, 0.001, '
         '0.0001, 1e-05], "model": "log", "slope": '
-        '0.0011696631992850462, "values": [1.2453295094788723, '
-        '1.2509763020253697, 1.252577144571866, '
-        '1.2537733921183651]}, "estimate": null, "quadrature": '
+        '0.0011696631992853814, "values": [1.2453295094788723, '
+        '1.2509763020253697, 1.2525771445718665, '
+        '1.2537733921183678]}, "estimate": null, "quadrature": '
         'null, "verdict": "inconclusive"}'
     ),
     "example3_theorem1_a001": (
@@ -98,9 +105,9 @@ GOLDEN = {
         '"model": "example3", "n": 0, "seed": 0, "streams": 1, '
         '"times": []}, "divergence": {"levels": [0.01, 0.001, '
         '0.0001, 1e-05], "model": "log", "slope": '
-        '0.00279338297438329, "values": [3.1128635313662705, '
-        '3.1207928954686377, 3.1266701849699206, '
-        '3.132344441518638]}, "estimate": null, "quadrature": null, '
+        '0.0027933829743834733, "values": [3.1128635313662705, '
+        '3.1207928954686377, 3.1266701849699214, '
+        '3.1323444415186383]}, "estimate": null, "quadrature": null, '
         '"verdict": "inconclusive"}'
     ),
     "example3_theorem1_a05": (
@@ -109,9 +116,9 @@ GOLDEN = {
         '"model": "example3", "n": 0, "seed": 0, "streams": 1, '
         '"times": []}, "divergence": {"levels": [0.01, 0.001, '
         '0.0001, 1e-05], "model": "log", "slope": '
-        '0.07038483575292268, "values": [2.0242168461774277, '
-        '2.1879505974307105, 2.3494006569500465, '
-        '2.510623738262696]}, "estimate": null, "quadrature": null, '
+        '0.07038483575292255, "values": [2.0242168461774277, '
+        '2.1879505974307105, 2.349400656950046, '
+        '2.5106237382626957]}, "estimate": null, "quadrature": null, '
         '"verdict": "diverging"}'
     ),
     "example2_jacod": (
@@ -120,7 +127,7 @@ GOLDEN = {
         '"model": "example2", "n": 0, "seed": 0, "streams": 1, '
         '"times": []}, "divergence": {"levels": [10.0, 20.0, 40.0, '
         '80.0], "model": "linear", "slope": 0.3678797606932843, '
-        '"values": [4.478695274907739, 8.157523088696792, '
+        '"values": [4.478695274907739, 8.157523088696793, '
         '15.515111913642151, 30.230289560499845]}, "estimate": '
         'null, "quadrature": null, "verdict": "diverging"}'
     ),
@@ -130,7 +137,7 @@ GOLDEN = {
         '"model": "example3", "n": 0, "seed": 0, "streams": 1, '
         '"times": []}, "divergence": {"levels": [10.0, 20.0, 40.0, '
         '80.0], "model": "linear", "slope": 0.4282041940719587, '
-        '"values": [5.213105763338525, 9.495182864194387, '
+        '"values": [5.213105763338525, 9.495182864194389, '
         '18.059259309066583, 35.1874121952806]}, "estimate": null, '
         '"quadrature": null, "verdict": "diverging"}'
     ),
@@ -197,9 +204,9 @@ def test_report_bytes_unchanged(case, all_models):
 #: writes it (``json.dumps(doc, indent=2) + "\n"``) at the default 200k
 #: Monte Carlo paths, one per counterexample suite.
 REPRODUCE_SHA256 = {
-    1: "b172521b66ccc3bc6583defe9bd4b1a4a8afc87f0cc8cea71229df29cf3ea2eb",
-    2: "3e068f4e288dfd52724615f305d58f6dfee502d088fae568a48932551fb9b7d7",
-    3: "5a0de317e3b8d3903c20f2bcba8f86cae0bd081b27078fd3c8c28b6406756355",
+    1: "45771ee7b66475b321702ab7ff78e3854fdb5322ec8a7bab3557c0b3c5be6d06",
+    2: "550610c61cf7dce198a6d7b1c0c5f0a784f282c6e572d18cb15dc34cafcf6b46",
+    3: "9f54643463f814d0bd59531bcd9d092514fed006e3f1ee27465c4cea8f6beea3",
 }
 
 

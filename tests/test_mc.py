@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import pytest
 from scipy.integrate import quad
@@ -226,6 +227,36 @@ class TestEvaluateCondition:
         model = {m.name: m for m in all_models}[name]
         with pytest.raises(ValueError, match=match):
             evaluate_condition(model, spec, levels=levels)
+
+    @pytest.mark.parametrize("name, kind, levels, level", [
+        ("example2", "jacod", (10, 100, 1000, 1e5), "1000"),
+        ("example3", "jacod", (10, 100, 1000, 1e5), "1000"),
+        ("example2", "lepingle_memin", (10, 20, 750, 800), "750"),
+    ])
+    def test_jump_time_levels_past_the_cap_rejected(self, name, kind, levels,
+                                                    level, all_models):
+        # build caps the jump time at 700, so a family cut past it would
+        # stop growing and read finite or inconclusive
+        model = {m.name: m for m in all_models}[name]
+        with pytest.raises(ValueError, match=rf"level {level}\b.*cap 700"):
+            evaluate_condition(model, ConditionSpec(kind), levels=levels)
+
+    def test_jump_time_level_at_the_cap_accepted(self, model2):
+        r = evaluate_condition(model2, ConditionSpec("jacod"),
+                               levels=(10, 20, 40, 700))
+        assert r.verdict == "diverging"
+        assert r.divergence.levels == (10.0, 20.0, 40.0, 700.0)
+
+    @pytest.mark.parametrize("kind, levels", [
+        ("protter_shimbo", (10, 20, 40, 300)),
+        ("lepingle_memin", (10, 20, 40, 700)),
+    ])
+    def test_log_scale_fit_overflow_rejected(self, kind, levels, model2):
+        # the last threshold is finite but its square is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"at level {levels[-1]}$"):
+                evaluate_condition(model2, ConditionSpec(kind), levels=levels)
 
     def test_lone_inconclusive_factor_keeps_evidence(self, model1):
         r = evaluate_condition(
@@ -477,3 +508,40 @@ class TestIntegrationWork:
             path = model2.build(level)
             expected.append(timed(path, path.horizon) + driver.dist.log_density(level))
         assert report.divergence.values == tuple(expected)
+
+    @pytest.mark.parametrize("name, spec", [
+        ("example1", ConditionSpec("jacod")),
+        ("example2", ConditionSpec("jacod")),
+        ("example3", ConditionSpec("theorem1", PredictableControl.constant(0.5))),
+    ], ids=["example1_jacod", "example2_jacod", "example3_theorem1_a05"])
+    def test_truncations_telescope(self, name, spec, all_models, monkeypatch):
+        # the intervals a factor integrates for its truncated family never
+        # overlap beyond a shared endpoint; a finite factor's full-support
+        # integral, which follows its family, is left out
+        model = {m.name: m for m in all_models}[name]
+        family: dict[int, list[tuple[float, float]]] = {}
+        integrands, full = [], set()
+        quad_piece, clipped_pieces = mc._quad_piece, mc._clipped_pieces
+
+        def recording_piece(f, lo, hi):
+            if f not in integrands:
+                integrands.append(f)
+            k = integrands.index(f)
+            if k not in full:
+                family.setdefault(k, []).append((lo, hi))
+            return quad_piece(f, lo, hi)
+
+        def recording_clip(support, truncation):
+            if truncation is None:
+                full.add(len(integrands) - 1)
+            return clipped_pieces(support, truncation)
+
+        monkeypatch.setattr(mc, "_quad_piece", recording_piece)
+        monkeypatch.setattr(mc, "_clipped_pieces", recording_clip)
+        evaluate_condition(model, spec)
+
+        assert len(family) == len(model.drivers)
+        for intervals in family.values():
+            intervals.sort()
+            for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
+                assert lo >= hi

@@ -3,7 +3,9 @@
 Each reference integrand below is written out by hand from a driver
 density and a path functional, in mpmath, and shares no code with
 ``doleans``: it backs the ~1e-10 quadrature contract with something other
-than scipy ``quad``.  The last test holds the closed-form oracles that
+than scipy ``quad``.  The truncated families of the diverging and
+inconclusive reports are held to truncated references, which back their
+golden bytes.  The last test holds the closed-form oracles that
 ``reproduce`` and the other tests share to the same references.
 """
 
@@ -25,7 +27,7 @@ from doleans.cli import example2_exponential, example3_eta_factor, example3_tau_
 
 REL = 1e-10
 
-exp, log1p, quad = mpmath.exp, mpmath.log1p, mpmath.quad
+exp, log1p, mpf, quad = mpmath.exp, mpmath.log1p, mpmath.mpf, mpmath.quad
 
 
 def xi_mean(g):
@@ -56,9 +58,13 @@ def example2_theorem1(a):
     return tau_mean(g)
 
 
-def eta_factor(x):
-    # the eta jump at time 1 sees the indicator's value 0
+def jump_factor(x):
+    # e^{log(1+x) - x/(1+x)}: one jump of size x where the control is 0
     return (1 + x) * exp(-x / (1 + x))
+
+
+# the eta jump at time 1 sees the indicator's value 0
+eta_factor = jump_factor
 
 
 def tau_factor(y):
@@ -89,6 +95,43 @@ CASES = {
 }
 
 
+def decades(lo, hi):
+    """``lo``, the powers of ten strictly between ``lo`` and ``hi``, ``hi``:
+    quadrature points for an integrand that varies on a log scale."""
+    inner = [mpf(10) ** k for k in range(-20, 20) if lo < 10 ** k < hi]
+    return [lo, *inner, hi]
+
+
+def xi_mean_above(g, lo):
+    """E g(xi) 1{xi > lo} for lo in (-1, 0); near -1 the distance to -1
+    spans decades."""
+    left = [-1 + d for d in decades(lo + 1, mpf(1))]
+    return (quad(lambda x: g(x) * exp(x / (1 + x)) / (2 * (1 + x) ** 2), left)
+            + quad(lambda x: g(x) * exp(-x / (1 - x)) / (2 * (1 - x) ** 2), [0, 1]))
+
+
+def eta_mean_below(g, hi):
+    """E g(eta) 1{eta < hi} for hi > 1."""
+    return (quad(lambda x: g(x) * (1 - 3 * x), [-0.5, 0])
+            + quad(lambda x: g(x) / (4 * x ** 3), decades(mpf(1), hi)))
+
+
+def tau_mean_below(g, hi):
+    """E g(tau) 1{tau < hi}, tau ~ Exp(1), hi > 10."""
+    return quad(lambda y: g(y) * exp(-y), [0, 1, *range(10, int(hi), 10), hi])
+
+
+def controlled_jump(a):
+    # one jump of size x under the constant control a; example1 has no
+    # drift, and example3's drift after time 1 is in its tau factor
+    return lambda x: jump_factor(x) * (1 + a * x)
+
+
+def tau_jacod(y):
+    # the jump e^y at the exponential time y (example2), or at 1 + y (example3)
+    return jump_factor(exp(y))
+
+
 def _reference(oracle) -> float:
     with mpmath.workdps(30):
         return float(oracle())
@@ -113,3 +156,45 @@ def test_condition_quadrature_matches_mpmath(case, all_models):
 def test_shared_oracles_match_mpmath(shared, dist, oracle):
     value = quadrature_expectation(dist, shared)
     assert math.isclose(value, _reference(oracle), rel_tol=REL, abs_tol=0.0)
+
+
+#: ``(model, spec, level -> truncated value)``: the reported family of each
+#: diverging or inconclusive golden case, its lead factor cut at the level
+#: and every other factor at its full value.  The cuts are the drivers'
+#: own float cuts: xi at -1 + delta, eta at 1 / delta, tau at T.
+FAMILIES = {
+    "example1 jacod": (
+        "example1", ConditionSpec("jacod"),
+        lambda delta: xi_mean_above(jump_factor, mpf(-1.0 + delta))),
+    "example1 theorem1(a=0.999)": (
+        "example1", ConditionSpec("theorem1", PredictableControl.constant(0.999)),
+        lambda delta: xi_mean_above(controlled_jump(mpf(0.999)),
+                                    mpf(-1.0 + delta))),
+    "example2 jacod": (
+        "example2", ConditionSpec("jacod"),
+        lambda T: tau_mean_below(tau_jacod, mpf(T))),
+    "example3 jacod": (
+        "example3", ConditionSpec("jacod"),
+        lambda T: eta_mean(jump_factor) * tau_mean_below(tau_jacod, mpf(T))),
+    "example3 theorem1(a=0.01)": (
+        "example3", ConditionSpec("theorem1", PredictableControl.constant(0.01)),
+        lambda delta: (eta_mean_below(controlled_jump(mpf(0.01)),
+                                      mpf(1.0 / delta))
+                       * example2_theorem1(mpf(0.01)))),
+    "example3 theorem1(a=0.5)": (
+        "example3", ConditionSpec("theorem1", PredictableControl.constant(0.5)),
+        lambda delta: (eta_mean_below(controlled_jump(mpf(0.5)),
+                                      mpf(1.0 / delta))
+                       * example2_theorem1(mpf(0.5)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILIES))
+def test_truncated_family_matches_mpmath(case, all_models):
+    name, spec, oracle = FAMILIES[case]
+    model = {m.name: m for m in all_models}[name]
+    family = evaluate_condition(model, spec).divergence
+    assert len(family.values) == 4
+    for level, value in zip(family.levels, family.values):
+        reference = _reference(lambda: oracle(level))
+        assert math.isclose(value, reference, rel_tol=REL, abs_tol=0.0), level
