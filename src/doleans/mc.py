@@ -549,17 +549,34 @@ def _value_at_time(
     model: ProcessModel,
     timed: Callable[[JumpPath, float], float],
     t: float,
+    breaks: Sequence[float] = (),
 ) -> float:
-    """Quadrature of ``E exp(F(path, t ^ horizon))`` over the driver laws."""
+    """Quadrature of ``E exp(F(path, t ^ horizon))`` over the driver laws.
+
+    ``F(path, t ^ horizon)`` is not smooth in a waiting-time driver where
+    its jump crosses ``t`` or one of the control ``breaks`` before ``t``,
+    so each support piece of such a driver is split at those times (in
+    driver coordinates, ``b - driver.start``) and the pieces are summed.
+    A time past which the law leaves no mass in float (``cdf == 1``) is
+    not split at: a piece reaching that far out would hide the law's bulk
+    from the quadrature nodes.
+    """
 
     def f_vals(vals):
         p = model.build(*vals)
         return timed(p, min(t, p.horizon))
 
-    factors = _split_factors(model, f_vals)
+    kinks = (t, *(b for b in breaks if b < t))
     value = 1.0
-    for driver, g in factors:
-        value *= _quad_exp_weighted(driver.dist, g)
+    for driver, g in _split_factors(model, f_vals):
+        pieces = driver.dist.support
+        if driver.start is not None:
+            cuts = sorted({c for c in (k - driver.start for k in kinks)
+                           if driver.dist.cdf(c) < 1.0})
+            pieces = [piece for lo, hi in pieces for piece in zip(
+                [lo, *(c for c in cuts if lo < c < hi)],
+                [*(c for c in cuts if lo < c < hi), hi])]
+        value *= _quad_pieces(_exp_weighted_piece(driver.dist, g), pieces)
     return value
 
 
@@ -769,8 +786,12 @@ def evaluate_condition(
 
     The functional is evaluated at the stopping-time family made of the
     path horizon (the dominating value for the built-in models) together
-    with any fixed ``times``; a finite verdict reports the maximum over
-    the family.  With ``n >= 2`` a Monte Carlo estimate of the horizon
+    with any fixed ``times``, which must be finite and nonnegative; a
+    finite verdict reports the maximum over the family, where a family
+    value must exceed the horizon value by more than the 1e-10 quadrature
+    contract to replace it.  A family time ``t`` is integrated split at
+    ``t`` and at the control breaks before ``t``, where ``t ^ horizon``
+    has its kinks.  With ``n >= 2`` a Monte Carlo estimate of the horizon
     value over ``n`` paths is attached as an independent cross-check.
     The log-scale kinds (``protter_shimbo``, ``lepingle_memin``), whose
     exponents exceed float range, are decided from the log integrand at
@@ -783,6 +804,9 @@ def evaluate_condition(
     Deterministic: equal arguments (including ``SeedSpec``) produce
     bit-identical reports.
     """
+    times = tuple(float(t) for t in times)
+    if not all(math.isfinite(t) and t >= 0.0 for t in times):
+        raise ValueError(f"family times must be finite and nonnegative, got {times}")
     if spec.kind == "lemma1" and times:
         raise ValueError(
             "lemma1 is evaluated at the path horizon only; it takes no family times"
@@ -808,7 +832,7 @@ def evaluate_condition(
         "streams": seeds.streams,
         "n": n,
         "levels": None if levels is None else [float(x) for x in levels],
-        "times": [float(t) for t in times],
+        "times": list(times),
         "estimator": estimator,
     }
 
@@ -831,15 +855,19 @@ def evaluate_condition(
         verdict, value, evidence = _combine_factors(analyses)
 
         if verdict == "finite" and times:
+            breaks = spec.control.breaks if spec.control is not None else ()
             for t in times:
-                if t < 0.0:
-                    raise ValueError("family times must be nonnegative")
                 try:
-                    value = max(value, _value_at_time(model, timed, t))
+                    at_t = _value_at_time(model, timed, t, breaks)
                 except QuadratureAccuracyError as exc:
                     logger.warning(
                         "family time %g skipped: %s", t, exc
                     )
+                    continue
+                # values within the quadrature contract of each other are
+                # equal: rounding noise must not replace the reported bits
+                if at_t - value > max(_QUAD_ACCEPT_ABS, _QUAD_ACCEPT_REL * value):
+                    value = at_t
 
     estimate = None
     if n >= 2:

@@ -394,6 +394,10 @@ class Driver:
     for a level the model cannot probe, and ``growth`` names the
     growth model of truncated expectations: ``"log"`` (value against
     ``ln(1/level)``) or ``"linear"`` (value against ``level``).
+    ``start`` is set for a waiting-time driver: the time at which its
+    clock starts, so that its jump happens at ``start + value``; a time
+    ``b`` on the path is the point ``b - start`` in driver coordinates.
+    It is ``None`` for a driver that is not a waiting time.
     """
 
     name: str
@@ -402,6 +406,7 @@ class Driver:
     levels: tuple[float, ...]
     growth: str
     truncate: Callable[[float], tuple[float | None, float | None]]
+    start: float | None = None
 
     def __post_init__(self):
         if self.growth not in ("log", "linear"):
@@ -548,6 +553,7 @@ def example2_model() -> ProcessModel:
             levels=(10.0, 20.0, 40.0, 80.0),
             growth="linear",
             truncate=_truncate_jump_time,
+            start=0.0,
         ),
     )
 
@@ -609,6 +615,7 @@ def example3_model() -> ProcessModel:
             levels=(10.0, 20.0, 40.0, 80.0),
             growth="linear",
             truncate=_truncate_jump_time,
+            start=1.0,
         ),
     )
 

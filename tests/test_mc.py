@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import math
 import warnings
 
@@ -25,6 +26,7 @@ from doleans import (
 )
 from doleans import mc
 from doleans.cli import (
+    CLAIMS,
     example2_bound,
     example2_exponential,
     example3_eta_factor,
@@ -227,6 +229,27 @@ class TestEvaluateCondition:
         model = {m.name: m for m in all_models}[name]
         with pytest.raises(ValueError, match=match):
             evaluate_condition(model, spec, levels=levels)
+
+    @pytest.mark.parametrize("name, spec", [
+        ("example1", ConditionSpec("jacod")),  # diverging: no family time runs
+        ("example1", ConditionSpec("lemma1")),
+        ("example2", ConditionSpec("theorem1", PredictableControl.constant(0.5))),
+        ("example3", ConditionSpec("theorem1", control_indicator_after(1.0))),
+        ("example2", ConditionSpec("protter_shimbo")),
+    ], ids=lambda v: v if isinstance(v, str) else v.label())
+    @pytest.mark.parametrize("times", [
+        (-1.0,), (math.nan,), (math.inf,), (0.5, -math.inf),
+    ], ids=repr)
+    def test_every_kind_checks_times(self, name, spec, times, all_models,
+                                     monkeypatch):
+        # rejected before any quadrature, whatever the verdict would be
+        def no_quadrature(f, lo, hi):
+            raise AssertionError("quadrature ran before the times were checked")
+
+        monkeypatch.setattr(mc, "_quad_piece", no_quadrature)
+        model = {m.name: m for m in all_models}[name]
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            evaluate_condition(model, spec, times=times)
 
     @pytest.mark.parametrize("name, kind, levels, level", [
         ("example2", "jacod", (10, 100, 1000, 1e5), "1000"),
@@ -545,3 +568,76 @@ class TestIntegrationWork:
             intervals.sort()
             for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
                 assert lo >= hi
+
+
+def _finite_family_cases():
+    """Every finite (model, spec) in ``cli.CLAIMS``, plus ``indicator:2.0``
+    where it is finite."""
+    cases = [(name, spec) for name, rows in CLAIMS.values()
+             for spec, verdict, _ in rows if verdict == "finite"]
+    late = ConditionSpec("theorem1", control_indicator_after(2.0))
+    return cases + [("example2", late), ("example3", late)]
+
+
+class TestFamilyTimes:
+    """``E exp F(t ^ horizon)`` at fixed family times ``t``."""
+
+    @pytest.mark.parametrize("name, spec", _finite_family_cases(),
+                             ids=lambda v: v if isinstance(v, str) else v.label())
+    def test_value_nondecreasing_in_time(self, name, spec, all_models):
+        # the expectation, not the path: a path's functional falls between
+        # its jumps (example2's drift), yet its mean over the law rises
+        model = {m.name: m for m in all_models}[name]
+        timed, _ = pathwise_functional(spec, model)
+        if name == "example2":
+            path = model.build(5.0)
+            assert timed(path, 3.5) < timed(path, 2.5)
+
+        breaks = spec.control.breaks
+        grid = sorted({k / 10 for k in range(1, 41)}
+                      | {b + s * 1e-3 for b in (*breaks, 1.0) for s in (-1, 1)})
+        horizon = evaluate_condition(model, spec)
+        assert horizon.verdict == "finite"
+        values = [mc._value_at_time(model, timed, t, breaks) for t in grid]
+        # within the quadrature contract: saturated values differ in the
+        # last bits only
+        tol = lambda v: mc._QUAD_ACCEPT_REL * v
+        for t, earlier, later in zip(grid[1:], values, values[1:]):
+            assert later >= earlier - tol(earlier), t
+        for t, v in zip(grid, values):
+            assert v <= horizon.quadrature + tol(horizon.quadrature), t
+
+    @pytest.mark.parametrize("spec, times", [
+        # unsplit, 1.9993... failed to converge and was logged and dropped
+        (ConditionSpec("theorem1", PredictableControl.constant(0.25)),
+         (3.9200392078550257, 1.9993936601883728)),
+        # unsplit, the value at 3.3486... read 3.7e-12 above the horizon's
+        (ConditionSpec("theorem1", control_indicator_after(1.0)),
+         (0.41674596973046985, 3.3486297013362023)),
+    ], ids=["a=0.25", "indicator:1.0"])
+    def test_family_times_keep_the_horizon_value(self, spec, times, model2,
+                                                 caplog):
+        with caplog.at_level(logging.WARNING, logger="doleans.mc"):
+            family = evaluate_condition(model2, spec, times=times)
+        assert not [r for r in caplog.records if "skipped" in r.getMessage()]
+        assert family.quadrature == evaluate_condition(model2, spec).quadrature
+
+    def test_family_times_cost(self, model2):
+        # integrand calls spent on two family times, counted on the law
+        law = model2.drivers[0].dist
+        calls = 0
+
+        def counting(x):
+            nonlocal calls
+            calls += 1
+            return law.log_density(x)
+
+        driver = dataclasses.replace(
+            model2.drivers[0], dist=dataclasses.replace(law, log_density=counting))
+        model = dataclasses.replace(model2, drivers=(driver,))
+        spec = ConditionSpec("theorem1", PredictableControl.constant(0.5))
+        evaluate_condition(model, spec)
+        horizon_only = calls
+        calls = 0
+        evaluate_condition(model, spec, times=(0.999, 2.0))
+        assert calls - horizon_only <= 400

@@ -5,7 +5,8 @@ density and a path functional, in mpmath, and shares no code with
 ``doleans``: it backs the ~1e-10 quadrature contract with something other
 than scipy ``quad``.  The truncated families of the diverging and
 inconclusive reports are held to truncated references, which back their
-golden bytes.  The last test holds the closed-form oracles that
+golden bytes, and values at a family time ``t`` to references split at
+the kinks of ``t ^ horizon``.  One test holds the closed-form oracles that
 ``reproduce`` and the other tests share to the same references.
 """
 
@@ -23,7 +24,9 @@ from doleans import (
     make_first_jump_time,
     quadrature_expectation,
 )
+from doleans import mc
 from doleans.cli import example2_exponential, example3_eta_factor, example3_tau_factor
+from doleans.stochexp import pathwise_functional
 
 REL = 1e-10
 
@@ -198,3 +201,76 @@ def test_truncated_family_matches_mpmath(case, all_models):
     for level, value in zip(family.levels, family.values):
         reference = _reference(lambda: oracle(level))
         assert math.isclose(value, reference, rel_tol=REL, abs_tol=0.0), level
+
+
+def tau_mean_split(before, after, kink, breaks=()):
+    """E g(tau), tau ~ Exp(1), for g = ``before`` below ``kink`` and
+    ``after`` above it, integrated on each side of the kink and of the
+    control ``breaks`` below it."""
+    head = [0, *(b for b in breaks if b < kink), kink]
+    tail = [kink, *(p for p in (10, 40) if p > kink)]
+    return (quad(lambda y: before(y) * exp(-y), head)
+            + quad(lambda y: after(y) * exp(-y), tail))
+
+
+def example2_indicator_at(t):
+    # control 0 up to 1, then 1: a jump before 1 is the jump term alone; a
+    # later one adds the drift e - e^y and the controlled jump
+    def before(y):
+        e = exp(y)
+        if y <= 1:
+            return jump_factor(e)
+        return exp(mpmath.e - e) * jump_factor(e) * (1 + e)
+
+    return tau_mean_split(before, lambda y: exp(mpmath.e - exp(t)), t, (1,))
+
+
+def example2_theorem1_at(a, t):
+    # a jump before t takes the whole path; otherwise the drift 1 - e^t
+    # under the constant control a is all that has accrued by t
+    def g(y):
+        e = exp(y)
+        return exp(a * (1 - e) + log1p(e) - e / (1 + e) + log1p(a * e))
+
+    return tau_mean_split(g, lambda y: exp(a * (1 - exp(t))), t)
+
+
+#: ``(model, spec, t, E exp F(t ^ horizon))``: family-time values next to
+#: a kink of ``t ^ horizon``, where the jump time crosses ``t`` or a
+#: control break before ``t``.
+AT_TIMES = {
+    "example2 theorem1(a=0.5) t=0.999": (
+        "example2", ConditionSpec("theorem1", PredictableControl.constant(0.5)),
+        0.999, lambda: example2_theorem1_at(mpf(0.5), mpf(0.999))),
+    # control 0 up to t < 1: the jump term alone, no drift
+    "example2 theorem1(indicator:1.0) t=0.999": (
+        "example2", ConditionSpec("theorem1", control_indicator_after(1.0)),
+        0.999, lambda: tau_mean_split(tau_jacod, lambda y: 1, mpf(0.999))),
+    "example2 theorem1(indicator:1.0) t=3.3486297013362023": (
+        "example2", ConditionSpec("theorem1", control_indicator_after(1.0)),
+        3.3486297013362023,
+        lambda: example2_indicator_at(mpf(3.3486297013362023))),
+    "example2 theorem1(a=0.25) t=1.9993936601883728": (
+        "example2", ConditionSpec("theorem1", PredictableControl.constant(0.25)),
+        1.9993936601883728,
+        lambda: example2_theorem1_at(mpf(0.25), mpf(1.9993936601883728))),
+    # the eta jump at 1 is always in; the second jump at 1 + y is in iff
+    # y < t - 1, else only the drift 1 - e^{t-1} after the break has accrued
+    "example3 theorem1(indicator:1.0) t=1.5": (
+        "example3", ConditionSpec("theorem1", control_indicator_after(1.0)),
+        1.5, lambda: eta_mean(eta_factor) * tau_mean_split(
+            tau_factor, lambda y: exp(1 - exp(mpf(0.5))), mpf(0.5))),
+    "example3 theorem1(indicator:1.0) t=3.0": (
+        "example3", ConditionSpec("theorem1", control_indicator_after(1.0)),
+        3.0, lambda: eta_mean(eta_factor) * tau_mean_split(
+            tau_factor, lambda y: exp(1 - exp(mpf(2))), mpf(2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AT_TIMES))
+def test_family_time_matches_mpmath(case, all_models):
+    name, spec, t, oracle = AT_TIMES[case]
+    model = {m.name: m for m in all_models}[name]
+    timed, _ = pathwise_functional(spec, model)
+    value = mc._value_at_time(model, timed, t, spec.control.breaks)
+    assert math.isclose(value, _reference(oracle), rel_tol=REL, abs_tol=0.0)
