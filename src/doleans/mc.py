@@ -208,6 +208,17 @@ def _clipped_pieces(
     return out
 
 
+def _split_pieces(
+    pieces: Sequence[tuple[float, float]], cuts: Sequence[float],
+) -> list[tuple[float, float]]:
+    """``pieces`` in order, each split at the sorted ``cuts`` strictly inside it."""
+    out = []
+    for lo, hi in pieces:
+        edges = [lo, *(c for c in cuts if lo < c < hi), hi]
+        out.extend(zip(edges[:-1], edges[1:]))
+    return out
+
+
 def _quad_piece(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
@@ -569,14 +580,12 @@ def _value_at_time(
     kinks = (t, *(b for b in breaks if b < t))
     value = 1.0
     for driver, g in _split_factors(model, f_vals):
-        pieces = driver.dist.support
+        cuts = []
         if driver.start is not None:
             cuts = sorted({c for c in (k - driver.start for k in kinks)
                            if driver.dist.cdf(c) < 1.0})
-            pieces = [piece for lo, hi in pieces for piece in zip(
-                [lo, *(c for c in cuts if lo < c < hi)],
-                [*(c for c in cuts if lo < c < hi), hi])]
-        value *= _quad_pieces(_exp_weighted_piece(driver.dist, g), pieces)
+        value *= _quad_pieces(_exp_weighted_piece(driver.dist, g),
+                              _split_pieces(driver.dist.support, cuts))
     return value
 
 
@@ -682,11 +691,8 @@ def _analyze_factor(
     cuts = sorted({c for l in levels for c in driver.truncate(l) if c is not None})
 
     def truncated(level: float) -> float:
-        intervals = []
-        for lo, hi in _clipped_pieces(support, driver.truncate(level)):
-            edges = [lo, *(c for c in cuts if lo < c < hi), hi]
-            intervals.extend(zip(edges[:-1], edges[1:]))
-        return _quad_pieces(piece, intervals)
+        return _quad_pieces(piece, _split_pieces(
+            _clipped_pieces(support, driver.truncate(level)), cuts))
 
     evidence = detect_divergence(truncated, levels, driver.growth)
     first, last = evidence.values[0], evidence.values[-1]

@@ -614,7 +614,9 @@ class TestFamilyTimes:
         # unsplit, the value at 3.3486... read 3.7e-12 above the horizon's
         (ConditionSpec("theorem1", control_indicator_after(1.0)),
          (0.41674596973046985, 3.3486297013362023)),
-    ], ids=["a=0.25", "indicator:1.0"])
+        # the value at 3.9 rounds one ulp above the horizon's
+        (ConditionSpec("theorem1", PredictableControl.constant(0.75)), (3.9,)),
+    ], ids=["a=0.25", "indicator:1.0", "a=0.75"])
     def test_family_times_keep_the_horizon_value(self, spec, times, model2,
                                                  caplog):
         with caplog.at_level(logging.WARNING, logger="doleans.mc"):
@@ -641,3 +643,18 @@ class TestFamilyTimes:
         calls = 0
         evaluate_condition(model, spec, times=(0.999, 2.0))
         assert calls - horizon_only <= 400
+
+    @pytest.mark.parametrize("name, spec", [
+        ("example2", ConditionSpec("theorem1", PredictableControl.constant(0.5))),
+        ("example3", ConditionSpec("theorem1", control_indicator_after(1.0))),
+    ], ids=["example2", "example3"])
+    @pytest.mark.parametrize("t", [100.0, 1e4, 1e300])
+    def test_time_past_the_law_gives_the_horizon_value(self, name, spec, t,
+                                                       all_models):
+        # a split there would leave the law's bulk between the quadrature
+        # nodes of one wide first piece, which then reads 0.0
+        model = {m.name: m for m in all_models}[name]
+        timed, _ = pathwise_functional(spec, model)
+        value = mc._value_at_time(model, timed, t, spec.control.breaks)
+        horizon = evaluate_condition(model, spec).quadrature
+        assert math.isclose(value, horizon, rel_tol=mc._QUAD_ACCEPT_REL)
