@@ -344,42 +344,45 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 # lemmas
 # ----------------------------------------------------------------------
 
+#: lemma2 grid points per axis, draws per random suite, violation threshold
+_LEMMA_GRID = 1000
+_LEMMA_DRAWS = 100_000
+_LEMMA_TOL = -1e-12
+
+
 def run_lemma_suites(
     lemma2=lemma2_lhs,
     lemma3=lemma3_gap,
     seed: int = 0,
-    grid: int = 1000,
-    n_random: int = 100_000,
-    tol: float = -1e-12,
 ) -> list[tuple[str, tuple[float, float], float]]:
-    """Grid plus random property suites; returns violations below ``tol``.
+    """Grid plus random property suites; returns violations below -1e-12.
 
     Injectable ``lemma2``/``lemma3`` callables let the suites themselves be
     exercised against deliberately broken variants.
     """
     violations = []
-    xs = np.linspace(0.0, 1.0, grid)
-    es = np.linspace(1e-6, 1.0 - 1e-6, grid)
+    xs = np.linspace(0.0, 1.0, _LEMMA_GRID)
+    es = np.linspace(1e-6, 1.0 - 1e-6, _LEMMA_GRID)
     vals = lemma2(xs[:, None], es[None, :])
-    if vals.min() < tol:
+    if vals.min() < _LEMMA_TOL:
         i, j = np.unravel_index(int(vals.argmin()), vals.shape)
         violations.append(("lemma2-grid", (float(xs[i]), float(es[j])),
                            float(vals.min())))
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    xr = rng.random(n_random)
-    er = rng.uniform(1e-12, 1.0 - 1e-12, n_random)
+    xr = rng.random(_LEMMA_DRAWS)
+    er = rng.uniform(1e-12, 1.0 - 1e-12, _LEMMA_DRAWS)
     vals = lemma2(xr, er)
-    if vals.min() < tol:
+    if vals.min() < _LEMMA_TOL:
         k = int(vals.argmin())
         violations.append(("lemma2-random", (float(xr[k]), float(er[k])),
                            float(vals.min())))
 
-    ar = rng.random(n_random)
+    ar = rng.random(_LEMMA_DRAWS)
     # jump sizes log-uniform over (-1 + 1e-9, 1e6) via 1 + dm
-    dm = np.exp(rng.uniform(math.log(1e-9), math.log(1e6 + 1.0), n_random)) - 1.0
+    dm = np.exp(rng.uniform(math.log(1e-9), math.log(1e6 + 1.0), _LEMMA_DRAWS)) - 1.0
     vals = lemma3(ar, dm)
-    if vals.min() < tol:
+    if vals.min() < _LEMMA_TOL:
         k = int(vals.argmin())
         violations.append(("lemma3-random", (float(ar[k]), float(dm[k])),
                            float(vals.min())))

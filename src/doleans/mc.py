@@ -220,17 +220,21 @@ def _split_pieces(
 
 
 def _quad_piece(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """``(value, error bound)`` of ``int_lo^hi f`` by adaptive quadrature.
+
+    A finite piece with ``lo >= 0`` and ``hi > 1`` is integrated in
+    ``y = log1p(x)``, which spreads the nodes over every scale it spans: in
+    ``x``, a piece from 0 far past a law's bulk leaves that bulk between
+    the nodes and reads 0.0.  Every other piece is integrated in ``x``.
+    """
+    if lo >= 0.0 and 1.0 < hi < math.inf:
+        g = lambda y: f(math.expm1(y)) * math.exp(y)
+        lo, hi = math.log1p(lo), math.log1p(hi)
+    else:
+        g = f
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        if math.isinf(hi):
-            return quad(f, lo, np.inf, epsabs=_QUAD_TARGET, epsrel=_QUAD_TARGET,
-                        limit=200)[:2]
-        if lo > 0.0 and hi / lo > 1e3:
-            # wide positive range: integrate in log coordinates
-            g = lambda y: f(math.exp(y)) * math.exp(y)
-            return quad(g, math.log(lo), math.log(hi), epsabs=_QUAD_TARGET,
-                        epsrel=_QUAD_TARGET, limit=200)[:2]
-        return quad(f, lo, hi, epsabs=_QUAD_TARGET, epsrel=_QUAD_TARGET,
+        return quad(g, lo, hi, epsabs=_QUAD_TARGET, epsrel=_QUAD_TARGET,
                     limit=200)[:2]
 
 
@@ -300,17 +304,6 @@ def _exp_weighted_piece(
         return value if weight is None else value * weight(x)
 
     return lambda lo, hi: _quad_piece(f, lo, hi)
-
-
-def _quad_exp_weighted(
-    dist: InverseCdfDistribution,
-    log_integrand: Callable[[float], float],
-    weight: Callable[[float], float] | None = None,
-) -> float:
-    """``int exp(log_integrand(x) + log_density(x)) [weight(x)] dx`` over
-    the full support."""
-    return _quad_pieces(_exp_weighted_piece(dist, log_integrand, weight),
-                        dist.support)
 
 
 # ----------------------------------------------------------------------
@@ -568,9 +561,8 @@ def _value_at_time(
     its jump crosses ``t`` or one of the control ``breaks`` before ``t``,
     so each support piece of such a driver is split at those times (in
     driver coordinates, ``b - driver.start``) and the pieces are summed.
-    A time past which the law leaves no mass in float (``cdf == 1``) is
-    not split at: a piece reaching that far out would hide the law's bulk
-    from the quadrature nodes.
+    A cut far past the law's bulk is safe: :func:`_quad_piece` takes the
+    wide first piece it leaves in ``log1p`` coordinates.
     """
 
     def f_vals(vals):
@@ -580,10 +572,8 @@ def _value_at_time(
     kinks = (t, *(b for b in breaks if b < t))
     value = 1.0
     for driver, g in _split_factors(model, f_vals):
-        cuts = []
-        if driver.start is not None:
-            cuts = sorted({c for c in (k - driver.start for k in kinks)
-                           if driver.dist.cdf(c) < 1.0})
+        cuts = [] if driver.start is None else sorted(
+            {k - driver.start for k in kinks})
         value *= _quad_pieces(_exp_weighted_piece(driver.dist, g),
                               _split_pieces(driver.dist.support, cuts))
     return value
@@ -720,8 +710,6 @@ def _combine_factors(
         for a in analyses:
             value *= a.value
         return "finite", value, None
-    if len(analyses) == 1:
-        return analyses[0].verdict, None, analyses[0].evidence
     open_factors = [a for a in analyses if a.verdict != "finite"]
     lead = next((a for a in open_factors if a.verdict == "diverging"),
                 open_factors[0])
@@ -739,6 +727,15 @@ def _evaluate_lemma1(
     model: ProcessModel,
     levels: Sequence[float] | None,
 ) -> tuple[str, float | None, DivergenceEvidence | None]:
+    """Verdict on ``E[e^u b]``: ``E(M) = e^u`` weighted by the jump bracket ``b``.
+
+    ``u`` and ``b`` split over the drivers, so the value is
+    ``sum_j E[e^{u_j} b_j] prod_{i != j} E[e^{u_i}]``, each product decided
+    by :func:`_analyze_factor` and :func:`_combine_factors` as for every
+    other kind (one term on a one-driver model).  A sum that is not finite
+    takes the verdict and evidence of its first diverging term, or else
+    its first inconclusive one.
+    """
     def log_e(vals):
         p = model.build(*vals)
         return log_stoch_exponential(p, p.horizon)
@@ -750,24 +747,18 @@ def _evaluate_lemma1(
     # both the exponent and the bracket must pass the separability probe
     factors = _split_factors(model, log_e)
     brackets = [b for _, b in _split_factors(model, bracket)]
-    if len(factors) == 1:
-        (d, u), b = factors[0], brackets[0]
-        analysis = _analyze_factor(
-            d, u, tuple(levels) if levels is not None else d.levels, weight=b,
-        )
-        return _combine_factors([analysis])
-
-    (d0, u), (d1, v) = factors
-    b0, b1 = brackets
-    try:
-        # E[e^L (b0 + b1)] = E[e^u b0] E[e^v] + E[e^u] E[e^v b1]
-        t1 = _quad_exp_weighted(d0.dist, u, weight=b0)
-        t2 = _quad_exp_weighted(d1.dist, v)
-        t3 = _quad_exp_weighted(d0.dist, u)
-        t4 = _quad_exp_weighted(d1.dist, v, weight=b1)
-    except QuadratureAccuracyError:
-        return "inconclusive", None, None
-    return "finite", t1 * t2 + t3 * t4, None
+    terms = [
+        _combine_factors([
+            _analyze_factor(d, u, tuple(levels) if levels is not None else d.levels,
+                            weight=b if i == j else None)
+            for i, (d, u) in enumerate(factors)
+        ])
+        for j, b in enumerate(brackets)
+    ]
+    if all(verdict == "finite" for verdict, _, _ in terms):
+        return "finite", sum(value for _, value, _ in terms), None
+    open_terms = [t for t in terms if t[0] != "finite"]
+    return next((t for t in open_terms if t[0] == "diverging"), open_terms[0])
 
 
 def evaluate_condition(
@@ -781,12 +772,13 @@ def evaluate_condition(
 ) -> ConditionReport:
     """Verdict for one condition on one model.
 
-    Quadrature over the driver laws is the primary route: truncated
-    expectations are probed on the driver's level grid; stabilizing probes
-    plus a convergent full integral give a ``finite`` verdict with the
-    quadrature value, while materially growing monotone probes with a
-    clean fit give ``diverging`` with the fitted evidence and no
-    full-support integral.  A factor's truncations telescope: each
+    Quadrature over the driver laws is the primary route, one factor per
+    driver (``lemma1`` sums one product of factors per driver):
+    truncated expectations are probed on the driver's level grid;
+    stabilizing probes plus a convergent full integral give a ``finite``
+    verdict with the quadrature value, while materially growing monotone
+    probes with a clean fit give ``diverging`` with the fitted evidence
+    and no full-support integral.  A factor's truncations telescope: each
     interval between successive cuts is integrated once, and every level
     sums its intervals.
 
@@ -804,8 +796,9 @@ def evaluate_condition(
     each cut, which ``divergence.values`` then holds; ``n >= 2`` or an
     exponent overflowing at a level (or whose square overflows in the
     fit) raises ``ValueError``, as do explicit ``levels`` that are not four
-    or more finite positive strictly ordered values, for every kind, and
-    a jump-time level past the models' jump-time cap.
+    or more finite positive strictly ordered values, for every kind,
+    explicit ``levels`` on a model with more than one driver (each driver
+    keeps its own grid), and a jump-time level past the jump-time cap.
 
     Deterministic: equal arguments (including ``SeedSpec``) produce
     bit-identical reports.
@@ -818,9 +811,12 @@ def evaluate_condition(
             "lemma1 is evaluated at the path horizon only; it takes no family times"
         )
     if levels is not None:
-        # one rule for every kind, including the two-driver lemma1, whose
-        # product formula probes no truncation levels
         _check_levels(levels)
+        if len(model.drivers) > 1:
+            # one grid would cut a waiting time inside its bulk
+            raise ValueError(
+                f"explicit levels need a one-driver model; {model.name} has "
+                f"{len(model.drivers)} drivers, each probed on its own grid")
     if spec.kind in _LOG_SCALE_KINDS and n >= 2:
         raise ValueError(
             f"{spec.kind} has no Monte Carlo cross-check: its exponents exceed "
@@ -854,11 +850,9 @@ def evaluate_condition(
         factors = _split_factors(model, f_vals)
         analyze = (_analyze_log_scale if spec.kind in _LOG_SCALE_KINDS
                    else _analyze_factor)
-        analyses = []
-        for driver, g in factors:
-            lv = tuple(levels) if levels is not None else driver.levels
-            analyses.append(analyze(driver, g, lv))
-        verdict, value, evidence = _combine_factors(analyses)
+        verdict, value, evidence = _combine_factors([
+            analyze(d, g, tuple(levels) if levels is not None else d.levels)
+            for d, g in factors])
 
         if verdict == "finite" and times:
             breaks = spec.control.breaks if spec.control is not None else ()

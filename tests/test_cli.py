@@ -144,6 +144,16 @@ class TestConditionCommand:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_two_driver_levels_are_an_error(self, capsys):
+        # one grid would cut example3's waiting time inside its bulk
+        code, out, err = run_cli(capsys, "condition", "--model", "example3",
+                                 "--kind", "theorem1", "--a", "indicator:1.0",
+                                 "--levels", "1e-2", "1e-3", "1e-4", "1e-5")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "one-driver model" in lines[0]
+
     def test_invalid_combo_usage_error(self, capsys):
         # control forbidden for the plain jump condition
         with pytest.raises(SystemExit) as exc:

@@ -126,9 +126,9 @@ GOLDEN = {
         '"estimator": null, "kind": "jacod", "levels": null, '
         '"model": "example2", "n": 0, "seed": 0, "streams": 1, '
         '"times": []}, "divergence": {"levels": [10.0, 20.0, 40.0, '
-        '80.0], "model": "linear", "slope": 0.3678797606932843, '
-        '"values": [4.478695274907739, 8.157523088696793, '
-        '15.515111913642151, 30.230289560499845]}, "estimate": '
+        '80.0], "model": "linear", "slope": 0.3678797606932845, '
+        '"values": [4.478695274907739, 8.15752308869679, '
+        '15.515111913642155, 30.230289560499855]}, "estimate": '
         'null, "quadrature": null, "verdict": "diverging"}'
     ),
     "example3_jacod": (
@@ -136,9 +136,9 @@ GOLDEN = {
         '"estimator": null, "kind": "jacod", "levels": null, '
         '"model": "example3", "n": 0, "seed": 0, "streams": 1, '
         '"times": []}, "divergence": {"levels": [10.0, 20.0, 40.0, '
-        '80.0], "model": "linear", "slope": 0.4282041940719587, '
-        '"values": [5.213105763338525, 9.495182864194389, '
-        '18.059259309066583, 35.1874121952806]}, "estimate": null, '
+        '80.0], "model": "linear", "slope": 0.4282041940719589, '
+        '"values": [5.213105763338525, 9.495182864194383, '
+        '18.05925930906659, 35.187412195280615]}, "estimate": null, '
         '"quadrature": null, "verdict": "diverging"}'
     ),
     "example1_lemma1": (
@@ -205,8 +205,8 @@ def test_report_bytes_unchanged(case, all_models):
 #: Monte Carlo paths, one per counterexample suite.
 REPRODUCE_SHA256 = {
     1: "45771ee7b66475b321702ab7ff78e3854fdb5322ec8a7bab3557c0b3c5be6d06",
-    2: "550610c61cf7dce198a6d7b1c0c5f0a784f282c6e572d18cb15dc34cafcf6b46",
-    3: "9f54643463f814d0bd59531bcd9d092514fed006e3f1ee27465c4cea8f6beea3",
+    2: "02df755783552975f4adea3ddaed2b60a4018705a57c832a27769383ca129f88",
+    3: "55dd4107ee933645a5fb7c6a48f300f4c2bbd9d9060a8b27400a50161b22aea4",
 }
 
 

@@ -19,6 +19,7 @@ from doleans import (
     detect_divergence,
     estimate_expectation,
     evaluate_condition,
+    make_eta_distribution,
     make_first_jump_time,
     make_xi_distribution,
     quadrature_expectation,
@@ -101,6 +102,20 @@ class TestQuadratureExpectation:
         # E e^{tau} over the full support does not converge
         with pytest.raises(QuadratureAccuracyError):
             quadrature_expectation(EXP_LAW, math.exp)
+
+    @pytest.mark.parametrize("K", [1e4, 1e6, 1e300])
+    def test_piece_far_past_the_bulk(self, K):
+        # in plain coordinates every node of (0, 1e6) lands where the
+        # Exp(1) density has underflowed, and the piece read 0.0
+        v = quadrature_expectation(EXP_LAW, lambda x: 1.0, truncation=(None, K))
+        assert abs(v - 1.0) < 1e-10
+
+    def test_wide_positive_piece(self):
+        # eta density 1 / (4 x^3) on (2, 1e6): 0.125 (1/4 - 1e-12)
+        v = quadrature_expectation(make_eta_distribution(), lambda x: 1.0,
+                                   truncation=(2.0, 1e6))
+        exact = 0.125 * (0.25 - 1e-12)
+        assert abs(v - exact) < 1e-10 * exact
 
 
 class TestDetectDivergence:
@@ -211,7 +226,7 @@ class TestEvaluateCondition:
 
     @pytest.mark.parametrize("name, spec", [
         ("example1", ConditionSpec("lemma1")),
-        ("example3", ConditionSpec("lemma1")),  # two drivers: product formula
+        ("example3", ConditionSpec("lemma1")),  # two drivers: a sum of products
         ("example2", ConditionSpec("jacod")),
         ("example3", ConditionSpec("theorem1", control_indicator_after(1.0))),
         ("example2", ConditionSpec("protter_shimbo")),
@@ -259,10 +274,32 @@ class TestEvaluateCondition:
     def test_jump_time_levels_past_the_cap_rejected(self, name, kind, levels,
                                                     level, all_models):
         # build caps the jump time at 700, so a family cut past it would
-        # stop growing and read finite or inconclusive
+        # stop growing and read finite or inconclusive; example3 has two
+        # drivers, so its levels are rejected before the cap is reached
         model = {m.name: m for m in all_models}[name]
-        with pytest.raises(ValueError, match=rf"level {level}\b.*cap 700"):
+        match = (rf"level {level}\b.*cap 700" if len(model.drivers) == 1
+                 else "one-driver model")
+        with pytest.raises(ValueError, match=match):
             evaluate_condition(model, ConditionSpec(kind), levels=levels)
+
+    @pytest.mark.parametrize("spec", [
+        ConditionSpec("jacod"),
+        ConditionSpec("lemma1"),
+        ConditionSpec("theorem1", control_indicator_after(1.0)),
+    ], ids=lambda s: s.label())
+    @pytest.mark.parametrize("levels", [
+        (1e-2, 1e-3, 1e-4, 1e-5), (10, 20, 40, 80),
+    ], ids=repr)
+    def test_two_driver_model_rejects_levels(self, spec, levels, model3,
+                                             monkeypatch):
+        # one grid would cut both drivers: at 1e-2..1e-5 the waiting time
+        # is cut inside its bulk, and indicator:1.0 read diverging
+        def no_quadrature(f, lo, hi):
+            raise AssertionError("quadrature ran before the levels were checked")
+
+        monkeypatch.setattr(mc, "_quad_piece", no_quadrature)
+        with pytest.raises(ValueError, match="one-driver model"):
+            evaluate_condition(model3, spec, levels=levels)
 
     def test_jump_time_level_at_the_cap_accepted(self, model2):
         r = evaluate_condition(model2, ConditionSpec("jacod"),
@@ -314,7 +351,7 @@ class TestEvaluateCondition:
 
     def test_lemma1_rejects_coupled_drivers(self, model3):
         # the second jump grows with eta above 0.5: neither the exponent
-        # nor the bracket separates, so no product formula applies
+        # nor the bracket separates, so the per-driver factors do not apply
         def build(x, e):
             path = model3.build(x, e)
             (t1, dm1), (t2, dm2) = path.jumps
@@ -367,8 +404,6 @@ class TestEvaluateCondition:
     def test_lemma1_example3_bilinear_oracle(self, model3):
         # two independent drivers: E[E(M)(b0+b1)] expands into four
         # single-driver integrals, each written out explicitly here
-        from doleans import make_eta_distribution
-
         eta = make_eta_distribution()
         lj = lambda z: math.log1p(z) - z / (1.0 + z)
         e_u_b0 = quadrature_expectation(eta, lambda x: (1.0 + x) * lj(x))
@@ -388,6 +423,28 @@ class TestEvaluateCondition:
         r = evaluate_condition(model3, ConditionSpec("lemma1"))
         assert r.verdict == "finite"
         assert abs(r.quadrature - oracle) <= 1e-9 * oracle
+
+    @pytest.mark.parametrize("k, verdict", [(1.0, "diverging"),
+                                            (2.0, "inconclusive")])
+    def test_two_driver_lemma1_open_term_keeps_evidence(self, k, verdict,
+                                                        model3):
+        # an eta tail heavier by x^k leaves E[e^u] infinite, so a term of
+        # the sum does not settle; its family is the reported evidence
+        eta = model3.drivers[0]
+        law = eta.dist
+
+        def log_density(x):
+            value = law.log_density(x)
+            return value + k * math.log(x) if x >= 1.0 else value
+
+        heavy = dataclasses.replace(eta, dist=dataclasses.replace(
+            law, log_density=log_density))
+        model = dataclasses.replace(model3, drivers=(heavy, model3.drivers[1]))
+        r = evaluate_condition(model, ConditionSpec("lemma1"))
+        assert r.verdict == verdict
+        assert r.quadrature is None
+        assert r.divergence is not None
+        assert r.divergence.levels == eta.levels
 
     def test_report_json_schema_and_determinism(self, model1):
         r1 = evaluate_condition(model1, ConditionSpec("jacod"), SeedSpec(5, 4), 100)
