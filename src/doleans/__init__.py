@@ -72,7 +72,6 @@ from .mc import (
     SeedSpec,
     detect_divergence,
     estimate_batch,
-    estimate_expectation,
     evaluate_condition,
     quadrature_expectation,
 )

@@ -67,6 +67,17 @@ def parse_control(text: str) -> PredictableControl:
     return PredictableControl.constant(float(text))
 
 
+def _path_count(text: str) -> int:
+    """A ``--n`` path count: a nonnegative integer, else a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"path count must be nonnegative, got {n}")
+    return n
+
+
 def _emit(payload, rows, args: argparse.Namespace) -> None:
     """Write JSON (payload) or CSV (rows) to --out or stdout."""
     if args.fmt == "json":
@@ -422,11 +433,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample paths from a model")
     add_common(p)
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_path_count, default=10)
 
     p = sub.add_parser("exponential", help="stochastic exponential per path")
     add_common(p)
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_path_count, default=10)
 
     p = sub.add_parser("condition", help="evaluate one integrability condition")
     add_common(p)

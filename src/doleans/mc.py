@@ -22,8 +22,7 @@ stream partitioning.  The condition cross-check evaluates each stream as
 one :class:`~doleans.paths.PathBatch`, bit-identical to the per-path
 functionals; the log-scale kinds, whose exponents exceed float range, have
 no cross-check.  :func:`estimate_batch` runs any batch kernel over plain
-draws the same way; :func:`estimate_expectation` is its per-path
-counterpart for arbitrary callables.
+draws the same way.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .distributions import InverseCdfDistribution
-from .paths import Driver, JumpPath, PathBatch, ProcessModel
+from .paths import Driver, PathBatch, ProcessModel
 from .stochexp import (
     ConditionSpec,
     UnsupportedModelError,
@@ -55,7 +54,6 @@ __all__ = [
     "ConditionReport",
     "QuadratureAccuracyError",
     "EstimationError",
-    "estimate_expectation",
     "estimate_batch",
     "quadrature_expectation",
     "detect_divergence",
@@ -141,48 +139,21 @@ def _run_streams(n: int, seeds: SeedSpec, kernel: StreamKernel,
     return Estimate(mean, se, len(values), bad)
 
 
-def _path_kernel(model: ProcessModel,
-                 functional: Callable[[JumpPath], float]) -> StreamKernel:
-    """Stream kernel sampling paths one by one and applying ``functional``."""
-
-    def kernel(rng: np.random.Generator, m: int) -> np.ndarray:
-        paths = model.sample_chunk(rng, m)
-        return np.fromiter((functional(p) for p in paths), dtype=float, count=m)
-
-    return kernel
-
-
-def estimate_expectation(
-    model: ProcessModel,
-    functional: Callable[[JumpPath], float],
-    n: int,
-    seeds: SeedSpec,
-) -> Estimate:
-    """Sample mean and standard error of a path functional over ``n`` paths.
-
-    Paths are built and evaluated one by one, so ``functional`` may be any
-    callable.  Non-finite functional values are counted, reported, and
-    excluded; more than 0.1% of them aborts the estimate.  Aggregation is a
-    deterministic reduction in stream order.
-    """
-    if n < 2:
-        raise ValueError("need at least two samples")
-    return _run_streams(n, seeds, _path_kernel(model, functional))
-
-
 def estimate_batch(
     model: ProcessModel,
     f_batch: Callable[[PathBatch], np.ndarray],
     n: int,
     seeds: SeedSpec,
 ) -> Estimate:
-    """:func:`estimate_expectation` for a batch kernel, one stream at a time.
+    """Sample mean and standard error of a batch kernel over ``n`` plain draws.
 
-    Each stream's paths are drawn as ``ProcessModel.sample_chunk`` draws
-    them, built as one :class:`~doleans.paths.PathBatch`, and evaluated by
-    ``f_batch`` at every row's horizon.  For a kernel bit-identical to a
-    per-path functional, the estimate equals :func:`estimate_expectation`
-    of that functional exactly.
+    Each stream's driver values come from ``ProcessModel.driver_columns``,
+    are built as one :class:`~doleans.paths.PathBatch`, and are evaluated
+    by ``f_batch`` at every row's horizon.  For a kernel bit-identical to a
+    per-path functional, the estimate equals building and evaluating each
+    path on its own from the same draws.  Non-finite values are counted,
+    reported, and excluded; more than 0.1% of them aborts the estimate.
+    Aggregation is a deterministic reduction in stream order.
     """
     if n < 2:
         raise ValueError("need at least two samples")
@@ -790,7 +761,9 @@ def evaluate_condition(
     contract to replace it.  A family time ``t`` is integrated split at
     ``t`` and at the control breaks before ``t``, where ``t ^ horizon``
     has its kinks.  With ``n >= 2`` a Monte Carlo estimate of the horizon
-    value over ``n`` paths is attached as an independent cross-check.
+    value over ``n`` paths is attached as an independent cross-check;
+    ``n = 0`` runs none, and any other ``n`` raises ``ValueError`` before
+    any quadrature.
     The log-scale kinds (``protter_shimbo``, ``lepingle_memin``), whose
     exponents exceed float range, are decided from the log integrand at
     each cut, which ``divergence.values`` then holds; ``n >= 2`` or an
@@ -803,6 +776,8 @@ def evaluate_condition(
     Deterministic: equal arguments (including ``SeedSpec``) produce
     bit-identical reports.
     """
+    if n != 0 and n < 2:
+        raise ValueError(f"n must be 0 (no Monte Carlo) or at least 2, got {n}")
     times = tuple(float(t) for t in times)
     if not all(math.isfinite(t) and t >= 0.0 for t in times):
         raise ValueError(f"family times must be finite and nonnegative, got {times}")

@@ -440,7 +440,7 @@ class ProcessModel:
     def sampler(self, seed: int, stream_index: int) -> JumpPath:
         """Deterministic path for ``(seed, stream_index)`` via a counter-based RNG."""
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(stream_index))
-        return self.sample_chunk(rng, 1)[0]
+        return self.build(*(float(col[0]) for col in self.driver_columns(rng, 1)))
 
     def driver_columns(self, rng: np.random.Generator, count: int) -> list[np.ndarray]:
         """Inverse-transform draws of every driver for ``count`` paths.
@@ -451,11 +451,6 @@ class ProcessModel:
         u = rng.random((count, len(self.drivers)))
         np.clip(u, _MIN_UNIFORM, None, out=u)
         return [d.dist.inverse_cdf(u[:, i]) for i, d in enumerate(self.drivers)]
-
-    def sample_chunk(self, rng: np.random.Generator, count: int) -> list[JumpPath]:
-        """Draw ``count`` paths from one RNG stream, consuming uniforms in order."""
-        cols = self.driver_columns(rng, count)
-        return [self.build(*(float(col[k]) for col in cols)) for k in range(count)]
 
 
 def example1_model() -> ProcessModel:

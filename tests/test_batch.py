@@ -18,7 +18,6 @@ from doleans import (
     SeedSpec,
     control_indicator_after,
     estimate_batch,
-    estimate_expectation,
     evaluate_condition,
     example1_model,
     example2_model,
@@ -287,20 +286,54 @@ class TestPathBatchInvariants:
             PathBatch(np.ones(2), np.ones((2, 1)), np.ones((2, 2)))
 
 
-def test_driver_columns_are_the_sample_chunk_draws():
-    for model in MODELS.values():
-        rng_a = np.random.Generator(np.random.Philox(key=8).jumped(2))
-        rng_b = np.random.Generator(np.random.Philox(key=8).jumped(2))
-        paths = model.sample_chunk(rng_a, 300)
-        batch = model.build_batch(*model.driver_columns(rng_b, 300))
-        for i, p in enumerate(paths):
-            row = batch.path(i)
-            assert row.horizon == p.horizon and row.jumps == p.jumps
+@pytest.mark.parametrize("seed, i", [(0, 0), (8, 2), (99, 7), (2**64 - 1, 0),
+                                     (12345, 1000)])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_sampler_is_row_zero_of_the_stream_batch(name, seed, i):
+    model = MODELS[name]
+    rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+    row = model.build_batch(*model.driver_columns(rng, 1)).path(0)
+    path = model.sampler(seed, i)
+    assert bits([path.horizon]) == bits([row.horizon])
+    assert [bits(j) for j in path.jumps] == [bits(j) for j in row.jumps]
+    assert path.drift.kind == row.drift.kind
+    assert path.cont_qv.kind == row.cont_qv.kind
 
 
 # ----------------------------------------------------------------------
 # evaluate_condition estimates against a per-path reference loop
 # ----------------------------------------------------------------------
+
+def reference_streams(seeds: SeedSpec, n: int):
+    """``(rng, m)`` of every stream: its own Philox counter block and its
+    share of ``n``, as the engine splits the work."""
+    streams = min(seeds.streams, n)
+    base, extra = divmod(n, streams)
+    for j in range(streams):
+        rng = np.random.Generator(np.random.Philox(key=seeds.seed).jumped(j))
+        yield rng, base + (1 if j < extra else 0)
+
+
+def reference_reduce(values, n: int) -> Estimate:
+    """Mean and standard error of the finite ``values``, in stream order."""
+    arr = np.array(values)
+    finite = np.isfinite(arr)
+    arr = arr[finite]
+    return Estimate(float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr))),
+                    len(arr), int(n - finite.sum()))
+
+
+def reference_plain_estimate(model, f_path, seeds: SeedSpec, n: int) -> Estimate:
+    """Plain Monte Carlo path by path: inverse-CDF draws of every driver, one
+    ``build`` and one ``f_path`` per path."""
+    values = []
+    for rng, m in reference_streams(seeds, n):
+        u = np.clip(rng.random((m, len(model.drivers))), 1e-300, None)
+        cols = [d.dist.inverse_cdf(u[:, i]) for i, d in enumerate(model.drivers)]
+        for k in range(m):
+            values.append(f_path(model.build(*(float(c[k]) for c in cols))))
+    return reference_reduce(values, n)
+
 
 def reference_estimate(model, spec: ConditionSpec, seeds: SeedSpec, n: int) -> Estimate:
     """The Monte Carlo cross-check path by path: the same streams and draws,
@@ -309,29 +342,19 @@ def reference_estimate(model, spec: ConditionSpec, seeds: SeedSpec, n: int) -> E
     The IS proposals come from the engine's own (scalar) constructors; the
     stream loop, path building, evaluation and reduction are spelled out.
     """
+    if spec.kind == "lemma1":
+        return reference_plain_estimate(
+            model, lambda p: lemma1_functional(p, p.horizon), seeds, n)
     if spec.kind == "jacod":
         f_path = lambda p: jacod_functional(p, p.horizon).log_value
-    elif spec.kind == "theorem1":
+    else:
         f_path = lambda p: theorem1_functional(
             p, spec.control, spec.epsilon, p.horizon).log_value
-    else:
-        f_path = lambda p: lemma1_functional(p, p.horizon)
-    streams = min(seeds.streams, n)
-    base, extra = divmod(n, streams)
-    sizes = [base + (1 if j < extra else 0) for j in range(streams)]
-    if spec.kind != "lemma1":
-        factors = mc._split_factors(model, lambda vals: f_path(model.build(*vals)))
-        proposals = [mc._driver_proposal(driver, g) for driver, g in factors]
+    factors = mc._split_factors(model, lambda vals: f_path(model.build(*vals)))
+    proposals = [mc._driver_proposal(driver, g) for driver, g in factors]
 
     values = []
-    for j, m in enumerate(sizes):
-        rng = np.random.Generator(np.random.Philox(key=seeds.seed).jumped(j))
-        if spec.kind == "lemma1":
-            u = np.clip(rng.random((m, len(model.drivers))), 1e-300, None)
-            cols = [d.dist.inverse_cdf(u[:, i]) for i, d in enumerate(model.drivers)]
-            for k in range(m):
-                values.append(f_path(model.build(*(float(c[k]) for c in cols))))
-            continue
+    for rng, m in reference_streams(seeds, n):
         log_w = np.zeros(m)
         cols = []
         for prop, (driver, _) in zip(proposals, factors):
@@ -349,12 +372,7 @@ def reference_estimate(model, spec: ConditionSpec, seeds: SeedSpec, n: int) -> E
                 values.append(math.exp(f_path(p) + log_w[k]))
             except OverflowError:
                 values.append(math.inf)
-
-    arr = np.array(values)
-    finite = np.isfinite(arr)
-    arr = arr[finite]
-    return Estimate(float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr))),
-                    len(arr), int(n - finite.sum()))
+    return reference_reduce(values, n)
 
 
 CROSSCHECK_SPECS = [
@@ -381,16 +399,16 @@ def test_estimate_equals_per_path_reference(name, spec, streams, n):
 
 
 # ----------------------------------------------------------------------
-# estimate_batch against the per-path estimator
+# estimate_batch against the per-path reference loop
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("streams, n", [(1, 2000), (16, 2000), (32, 20)])
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_estimate_batch_equals_estimate_expectation(name, streams, n):
+def test_estimate_batch_equals_per_path_reference(name, streams, n):
     model = MODELS[name]
     seeds = SeedSpec(2024, streams)
-    per_path = estimate_expectation(
-        model, lambda p: stoch_exponential(p, p.horizon), n, seeds)
+    per_path = reference_plain_estimate(
+        model, lambda p: stoch_exponential(p, p.horizon), seeds, n)
     batched = estimate_batch(model, stoch_exponential_batch, n, seeds)
     assert repr(batched) == repr(per_path)
 

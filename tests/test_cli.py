@@ -52,6 +52,20 @@ class TestExponentialCommand:
         assert all(d["value"] > 0.0 for d in docs)
 
 
+@pytest.mark.parametrize("command", ["sample", "exponential"])
+class TestPathCount:
+    def test_negative_count_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", "example1", "--n", "-2"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--n" in out.err
+
+    def test_zero_count_prints_no_paths(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--model", "example1", "--n", "0")
+        assert code == 0 and out == "[]\n"
+
+
 class TestConditionCommand:
     def test_example1_jacod(self, capsys):
         code, out, _ = run_cli(capsys, "condition", "--model", "example1",
@@ -153,6 +167,15 @@ class TestConditionCommand:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "one-driver model" in lines[0]
+
+    @pytest.mark.parametrize("n", ["1", "-7"])
+    def test_unusable_monte_carlo_count_is_an_error(self, capsys, n):
+        code, out, err = run_cli(capsys, "condition", "--model", "example1",
+                                 "--kind", "jacod", "--n", n)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"got {n}" in lines[0]
 
     def test_invalid_combo_usage_error(self, capsys):
         # control forbidden for the plain jump condition

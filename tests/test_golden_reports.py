@@ -9,7 +9,8 @@ of reports covering ``jacod`` and ``lemma1`` on all three models, and
 single- and multi-factor inconclusive, and a multi-factor diverging
 product scaled by its finite factor.  The two log-scale kinds on example2
 carry the log integrand at each cut as their values.  The ``reproduce``
-documents, Monte Carlo rows included, are pinned by digest.
+documents, Monte Carlo rows included, and the ``sample`` and ``exponential``
+output are pinned by digest.
 
 A re-pin is allowed only for a change that regroups the quadrature on
 purpose, and only when a script compares every old and new report and
@@ -30,7 +31,7 @@ from doleans import (
     control_indicator_after,
     evaluate_condition,
 )
-from doleans.cli import run_reproduction
+from doleans.cli import main, run_reproduction
 
 CASES = {
     "example1_jacod": ("example1", ConditionSpec("jacod"), ()),
@@ -214,3 +215,43 @@ REPRODUCE_SHA256 = {
 def test_reproduce_bytes_unchanged(which):
     text = json.dumps(run_reproduction(which, 7, 200_000), indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == REPRODUCE_SHA256[which]
+
+
+#: sha256 of the stdout of ``doleans <command> --model <model> --n 5
+#: --seed 7 --format <format>``: the sampler's paths and their exponentials.
+SAMPLER_SHA256 = {
+    ("sample", "example1", "json"):
+        "5c766987f5abdb8449f5fb3c9fd13931f3ebf094fced2f26a326969c3874c649",
+    ("sample", "example1", "csv"):
+        "77cd5d2225bb1fbf39b54281388a04647cc0ff8bf22b14125613ffeefbd19e1b",
+    ("sample", "example2", "json"):
+        "bbd4c8de97948af9d33c661e18685298493c587fbfd429460ac8de9f0d365a92",
+    ("sample", "example2", "csv"):
+        "bd141233044c3a36b1cc068e93087f072ca8fcf7be56202b227a7af2f35aed94",
+    ("sample", "example3", "json"):
+        "84d3098e97d6485fdd87da3475df3d6de33c08bc581b208376307b0078f19dd2",
+    ("sample", "example3", "csv"):
+        "aa04975c492e33d0c55f483da66055db7e4a38b2176a72ed6a2d50e5276d5652",
+    ("exponential", "example1", "json"):
+        "8a2cb5b8d343942164db02ac38a99a1c8ebd3a169a254e58cc5f4f9814ef827d",
+    ("exponential", "example1", "csv"):
+        "2fede3b84a2d4ea6d04add111f59102aa106a47d4863a64113bd4e969b906842",
+    ("exponential", "example2", "json"):
+        "879887e8371274947d85f0f71994b6c4fb1c64ada3b94ef411afad4823ecbc99",
+    ("exponential", "example2", "csv"):
+        "d8c4f6561d581e398eca43f79baf0e226bd64d94fe049179e3fe4d269922a53e",
+    ("exponential", "example3", "json"):
+        "eac95e184dae24fcbeec51107136493ecc8bcf1b7fde6ca2cca3a9b88489f06c",
+    ("exponential", "example3", "csv"):
+        "65824234765f7cbe3efc10e3bcf48cab67d4906bb154bdfeb97b913a87dc9e92",
+}
+
+
+@pytest.mark.parametrize("command, model, fmt", sorted(SAMPLER_SHA256))
+def test_sampler_bytes_unchanged(capsys, command, model, fmt):
+    code = main([command, "--model", model, "--n", "5", "--seed", "7",
+                 "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        SAMPLER_SHA256[(command, model, fmt)]

@@ -6,6 +6,7 @@ import logging
 import math
 import warnings
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -17,13 +18,13 @@ from doleans import (
     UnsupportedModelError,
     control_indicator_after,
     detect_divergence,
-    estimate_expectation,
+    estimate_batch,
     evaluate_condition,
     make_eta_distribution,
     make_first_jump_time,
     make_xi_distribution,
     quadrature_expectation,
-    stoch_exponential,
+    stoch_exponential_batch,
 )
 from doleans import mc
 from doleans.cli import (
@@ -42,35 +43,24 @@ XI = make_xi_distribution()
 EXP_LAW = make_first_jump_time()
 
 
-class TestEstimateExpectation:
-    def test_constant_functional(self, model1):
-        est = estimate_expectation(model1, lambda p: 1.0, 1000, SeedSpec(0, 4))
+class TestEstimateBatch:
+    def test_constant_kernel(self, model1):
+        est = estimate_batch(model1, lambda b: np.ones(len(b)), 1000, SeedSpec(0, 4))
         assert est.mean == 1.0 and est.se == 0.0
 
     def test_deterministic_across_runs(self, model2):
-        f = lambda p: stoch_exponential(p, p.horizon)
-        a = estimate_expectation(model2, f, 5000, SeedSpec(123, 8))
-        b = estimate_expectation(model2, f, 5000, SeedSpec(123, 8))
+        a = estimate_batch(model2, stoch_exponential_batch, 5000, SeedSpec(123, 8))
+        b = estimate_batch(model2, stoch_exponential_batch, 5000, SeedSpec(123, 8))
         assert a == b
-        c = estimate_expectation(model2, f, 5000, SeedSpec(124, 8))
+        c = estimate_batch(model2, stoch_exponential_batch, 5000, SeedSpec(124, 8))
         assert c != a
 
-    def test_example1_martingale_mean(self, model1):
-        est = estimate_expectation(
-            model1, lambda p: stoch_exponential(p, 1.0), 200_000, SeedSpec(7, 16)
-        )
-        assert abs(est.mean - 1.0) <= 3.0 * est.se
-
     def test_nonfinite_fraction_aborts(self, model1):
-        def sometimes_nan(p):
-            return math.nan if p.jumps[0][1] > 0.0 else 1.0
+        def sometimes_nan(batch):
+            return np.where(batch.jump_dm[:, 0] > 0.0, math.nan, 1.0)
 
         with pytest.raises(EstimationError):
-            estimate_expectation(model1, sometimes_nan, 1000, SeedSpec(1, 2))
-
-    def test_needs_two_samples(self, model1):
-        with pytest.raises(ValueError):
-            estimate_expectation(model1, lambda p: 1.0, 1, SeedSpec(0))
+            estimate_batch(model1, sometimes_nan, 1000, SeedSpec(1, 2))
 
     def test_seedspec_validated(self):
         with pytest.raises(ValueError):
@@ -265,6 +255,24 @@ class TestEvaluateCondition:
         model = {m.name: m for m in all_models}[name]
         with pytest.raises(ValueError, match="finite and nonnegative"):
             evaluate_condition(model, spec, times=times)
+
+    @pytest.mark.parametrize("name, spec", [
+        ("example1", ConditionSpec("jacod")),
+        ("example3", ConditionSpec("lemma1")),
+        ("example2", ConditionSpec("theorem1", PredictableControl.constant(0.5))),
+        ("example2", ConditionSpec("protter_shimbo")),
+    ], ids=lambda v: v if isinstance(v, str) else v.label())
+    @pytest.mark.parametrize("n", [1, -1, -7])
+    def test_every_kind_checks_n(self, name, spec, n, all_models, monkeypatch):
+        # one path gives no standard error and a negative count no paths:
+        # rejected before any quadrature instead of reporting no estimate
+        def no_quadrature(f, lo, hi):
+            raise AssertionError("quadrature ran before n was checked")
+
+        monkeypatch.setattr(mc, "_quad_piece", no_quadrature)
+        model = {m.name: m for m in all_models}[name]
+        with pytest.raises(ValueError, match=rf"\bn\b.*got {n}"):
+            evaluate_condition(model, spec, SeedSpec(3), n)
 
     @pytest.mark.parametrize("name, kind, levels, level", [
         ("example2", "jacod", (10, 100, 1000, 1e5), "1000"),
@@ -466,10 +474,9 @@ class TestEvaluateCondition:
     def test_estimator_label_reflects_what_ran(self, model1):
         for kind, label in (("jacod", "importance-quantile"), ("lemma1", "pathwise")):
             spec = ConditionSpec(kind)
-            for n in (0, 1):
-                doc = evaluate_condition(model1, spec, SeedSpec(3, 4), n).to_json()
-                assert doc["condition"]["estimator"] is None
-                assert doc["estimate"] is None
+            doc = evaluate_condition(model1, spec, SeedSpec(3, 4), 0).to_json()
+            assert doc["condition"]["estimator"] is None
+            assert doc["estimate"] is None
             doc = evaluate_condition(model1, spec, SeedSpec(3, 4), 100).to_json()
             assert doc["condition"]["estimator"] == label
 

@@ -57,6 +57,12 @@ class TestJumpPathInvariants:
                 assert all(b >= a for a, b in zip(qv, qv[1:]))
 
 
+def one_jump_values_at(batch, s):
+    """``M_s`` of every row of a one-jump batch, as ``JumpPath.value_at`` sums it."""
+    return batch.drift.array(s) + np.where(batch.jump_t[:, 0] <= s,
+                                           batch.jump_dm[:, 0], 0.0)
+
+
 class TestExampleModels:
     def test_example1_structure(self, model1):
         for i in range(50):
@@ -70,8 +76,8 @@ class TestExampleModels:
 
     def test_example1_mc_mean_zero(self, model1):
         rng = np.random.Generator(np.random.Philox(key=11))
-        paths = model1.sample_chunk(rng, 1_000_000)
-        vals = np.fromiter((p.value_at(1.0) for p in paths), float, len(paths))
+        batch = model1.build_batch(*model1.driver_columns(rng, 1_000_000))
+        vals = one_jump_values_at(batch, 1.0)
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean()) <= 4.0 * se
 
@@ -84,10 +90,8 @@ class TestExampleModels:
 
     def test_example2_stopped_mean_zero(self, model2):
         rng = np.random.Generator(np.random.Philox(key=12))
-        paths = model2.sample_chunk(rng, 1_000_000)
-        vals = np.fromiter(
-            (p.value_at(min(1.0, p.horizon)) for p in paths), float, len(paths)
-        )
+        batch = model2.build_batch(*model2.driver_columns(rng, 1_000_000))
+        vals = one_jump_values_at(batch, np.minimum(1.0, batch.horizon))
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean()) <= 4.0 * se
 
@@ -101,13 +105,11 @@ class TestExampleModels:
 
     def test_example3_drivers_uncorrelated(self, model3):
         rng = np.random.Generator(np.random.Philox(key=31))
-        paths = model3.sample_chunk(rng, 1_000_000)
-        eta = np.fromiter((p.jumps[0][1] for p in paths), float, len(paths))
-        tau = np.fromiter((p.horizon for p in paths), float, len(paths))
-        r = np.corrcoef(eta, tau)[0, 1]
+        batch = model3.build_batch(*model3.driver_columns(rng, 1_000_000))
+        r = np.corrcoef(batch.jump_dm[:, 0], batch.horizon)[0, 1]
         # the sample correlation is self-normalized, so ~N(0, 1/n) under
         # independence even though eta has infinite variance
-        assert abs(r) <= 4.0 / math.sqrt(len(paths))
+        assert abs(r) <= 4.0 / math.sqrt(len(batch))
 
     def test_sampler_deterministic(self, all_models):
         for model in all_models:
