@@ -67,15 +67,20 @@ def parse_control(text: str) -> PredictableControl:
     return PredictableControl.constant(float(text))
 
 
-def _path_count(text: str) -> int:
-    """A ``--n`` path count: a nonnegative integer, else a usage error."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"path count must be nonnegative, got {n}")
-    return n
+def _path_count(minimum: int):
+    """A ``--n`` parser: an integer of at least ``minimum``, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < minimum:
+            raise argparse.ArgumentTypeError(
+                f"path count must be at least {minimum}, got {n}")
+        return n
+
+    return parse
 
 
 def _emit(payload, rows, args: argparse.Namespace) -> None:
@@ -281,9 +286,15 @@ def _example3_rows(model, value: float | None) -> list[dict]:
 
 
 def run_reproduction(which: int, seed: int, n: int) -> dict:
-    """Experiment suite for one counterexample; returns the report document."""
+    """Experiment suite for one counterexample; returns the report document.
+
+    ``n`` is the Monte Carlo path count of the martingale rows, at least 2;
+    any other ``n`` raises ``ValueError`` before any quadrature.
+    """
     if which not in CLAIMS:
         raise ValueError("which must be 1, 2 or 3")
+    if n < 2:
+        raise ValueError(f"n must be at least 2 Monte Carlo paths, got {n}")
     seeds = SeedSpec(seed, 16)
     name, claims = CLAIMS[which]
     model = EXAMPLE_MODELS[name]()
@@ -327,7 +338,7 @@ def run_reproduction(which: int, seed: int, n: int) -> dict:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    doc = run_reproduction(args.which, args.seed, args.n or 200_000)
+    doc = run_reproduction(args.which, args.seed, args.n)
     out = args.out or f"reproduce{args.which}.json"
     Path(out).write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -433,11 +444,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample paths from a model")
     add_common(p)
-    p.add_argument("--n", type=_path_count, default=10)
+    p.add_argument("--n", type=_path_count(0), default=10)
 
     p = sub.add_parser("exponential", help="stochastic exponential per path")
     add_common(p)
-    p.add_argument("--n", type=_path_count, default=10)
+    p.add_argument("--n", type=_path_count(0), default=10)
 
     p = sub.add_parser("condition", help="evaluate one integrability condition")
     add_common(p)
@@ -453,8 +464,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run one counterexample suite")
     p.add_argument("--which", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=0,
-                   help="Monte Carlo sample count (default 200000)")
+    p.add_argument("--n", type=_path_count(2), default=200_000,
+                   help="Monte Carlo sample count, at least 2 (default 200000)")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("lemmas", help="scalar inequality property suites")

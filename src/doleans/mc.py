@@ -4,9 +4,12 @@ Expectations over the example models reduce to one-dimensional integrals
 against the driving scalar laws: every condition functional factorizes
 over independent drivers (jumps live at structurally fixed positions and
 controls are piecewise constant), so two-driver models are handled by a
-verified additive split of the log functional.  Quadrature is the primary
-oracle (~1e-10); Monte Carlo is an independent cross-check (~1e-3 at 1e6
-paths).
+verified additive split of the log functional.  Every kind is decided
+through one route, a sum of products of per-driver factors: one product
+for ``E exp(F)``, and one product per driver for ``lemma1``'s
+``E[E(M) b]``, whose weight ``b`` splits over the drivers as well.
+Quadrature is the primary oracle (~1e-10); Monte Carlo is an independent
+cross-check (~1e-3 at 1e6 paths).
 
 Divergence is a first-class result: truncated expectations are evaluated
 on an explicit level grid and fitted against ``ln(1/level)`` (log model)
@@ -37,13 +40,11 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .distributions import InverseCdfDistribution
-from .paths import Driver, PathBatch, ProcessModel
+from .paths import Driver, JumpPath, PathBatch, ProcessModel
 from .stochexp import (
     ConditionSpec,
     UnsupportedModelError,
     exp_or_inf_array,
-    jacod_functional,
-    log_stoch_exponential,
     pathwise_functional,
 )
 
@@ -520,6 +521,20 @@ def _importance_estimate(
     return _run_streams(n, seeds, kernel, "importance-sampled values")
 
 
+def _on_drivers(
+    model: ProcessModel,
+    functional: Callable[[JumpPath, float], float],
+    t: float = math.inf,
+) -> Callable[[tuple], float]:
+    """``functional(path, t ^ horizon)`` of the path built from driver values."""
+
+    def f_vals(vals):
+        p = model.build(*vals)
+        return functional(p, min(t, p.horizon))
+
+    return f_vals
+
+
 def _value_at_time(
     model: ProcessModel,
     timed: Callable[[JumpPath, float], float],
@@ -535,14 +550,9 @@ def _value_at_time(
     A cut far past the law's bulk is safe: :func:`_quad_piece` takes the
     wide first piece it leaves in ``log1p`` coordinates.
     """
-
-    def f_vals(vals):
-        p = model.build(*vals)
-        return timed(p, min(t, p.horizon))
-
     kinks = (t, *(b for b in breaks if b < t))
     value = 1.0
-    for driver, g in _split_factors(model, f_vals):
+    for driver, g in _split_factors(model, _on_drivers(model, timed, t)):
         cuts = [] if driver.start is None else sorted(
             {k - driver.start for k in kinks})
         value *= _quad_pieces(_exp_weighted_piece(driver.dist, g),
@@ -694,44 +704,6 @@ def _combine_factors(
     return lead.verdict, None, _fit(lead.evidence.levels, values, lead.evidence.model)
 
 
-def _evaluate_lemma1(
-    model: ProcessModel,
-    levels: Sequence[float] | None,
-) -> tuple[str, float | None, DivergenceEvidence | None]:
-    """Verdict on ``E[e^u b]``: ``E(M) = e^u`` weighted by the jump bracket ``b``.
-
-    ``u`` and ``b`` split over the drivers, so the value is
-    ``sum_j E[e^{u_j} b_j] prod_{i != j} E[e^{u_i}]``, each product decided
-    by :func:`_analyze_factor` and :func:`_combine_factors` as for every
-    other kind (one term on a one-driver model).  A sum that is not finite
-    takes the verdict and evidence of its first diverging term, or else
-    its first inconclusive one.
-    """
-    def log_e(vals):
-        p = model.build(*vals)
-        return log_stoch_exponential(p, p.horizon)
-
-    def bracket(vals):
-        p = model.build(*vals)
-        return jacod_functional(p, p.horizon).log_value
-
-    # both the exponent and the bracket must pass the separability probe
-    factors = _split_factors(model, log_e)
-    brackets = [b for _, b in _split_factors(model, bracket)]
-    terms = [
-        _combine_factors([
-            _analyze_factor(d, u, tuple(levels) if levels is not None else d.levels,
-                            weight=b if i == j else None)
-            for i, (d, u) in enumerate(factors)
-        ])
-        for j, b in enumerate(brackets)
-    ]
-    if all(verdict == "finite" for verdict, _, _ in terms):
-        return "finite", sum(value for _, value, _ in terms), None
-    open_terms = [t for t in terms if t[0] != "finite"]
-    return next((t for t in open_terms if t[0] == "diverging"), open_terms[0])
-
-
 def evaluate_condition(
     model: ProcessModel,
     spec: ConditionSpec,
@@ -744,8 +716,13 @@ def evaluate_condition(
     """Verdict for one condition on one model.
 
     Quadrature over the driver laws is the primary route, one factor per
-    driver (``lemma1`` sums one product of factors per driver):
-    truncated expectations are probed on the driver's level grid;
+    driver.  The kind's integrand ``exp(exponent) [weight]`` (see
+    :func:`~doleans.stochexp.pathwise_functional`) is one term, the
+    product of its factors; with a weight (``lemma1``) it is a sum of one
+    term per driver, term ``j`` weighting driver ``j``'s factor.  A
+    product that is not finite takes its first diverging factor, else its
+    first inconclusive one, and a sum its first such term.  For each
+    factor, truncated expectations are probed on the driver's level grid;
     stabilizing probes plus a convergent full integral give a ``finite``
     verdict with the quadrature value, while materially growing monotone
     probes with a clean fit give ``diverging`` with the fitted evidence
@@ -760,7 +737,8 @@ def evaluate_condition(
     value must exceed the horizon value by more than the 1e-10 quadrature
     contract to replace it.  A family time ``t`` is integrated split at
     ``t`` and at the control breaks before ``t``, where ``t ^ horizon``
-    has its kinks.  With ``n >= 2`` a Monte Carlo estimate of the horizon
+    has its kinks; one that misses the quadrature contract raises
+    :class:`QuadratureAccuracyError`.  With ``n >= 2`` a Monte Carlo estimate of the horizon
     value over ``n`` paths is attached as an independent cross-check;
     ``n = 0`` runs none, and any other ``n`` raises ``ValueError`` before
     any quadrature.
@@ -813,41 +791,42 @@ def evaluate_condition(
         "estimator": estimator,
     }
 
-    timed, f_batch = pathwise_functional(spec, model)
-    factors = None
-    if spec.kind == "lemma1":
-        verdict, value, evidence = _evaluate_lemma1(model, levels)
+    exponent, weight, f_batch = pathwise_functional(spec, model)
+    factors = _split_factors(model, _on_drivers(model, exponent))
+    # both the exponent and the weight must pass the separability probe
+    weights = ([None] if weight is None
+               else [w for _, w in _split_factors(model, _on_drivers(model, weight))])
+
+    def analyze(d: Driver, g, w) -> _FactorAnalysis:
+        lv = tuple(levels) if levels is not None else d.levels
+        if spec.kind in _LOG_SCALE_KINDS:
+            return _analyze_log_scale(d, g, lv)
+        return _analyze_factor(d, g, lv, w)
+
+    # term j weights driver j's factor; a weightless kind has one term
+    terms = [_combine_factors([analyze(d, g, w if i == j else None)
+                               for i, (d, g) in enumerate(factors)])
+             for j, w in enumerate(weights)]
+    if all(t[0] == "finite" for t in terms):
+        verdict, value, evidence = "finite", sum(t[1] for t in terms), None
     else:
-        def f_vals(vals):
-            p = model.build(*vals)
-            return timed(p, p.horizon)
+        open_terms = [t for t in terms if t[0] != "finite"]
+        verdict, value, evidence = next(
+            (t for t in open_terms if t[0] == "diverging"), open_terms[0])
 
-        factors = _split_factors(model, f_vals)
-        analyze = (_analyze_log_scale if spec.kind in _LOG_SCALE_KINDS
-                   else _analyze_factor)
-        verdict, value, evidence = _combine_factors([
-            analyze(d, g, tuple(levels) if levels is not None else d.levels)
-            for d, g in factors])
-
-        if verdict == "finite" and times:
-            breaks = spec.control.breaks if spec.control is not None else ()
-            for t in times:
-                try:
-                    at_t = _value_at_time(model, timed, t, breaks)
-                except QuadratureAccuracyError as exc:
-                    logger.warning(
-                        "family time %g skipped: %s", t, exc
-                    )
-                    continue
-                # values within the quadrature contract of each other are
-                # equal: rounding noise must not replace the reported bits
-                if at_t - value > max(_QUAD_ACCEPT_ABS, _QUAD_ACCEPT_REL * value):
-                    value = at_t
+    if verdict == "finite" and times:
+        breaks = spec.control.breaks if spec.control is not None else ()
+        for t in times:
+            at_t = _value_at_time(model, exponent, t, breaks)
+            # values within the quadrature contract of each other are
+            # equal: rounding noise must not replace the reported bits
+            if at_t - value > max(_QUAD_ACCEPT_ABS, _QUAD_ACCEPT_REL * value):
+                value = at_t
 
     estimate = None
     if n >= 2:
         try:
-            if factors is None:
+            if weight is not None:
                 estimate = estimate_batch(model, f_batch, n, seeds)
             else:
                 estimate = _importance_estimate(model, f_batch, factors, n, seeds)

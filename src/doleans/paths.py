@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
+from scipy.special import spence
 
 from .distributions import (
     InverseCdfDistribution,
@@ -507,19 +508,14 @@ def _ps_disc_qv(path: JumpPath, t: float) -> float:
 
 def _lm_primitive(u: float) -> float:
     # antiderivative of (1+u) ln(1+u) / u in u: -Li2(-u) + (1+u) ln(1+u) - u
-    from scipy.special import spence
-
     return -float(spence(1.0 + u)) + (1.0 + u) * math.log1p(u) - u
 
 
-_LM_AT_ONE = None
+_LM_AT_ONE = _lm_primitive(1.0)
 
 
 def _lm_profile(T: float) -> float:
     # int_0^T ((1+e^s) ln(1+e^s) - e^s) ds, elementary up to a dilogarithm
-    global _LM_AT_ONE
-    if _LM_AT_ONE is None:
-        _LM_AT_ONE = _lm_primitive(1.0)
     if T <= 0.0:
         return 0.0
     u = math.exp(T)

@@ -22,7 +22,8 @@ Next to the scalar functionals sit batch kernels over a
 repeat the scalar arithmetic operation for operation (transcendentals
 through ``math``, control segments summed as ``math.fsum`` does), so every
 row is bit-identical to the scalar value; :func:`pathwise_functional`
-pairs the two per condition kind.
+gives each condition kind's integrand as an exponent, an optional weight
+and its batch kernel.
 """
 
 from __future__ import annotations
@@ -177,11 +178,7 @@ def stoch_exponential(path: JumpPath, t: float) -> float:
     May underflow to 0.0 (or overflow to inf) in float64 for extreme jump
     sizes; use :func:`log_stoch_exponential` when magnitudes matter.
     """
-    lv = log_stoch_exponential(path, t)
-    try:
-        return math.exp(lv)
-    except OverflowError:
-        return math.inf
+    return exp_or_inf(log_stoch_exponential(path, t))
 
 
 def sde_residual(path: JumpPath, t: float) -> float:
@@ -404,47 +401,48 @@ def lemma1_batch(batch: PathBatch) -> np.ndarray:
     return stoch_exponential_batch(batch) * jacod_batch(batch)
 
 
-def _theorem1_pair(spec: ConditionSpec, model: ProcessModel):
+def _jacod_log(path: JumpPath, t: float) -> float:
+    return jacod_functional(path, t).log_value
+
+
+def _theorem1_entry(spec: ConditionSpec, model: ProcessModel):
     a, eps = spec.control, spec.epsilon
-    return (lambda p, t: theorem1_functional(p, a, eps, t).log_value,
+    return (lambda p, t: theorem1_functional(p, a, eps, t).log_value, None,
             lambda b: theorem1_batch(b, a, eps))
 
 
-def _protter_shimbo_pair(spec: ConditionSpec, model: ProcessModel):
-    if model.disc_qv is None:
-        raise UnsupportedModelError(
-            f"model {model.name!r} carries no closed-form <M^d>"
-        )
-    return lambda p, t: protter_shimbo_functional(model, p, t).log_value, None
-
-
-def _lepingle_memin_pair(spec: ConditionSpec, model: ProcessModel):
+def _lepingle_memin_entry(spec: ConditionSpec, model: ProcessModel):
     if model.lm_compensator is None:
         raise UnsupportedModelError(
             f"model {model.name!r} carries no closed-form compensator"
         )
-    return model.lm_compensator, None
+    return model.lm_compensator, None, None
 
 
 _FUNCTIONALS = {
-    "jacod": lambda spec, model: (
-        lambda p, t: jacod_functional(p, t).log_value, jacod_batch),
-    "theorem1": _theorem1_pair,
-    "protter_shimbo": _protter_shimbo_pair,
-    "lepingle_memin": _lepingle_memin_pair,
-    "lemma1": lambda spec, model: (lemma1_functional, lemma1_batch),
+    "jacod": lambda spec, model: (_jacod_log, None, jacod_batch),
+    "theorem1": _theorem1_entry,
+    # protter_shimbo_functional itself rejects a model without <M^d>
+    "protter_shimbo": lambda spec, model: (
+        lambda p, t: protter_shimbo_functional(model, p, t).log_value, None, None),
+    "lepingle_memin": _lepingle_memin_entry,
+    "lemma1": lambda spec, model: (log_stoch_exponential, _jacod_log, lemma1_batch),
 }
 
 
 def pathwise_functional(spec: ConditionSpec, model: ProcessModel):
-    """The pathwise functional of ``spec`` on ``model``, scalar and batched.
+    """The pathwise integrand of ``spec`` on ``model``: ``(exponent, weight, batch)``.
 
-    Returns ``(scalar, batch)``: ``scalar(path, t)`` is the log exponent of
-    the condition (for ``lemma1``, the integrand itself) and
-    ``batch(path_batch)`` its values at every row's horizon, bit-identical
-    to ``scalar(row, row.horizon)``.  ``batch`` is ``None`` for the kinds
-    evaluated path by path only.  Raises :class:`UnsupportedModelError`
-    when the model lacks the closed forms the kind needs.
+    The condition asks whether ``E[exp(exponent(path, t)) weight(path, t)]``
+    is finite.  ``weight`` is ``None`` (a weight of one) for every kind but
+    ``lemma1``, whose exponent is ``log E_t(M)`` and whose weight is the
+    jump-condition exponent.  ``batch(path_batch)`` gives the integrand's
+    values at every row's horizon, bit-identical to ``exponent(row,
+    row.horizon)`` for a weightless kind and to ``exp_or_inf(exponent(row,
+    row.horizon)) * weight(row, row.horizon)`` for ``lemma1``; it is
+    ``None`` for the kinds evaluated path by path only.  Raises
+    :class:`UnsupportedModelError` when the model lacks the closed forms
+    the kind needs, at once or at the first evaluation of ``exponent``.
     """
     return _FUNCTIONALS[spec.kind](spec, model)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from doleans import (
+    CONDITION_KINDS,
     ConditionSpec,
     Estimate,
     ExpCompensatorDrift,
@@ -34,6 +35,7 @@ from doleans import (
     theorem1_functional,
 )
 from doleans import mc
+from doleans.stochexp import exp_or_inf, pathwise_functional
 
 MODELS = {m.name: m for m in (example1_model(), example2_model(), example3_model())}
 
@@ -179,6 +181,34 @@ def test_theorem1_batch_equals_scalar(case, a, eps):
     expected = [theorem1_functional(p, a, eps, p.horizon).log_value
                 for p in scalar_paths(model, rows)]
     assert bits(theorem1_batch(batch, a, eps)) == bits(expected)
+
+
+@given(model_batches(), controls(), EPS)
+@settings(max_examples=300, deadline=None)
+def test_kind_table_batch_equals_its_scalar_integrand(case, a, eps):
+    model, rows = case
+    batch = build_batch(model, rows)
+    paths = [batch.path(i) for i in range(len(batch))]
+    specs = [ConditionSpec("jacod"), ConditionSpec("theorem1", a, eps),
+             ConditionSpec("lemma1")]
+    for spec in specs:
+        exponent, weight, f_batch = pathwise_functional(spec, model)
+        assert (weight is None) == (spec.kind != "lemma1")
+        if weight is None:
+            expected = [exponent(p, p.horizon) for p in paths]
+        else:
+            expected = [exp_or_inf(exponent(p, p.horizon)) * weight(p, p.horizon)
+                        for p in paths]
+        assert bits(f_batch(batch)) == bits(expected)
+
+
+def test_kind_table_batch_kernels():
+    # every other kind is decided from its log integrand and has no batch
+    with_batch = {kind for kind in CONDITION_KINDS
+                  if pathwise_functional(ConditionSpec(
+                      kind, PredictableControl.constant(0.5) if kind == "theorem1"
+                      else None), MODELS["example2"])[2] is not None}
+    assert with_batch == {"jacod", "theorem1", "lemma1"}
 
 
 @st.composite

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from doleans import path_from_json
-from doleans.cli import main, parse_control, run_lemma_suites
+from doleans import mc, path_from_json
+from doleans.cli import main, parse_control, run_lemma_suites, run_reproduction
 
 
 def run_cli(capsys, *argv):
@@ -259,6 +259,27 @@ class TestReproduce:
         assert code == 1
         assert "[FAIL]" in out
         assert "MISMATCH" in err and "forced" in err
+
+
+class TestReproducePathCount:
+    @pytest.mark.parametrize("n", ["1", "-5", "0"])
+    def test_count_below_two_usage_error(self, capsys, tmp_path, monkeypatch, n):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--which", "1", "--n", n])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--n" in out.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_api_rejects_count_before_any_quadrature(self, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(mc, "_quad_piece", no_quadrature)
+        for n in (1, 0, -5):
+            with pytest.raises(ValueError, match=f"n must be .*got {n}"):
+                run_reproduction(1, 0, n)
 
 
 class TestLemmas:

@@ -588,7 +588,7 @@ class TestIntegrationWork:
         assert report.verdict == "diverging"
         assert integrated == []
         # each value is the log integrand g(T) + log_density(T) at the cut T
-        timed, _ = pathwise_functional(spec, model2)
+        timed, _, _ = pathwise_functional(spec, model2)
         driver = model2.drivers[0]
         expected = []
         for level in driver.levels:
@@ -652,7 +652,7 @@ class TestFamilyTimes:
         # the expectation, not the path: a path's functional falls between
         # its jumps (example2's drift), yet its mean over the law rises
         model = {m.name: m for m in all_models}[name]
-        timed, _ = pathwise_functional(spec, model)
+        timed, _, _ = pathwise_functional(spec, model)
         if name == "example2":
             path = model.build(5.0)
             assert timed(path, 3.5) < timed(path, 2.5)
@@ -688,6 +688,17 @@ class TestFamilyTimes:
         assert not [r for r in caplog.records if "skipped" in r.getMessage()]
         assert family.quadrature == evaluate_condition(model2, spec).quadrature
 
+    def test_family_time_missing_the_contract_raises(self, model2, monkeypatch):
+        # such a time is an error, not a value dropped from the family
+        def fails(model, timed, t, breaks=()):
+            raise QuadratureAccuracyError("forced miss", math.nan, math.inf)
+
+        monkeypatch.setattr(mc, "_value_at_time", fails)
+        spec = ConditionSpec("theorem1", PredictableControl.constant(0.5))
+        assert evaluate_condition(model2, spec).verdict == "finite"
+        with pytest.raises(QuadratureAccuracyError, match="forced miss"):
+            evaluate_condition(model2, spec, times=(2.0,))
+
     def test_family_times_cost(self, model2):
         # integrand calls spent on two family times, counted on the law
         law = model2.drivers[0].dist
@@ -718,7 +729,7 @@ class TestFamilyTimes:
         # a split there would leave the law's bulk between the quadrature
         # nodes of one wide first piece, which then reads 0.0
         model = {m.name: m for m in all_models}[name]
-        timed, _ = pathwise_functional(spec, model)
+        timed, _, _ = pathwise_functional(spec, model)
         value = mc._value_at_time(model, timed, t, spec.control.breaks)
         horizon = evaluate_condition(model, spec).quadrature
         assert math.isclose(value, horizon, rel_tol=mc._QUAD_ACCEPT_REL)

@@ -271,6 +271,6 @@ AT_TIMES = {
 def test_family_time_matches_mpmath(case, all_models):
     name, spec, t, oracle = AT_TIMES[case]
     model = {m.name: m for m in all_models}[name]
-    timed, _ = pathwise_functional(spec, model)
+    timed, _, _ = pathwise_functional(spec, model)
     value = mc._value_at_time(model, timed, t, spec.control.breaks)
     assert math.isclose(value, _reference(oracle), rel_tol=REL, abs_tol=0.0)
