@@ -14,8 +14,8 @@ Subcommands:
 * ``lemmas``       -- grid + random property suites for the two scalar
                       inequalities; exit 0 iff no violation beyond -1e-12
 
-Every command is deterministic given ``--seed``: repeated invocations
-produce byte-identical output.
+Every command is deterministic given ``--seed``, an integer in
+``[0, 2^64)``: repeated invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -41,8 +41,10 @@ from .mc import (
 from .paths import (
     EXAMPLE_MODELS,
     PredictableControl,
+    check_seed,
     control_indicator_after,
     path_to_json,
+    stream_generator,
 )
 from .stochexp import (
     ConditionSpec,
@@ -379,6 +381,9 @@ def run_lemma_suites(
 ) -> list[tuple[str, tuple[float, float], float]]:
     """Grid plus random property suites; returns violations below -1e-12.
 
+    The random suites draw from stream 0 of ``seed`` (Philox key ``seed``
+    at counter 0).
+
     Injectable ``lemma2``/``lemma3`` callables let the suites themselves be
     exercised against deliberately broken variants.
     """
@@ -391,7 +396,7 @@ def run_lemma_suites(
         violations.append(("lemma2-grid", (float(xs[i]), float(es[j])),
                            float(vals.min())))
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = stream_generator(seed, 0)
     xr = rng.random(_LEMMA_DRAWS)
     er = rng.uniform(1e-12, 1.0 - 1e-12, _LEMMA_DRAWS)
     vals = lemma2(xr, er)
@@ -488,6 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "condition":
         args.spec = _condition_spec(parser, args)
     try:
+        check_seed(args.seed)
         return _HANDLERS[args.command](args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,9 +19,10 @@ exponential-jump model) are decided without an integral: their log
 integrand at each cut, which stays in float range, is fitted against the
 functional's own truncation threshold, which linearizes the growth.
 
-Monte Carlo streams are counter-based (Philox keyed by the seed, jumped
-per stream), so results are bit-reproducible for a fixed ``SeedSpec`` and
-stream partitioning.  The condition cross-check evaluates each stream as
+Monte Carlo streams are counter-based (stream ``j`` is Philox keyed by the
+seed at counter ``j * 2^128``, see :func:`~doleans.paths.stream_generator`),
+so results are bit-reproducible for a fixed ``SeedSpec`` and stream
+partitioning.  The condition cross-check evaluates each stream as
 one :class:`~doleans.paths.PathBatch`, bit-identical to the per-path
 functionals; the log-scale kinds, whose exponents exceed float range, have
 no cross-check.  :func:`estimate_batch` runs any batch kernel over plain
@@ -40,7 +41,14 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .distributions import InverseCdfDistribution
-from .paths import Driver, JumpPath, PathBatch, ProcessModel
+from .paths import (
+    Driver,
+    JumpPath,
+    PathBatch,
+    ProcessModel,
+    check_seed,
+    stream_generator,
+)
 from .stochexp import (
     ConditionSpec,
     UnsupportedModelError,
@@ -87,15 +95,15 @@ class SeedSpec:
 
     Results are bit-identical across runs for equal ``SeedSpec`` and equal
     stream partitioning; each stream is an independent counter block of a
-    splittable generator keyed by ``seed``.
+    splittable generator keyed by ``seed``.  A NumPy integer ``seed`` is
+    stored as a Python int, so reports stay JSON.
     """
 
     seed: int
     streams: int = 1
 
     def __post_init__(self):
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 bits")
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.streams < 1:
             raise ValueError("streams must be positive")
 
@@ -116,7 +124,7 @@ def _run_streams(n: int, seeds: SeedSpec, kernel: StreamKernel,
     """Mean and standard error of ``n`` values drawn stream by stream.
 
     Stream ``j`` gets its share of ``n`` and its own Philox counter block
-    (the seed's generator jumped ``j`` times), so each stream's values
+    (``stream_generator(seeds.seed, j)``), so each stream's values
     depend only on the seed and ``j``.  Non-finite values are counted,
     reported, and excluded; more than 0.1% of them aborts the estimate.
     The reduction runs over the values in stream order.
@@ -125,8 +133,8 @@ def _run_streams(n: int, seeds: SeedSpec, kernel: StreamKernel,
     base, extra = divmod(n, streams)
     parts = []
     for j in range(streams):
-        rng = np.random.Generator(np.random.Philox(key=seeds.seed).jumped(j))
-        parts.append(kernel(rng, base + (1 if j < extra else 0)))
+        parts.append(kernel(stream_generator(seeds.seed, j),
+                            base + (1 if j < extra else 0)))
     values = np.concatenate(parts)
     finite = np.isfinite(values)
     bad = int(n - int(finite.sum()))

@@ -14,6 +14,7 @@ laws from :mod:`doleans.distributions` through inverse-transform sampling.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -42,6 +43,8 @@ __all__ = [
     "integrate_control_drift",
     "Driver",
     "ProcessModel",
+    "check_seed",
+    "stream_generator",
     "example1_model",
     "example2_model",
     "example3_model",
@@ -59,6 +62,30 @@ _MIN_UNIFORM = 1e-300
 #: draws from 53-bit uniforms never reach it (tau <= 53 ln 2 ~ 36.7);
 #: importance-sampling proposals, which reach tau = 2^60, do.
 _JUMP_TIME_CAP = 700.0
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` as a Python int, or ``ValueError`` unless it is in ``[0, 2^64)``."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
+    return seed
+
+
+def stream_generator(seed: int, stream: int) -> np.random.Generator:
+    """Generator of stream ``stream`` of ``seed``: Philox key ``seed`` at
+    counter ``stream * 2^128`` (mod 2^256).
+
+    This is the state ``Philox(key=seed).jumped(stream)`` reaches, built
+    directly.  Both arguments go through ``operator.index`` first, so a
+    NumPy integer index cannot overflow the shift.
+    """
+    seed = check_seed(seed)
+    stream = operator.index(stream)
+    if stream < 0:
+        raise ValueError(f"stream index must be non-negative, got {stream}")
+    return np.random.Generator(
+        np.random.Philox(key=seed, counter=(stream << 128) % 2**256))
 
 
 def apply_math(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
@@ -439,8 +466,9 @@ class ProcessModel:
     description: str = ""
 
     def sampler(self, seed: int, stream_index: int) -> JumpPath:
-        """Deterministic path for ``(seed, stream_index)`` via a counter-based RNG."""
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(stream_index))
+        """Deterministic path for ``(seed, stream_index)``: row 0 of that
+        stream's draws (see :func:`stream_generator`)."""
+        rng = stream_generator(seed, stream_index)
         return self.build(*(float(col[0]) for col in self.driver_columns(rng, 1)))
 
     def driver_columns(self, rng: np.random.Generator, count: int) -> list[np.ndarray]:
@@ -450,7 +478,7 @@ class ProcessModel:
         draws do not depend on how paths are built from them.
         """
         u = rng.random((count, len(self.drivers)))
-        np.clip(u, _MIN_UNIFORM, None, out=u)
+        np.maximum(u, _MIN_UNIFORM, out=u)
         return [d.dist.inverse_cdf(u[:, i]) for i, d in enumerate(self.drivers)]
 
 

@@ -1,12 +1,14 @@
 """Command-line interface: schemas, verdict wiring, determinism, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from doleans import mc, path_from_json
 from doleans.cli import main, parse_control, run_lemma_suites, run_reproduction
+from doleans.girsanov import lemma2_lhs, lemma3_gap
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +66,24 @@ class TestPathCount:
     def test_zero_count_prints_no_paths(self, capsys, command):
         code, out, _ = run_cli(capsys, command, "--model", "example1", "--n", "0")
         assert code == 0 and out == "[]\n"
+
+
+_SEED_COMMANDS = {
+    "sample": ["sample", "--model", "example1", "--n", "2"],
+    # --n 0 draws no path: only the check at the boundary sees the seed
+    "exponential": ["exponential", "--model", "example1", "--n", "0"],
+    "condition": ["condition", "--model", "example1", "--kind", "jacod"],
+    "reproduce": ["reproduce", "--which", "1"],
+    "lemmas": ["lemmas"],
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", sorted(_SEED_COMMANDS))
+def test_seed_outside_64_bits_is_an_error(capsys, command, seed):
+    code, out, err = run_cli(capsys, *_SEED_COMMANDS[command], "--seed", seed)
+    assert code == 1 and out == ""
+    assert err == "error: seed must fit in 64 bits\n"
 
 
 class TestConditionCommand:
@@ -292,6 +312,26 @@ class TestLemmas:
         _, out1, _ = run_cli(capsys, "lemmas", "--seed", "4")
         _, out2, _ = run_cli(capsys, "lemmas", "--seed", "4")
         assert out1 == out2
+
+    def test_draws_are_philox_keyed_by_the_seed(self):
+        calls = []
+
+        def record(name, fn):
+            def recorded(*args):
+                calls.append((name, [np.array(a, copy=True) for a in args]))
+                return fn(*args)
+            return recorded
+
+        run_lemma_suites(record("lemma2", lemma2_lhs),
+                         record("lemma3", lemma3_gap), seed=2**64 - 1)
+        rng = np.random.Generator(np.random.Philox(key=2**64 - 1))
+        xr = rng.random(100_000)
+        er = rng.uniform(1e-12, 1.0 - 1e-12, 100_000)
+        ar = rng.random(100_000)
+        dm = np.exp(rng.uniform(math.log(1e-9), math.log(1e6 + 1.0), 100_000)) - 1.0
+        assert [name for name, _ in calls] == ["lemma2", "lemma2", "lemma3"]
+        for (_, got), want in zip(calls[1:], ((xr, er), (ar, dm))):
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_mutant_indicator_flip_detected(self):
         # flipping the indicator removes the boost exactly where the bare

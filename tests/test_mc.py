@@ -67,6 +67,14 @@ class TestEstimateBatch:
             SeedSpec(-1)
         with pytest.raises(ValueError):
             SeedSpec(0, 0)
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            SeedSpec(2**64)
+
+    def test_seedspec_numpy_seed_is_a_python_int(self, model1):
+        seeds = SeedSpec(np.uint64(2**64 - 1), 2)
+        assert type(seeds.seed) is int and seeds == SeedSpec(2**64 - 1, 2)
+        report = evaluate_condition(model1, ConditionSpec("jacod"), seeds)
+        assert json.loads(json.dumps(report.to_json()))["condition"]["seed"] == 2**64 - 1
 
 
 class TestQuadratureExpectation:

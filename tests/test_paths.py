@@ -16,6 +16,7 @@ from doleans import (
     path_from_json,
     path_to_json,
 )
+from doleans.paths import stream_generator
 
 
 class TestJumpPathInvariants:
@@ -118,6 +119,45 @@ class TestExampleModels:
             assert a.jumps == b.jumps and a.horizon == b.horizon
             c = model.sampler(99, 8)
             assert c.jumps != a.jumps
+
+    def test_sampler_takes_numpy_integers(self, all_models):
+        # a bare ``np.int64(i) << 128`` is 0: every stream would fold onto 0
+        for model in all_models:
+            for seed, i in ((3, 0), (99, 7), (2**64 - 1, 5)):
+                a = model.sampler(np.uint64(seed), np.int64(i))
+                b = model.sampler(seed, i)
+                assert a.horizon.hex() == b.horizon.hex()
+                assert [(t.hex(), dm.hex()) for t, dm in a.jumps] == \
+                    [(t.hex(), dm.hex()) for t, dm in b.jumps]
+
+
+def philox_state(bit_generator) -> tuple:
+    state = bit_generator.state
+    return (tuple(state["state"]["counter"]), tuple(state["state"]["key"]),
+            state["buffer_pos"], state["has_uint32"])
+
+
+class TestStreamGenerator:
+    @pytest.mark.parametrize("seed, j", [
+        (0, 0), (2**64 - 1, 0), (7, 2**64 - 1),
+        (5, 2**64 + 3),    # carry into the top counter word
+        (5, 2**128 + 9),   # wraps modulo 2^256
+    ])
+    def test_state_is_numpys_jump(self, seed, j):
+        rng = stream_generator(seed, j)
+        assert philox_state(rng.bit_generator) == \
+            philox_state(np.random.Philox(key=seed).jumped(j))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**128])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            stream_generator(seed, 0)
+
+    def test_rejects_negative_stream(self, model1):
+        with pytest.raises(ValueError, match="stream index"):
+            stream_generator(0, -1)
+        with pytest.raises(ValueError, match="stream index"):
+            model1.sampler(0, -1)
 
 
 class TestPredictableControl:
