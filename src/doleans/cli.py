@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -47,19 +48,14 @@ from .paths import (
     stream_generator,
 )
 from .stochexp import (
+    CONDITION_KINDS,
     ConditionSpec,
     log_stoch_exponential,
     stoch_exponential,
     stoch_exponential_batch,
 )
 
-_KIND_FLAGS = {
-    "jacod": "jacod",
-    "protter-shimbo": "protter_shimbo",
-    "lepingle-memin": "lepingle_memin",
-    "theorem1": "theorem1",
-    "lemma1": "lemma1",
-}
+_KIND_FLAGS = {k.replace("_", "-"): k for k in CONDITION_KINDS}
 
 
 def parse_control(text: str) -> PredictableControl:
@@ -86,9 +82,10 @@ def _path_count(minimum: int):
 
 
 def _emit(payload, rows, args: argparse.Namespace) -> None:
-    """Write JSON (payload) or CSV (rows) to --out or stdout."""
+    """Write strict JSON (payload) or CSV (rows) to --out or stdout; a
+    non-finite JSON number is a ``ValueError`` and writes nothing."""
     if args.fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -290,11 +287,13 @@ def _example3_rows(model, value: float | None) -> list[dict]:
 def run_reproduction(which: int, seed: int, n: int) -> dict:
     """Experiment suite for one counterexample; returns the report document.
 
-    ``n`` is the Monte Carlo path count of the martingale rows, at least 2;
-    any other ``n`` raises ``ValueError`` before any quadrature.
+    ``n`` is the Monte Carlo path count of the martingale rows, an integer
+    of at least 2; a non-integer ``n`` raises ``TypeError`` and a smaller
+    one ``ValueError``, before any quadrature.
     """
     if which not in CLAIMS:
         raise ValueError("which must be 1, 2 or 3")
+    n = operator.index(n)
     if n < 2:
         raise ValueError(f"n must be at least 2 Monte Carlo paths, got {n}")
     seeds = SeedSpec(seed, 16)
@@ -342,7 +341,7 @@ def run_reproduction(which: int, seed: int, n: int) -> dict:
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     doc = run_reproduction(args.which, args.seed, args.n)
     out = args.out or f"reproduce{args.which}.json"
-    Path(out).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(out).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
     csv_path = Path(out).with_suffix(".csv")
     with csv_path.open("w", newline="") as fh:

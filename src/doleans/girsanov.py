@@ -54,7 +54,6 @@ class MeasureChangeDecomposition:
     transformed_jumps: tuple[tuple[float, float], ...]
     log_density_factor: float
     log_transformed_exponential: float
-    log_reference: float
     identity_log_gap: float
 
     @property
@@ -68,10 +67,6 @@ class MeasureChangeDecomposition:
     @property
     def product(self) -> float:
         return exp_or_inf(self.log_density_factor + self.log_transformed_exponential)
-
-    @property
-    def reference(self) -> float:
-        return exp_or_inf(self.log_reference)
 
     def identity_relative_error(self) -> float:
         """Signed relative defect of ``density * transformed == E_T(M)``."""
@@ -117,7 +112,6 @@ def decompose(path: JumpPath, a: PredictableControl) -> MeasureChangeDecompositi
         transformed_jumps=tuple(transformed_jumps),
         log_density_factor=math.fsum(dens),
         log_transformed_exponential=math.fsum(trans),
-        log_reference=math.fsum(ref),
         identity_log_gap=gap,
     )
 

@@ -5,9 +5,10 @@ against the driving scalar laws: every condition functional factorizes
 over independent drivers (jumps live at structurally fixed positions and
 controls are piecewise constant), so two-driver models are handled by a
 verified additive split of the log functional.  Every kind is decided
-through one route, a sum of products of per-driver factors: one product
-for ``E exp(F)``, and one product per driver for ``lemma1``'s
-``E[E(M) b]``, whose weight ``b`` splits over the drivers as well.
+from its integrand record through one route, a sum of products of
+per-driver factors: one product for ``E exp(F)``, and one product per
+driver for a weighted ``E[E(M) b]`` (``lemma1``), whose weight ``b``
+splits over the drivers as well.
 Quadrature is the primary oracle (~1e-10); Monte Carlo is an independent
 cross-check (~1e-3 at 1e6 paths).
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -95,8 +97,9 @@ class SeedSpec:
 
     Results are bit-identical across runs for equal ``SeedSpec`` and equal
     stream partitioning; each stream is an independent counter block of a
-    splittable generator keyed by ``seed``.  A NumPy integer ``seed`` is
-    stored as a Python int, so reports stay JSON.
+    splittable generator keyed by ``seed``.  A NumPy integer ``seed`` or
+    ``streams`` is stored as a Python int, so reports stay JSON; a
+    non-integer one is a ``TypeError``.
     """
 
     seed: int
@@ -104,6 +107,7 @@ class SeedSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", check_seed(self.seed))
+        object.__setattr__(self, "streams", operator.index(self.streams))
         if self.streams < 1:
             raise ValueError("streams must be positive")
 
@@ -164,6 +168,7 @@ def estimate_batch(
     reported, and excluded; more than 0.1% of them aborts the estimate.
     Aggregation is a deterministic reduction in stream order.
     """
+    n = operator.index(n)
     if n < 2:
         raise ValueError("need at least two samples")
     return _run_streams(n, seeds, lambda rng, m: f_batch(
@@ -423,9 +428,6 @@ class ConditionReport:
         return []
 
 
-_LOG_SCALE_KINDS = ("protter_shimbo", "lepingle_memin")
-
-
 # ----------------------------------------------------------------------
 # Importance-sampled Monte Carlo cross-check for condition expectations.
 #
@@ -606,7 +608,14 @@ def _split_factors(
 class _FactorAnalysis:
     verdict: str
     value: float | None
-    evidence: DivergenceEvidence
+    evidence: DivergenceEvidence | None
+
+
+def _lead(analyses: Sequence[_FactorAnalysis]) -> _FactorAnalysis | None:
+    """The first diverging analysis, else the first inconclusive one;
+    ``None`` when every analysis is finite."""
+    return next((a for verdict in ("diverging", "inconclusive")
+                 for a in analyses if a.verdict == verdict), None)
 
 
 def _analyze_log_scale(driver: Driver, g: Callable[[float], float],
@@ -684,24 +693,20 @@ def _analyze_factor(
         return _FactorAnalysis("inconclusive", None, evidence)
 
 
-def _combine_factors(
-    analyses: list[_FactorAnalysis],
-) -> tuple[str, float | None, DivergenceEvidence | None]:
-    """Verdict on the product of independent factors.
+def _combine_factors(analyses: list[_FactorAnalysis]) -> _FactorAnalysis:
+    """Analysis of the product of independent factors.
 
-    A product that is not finite leads with the first diverging factor, or
-    else the first inconclusive one, and takes its verdict.  Its evidence
-    is that factor's family scaled by the other factors; a lone factor
-    reports its own evidence.
+    A finite product carries the product of the values and no evidence.
+    Otherwise the :func:`_lead` factor gives the verdict, and the evidence
+    is its family scaled by the other factors; a lone factor reports its
+    own evidence.
     """
-    if all(a.verdict == "finite" for a in analyses):
+    lead = _lead(analyses)
+    if lead is None:
         value = 1.0
         for a in analyses:
             value *= a.value
-        return "finite", value, None
-    open_factors = [a for a in analyses if a.verdict != "finite"]
-    lead = next((a for a in open_factors if a.verdict == "diverging"),
-                open_factors[0])
+        return _FactorAnalysis("finite", value, None)
     # truncate the lead driver; hold finite factors at their full values
     # (the others at their last probe) so the product family stays monotone
     scale = 1.0
@@ -709,7 +714,8 @@ def _combine_factors(
         if a is not lead:
             scale *= a.value if a.value is not None else a.evidence.values[-1]
     values = [v * scale for v in lead.evidence.values]
-    return lead.verdict, None, _fit(lead.evidence.levels, values, lead.evidence.model)
+    return _FactorAnalysis(lead.verdict, None,
+                           _fit(lead.evidence.levels, values, lead.evidence.model))
 
 
 def evaluate_condition(
@@ -723,20 +729,21 @@ def evaluate_condition(
 ) -> ConditionReport:
     """Verdict for one condition on one model.
 
-    Quadrature over the driver laws is the primary route, one factor per
-    driver.  The kind's integrand ``exp(exponent) [weight]`` (see
-    :func:`~doleans.stochexp.pathwise_functional`) is one term, the
-    product of its factors; with a weight (``lemma1``) it is a sum of one
-    term per driver, term ``j`` weighting driver ``j``'s factor.  A
-    product that is not finite takes its first diverging factor, else its
-    first inconclusive one, and a sum its first such term.  For each
-    factor, truncated expectations are probed on the driver's level grid;
-    stabilizing probes plus a convergent full integral give a ``finite``
-    verdict with the quadrature value, while materially growing monotone
-    probes with a clean fit give ``diverging`` with the fitted evidence
-    and no full-support integral.  A factor's truncations telescope: each
-    interval between successive cuts is integrated once, and every level
-    sums its intervals.
+    Every per-kind fact comes from the kind's
+    :func:`~doleans.stochexp.pathwise_functional` record ``(exponent,
+    weight, batch)``.  Quadrature over the driver laws is the primary
+    route, one factor per driver.  The integrand ``exp(exponent) [weight]``
+    is one term, the product of its factors; with a weight it is a sum of
+    one term per driver, term ``j`` weighting driver ``j``'s factor.  A
+    product or sum that is not finite takes its first diverging part, else
+    its first inconclusive one.  Each factor probes truncated expectations
+    on its driver's level grid, which telescope (each interval between
+    successive cuts is integrated once): stabilizing probes plus a
+    convergent full integral give ``finite`` with the quadrature value,
+    materially growing monotone probes with a clean fit give ``diverging``
+    with the fitted evidence and no full-support integral.  A kind without
+    a batch, whose exponents exceed float range, is decided from the log
+    integrand at each cut, which ``divergence.values`` then holds.
 
     The functional is evaluated at the stopping-time family made of the
     path horizon (the dominating value for the built-in models) together
@@ -746,31 +753,28 @@ def evaluate_condition(
     contract to replace it.  A family time ``t`` is integrated split at
     ``t`` and at the control breaks before ``t``, where ``t ^ horizon``
     has its kinks; one that misses the quadrature contract raises
-    :class:`QuadratureAccuracyError`.  With ``n >= 2`` a Monte Carlo estimate of the horizon
-    value over ``n`` paths is attached as an independent cross-check;
-    ``n = 0`` runs none, and any other ``n`` raises ``ValueError`` before
-    any quadrature.
-    The log-scale kinds (``protter_shimbo``, ``lepingle_memin``), whose
-    exponents exceed float range, are decided from the log integrand at
-    each cut, which ``divergence.values`` then holds; ``n >= 2`` or an
-    exponent overflowing at a level (or whose square overflows in the
-    fit) raises ``ValueError``, as do explicit ``levels`` that are not four
-    or more finite positive strictly ordered values, for every kind,
-    explicit ``levels`` on a model with more than one driver (each driver
-    keeps its own grid), and a jump-time level past the jump-time cap.
+    :class:`QuadratureAccuracyError`.  With ``n >= 2`` a Monte Carlo
+    estimate of the horizon value over ``n`` paths is attached as an
+    independent cross-check, by plain draws (``pathwise``) with a weight
+    and by importance sampling otherwise; too many non-finite values raise
+    :class:`EstimationError`.  Before any quadrature, ``ValueError`` is
+    raised for an ``n`` other than 0 or at least 2 (``TypeError`` for a
+    non-integer), ``times`` with a weight, ``n >= 2`` without a batch,
+    explicit ``levels`` that are not four or more finite positive strictly
+    ordered values or are given on a model with more than one driver (each
+    driver keeps its own grid).  An exponent overflowing at a level (or
+    whose square overflows in the fit) and a jump-time level past the
+    jump-time cap raise ``ValueError`` too.
 
     Deterministic: equal arguments (including ``SeedSpec``) produce
     bit-identical reports.
     """
+    n = operator.index(n)
     if n != 0 and n < 2:
         raise ValueError(f"n must be 0 (no Monte Carlo) or at least 2, got {n}")
     times = tuple(float(t) for t in times)
     if not all(math.isfinite(t) and t >= 0.0 for t in times):
         raise ValueError(f"family times must be finite and nonnegative, got {times}")
-    if spec.kind == "lemma1" and times:
-        raise ValueError(
-            "lemma1 is evaluated at the path horizon only; it takes no family times"
-        )
     if levels is not None:
         _check_levels(levels)
         if len(model.drivers) > 1:
@@ -778,14 +782,18 @@ def evaluate_condition(
             raise ValueError(
                 f"explicit levels need a one-driver model; {model.name} has "
                 f"{len(model.drivers)} drivers, each probed on its own grid")
-    if spec.kind in _LOG_SCALE_KINDS and n >= 2:
+    exponent, weight, f_batch = pathwise_functional(spec, model)
+    if weight is not None and times:
+        raise ValueError(f"{spec.kind} is evaluated at the path horizon only; "
+                         "it takes no family times")
+    if f_batch is None and n >= 2:
         raise ValueError(
             f"{spec.kind} has no Monte Carlo cross-check: its exponents exceed "
             "float range (use n = 0)"
         )
     estimator = None
     if n >= 2:
-        estimator = "pathwise" if spec.kind == "lemma1" else "importance-quantile"
+        estimator = "importance-quantile" if weight is None else "pathwise"
     condition_doc = {
         "model": model.name,
         "kind": spec.kind,
@@ -799,7 +807,6 @@ def evaluate_condition(
         "estimator": estimator,
     }
 
-    exponent, weight, f_batch = pathwise_functional(spec, model)
     factors = _split_factors(model, _on_drivers(model, exponent))
     # both the exponent and the weight must pass the separability probe
     weights = ([None] if weight is None
@@ -807,7 +814,7 @@ def evaluate_condition(
 
     def analyze(d: Driver, g, w) -> _FactorAnalysis:
         lv = tuple(levels) if levels is not None else d.levels
-        if spec.kind in _LOG_SCALE_KINDS:
+        if f_batch is None:
             return _analyze_log_scale(d, g, lv)
         return _analyze_factor(d, g, lv, w)
 
@@ -815,12 +822,11 @@ def evaluate_condition(
     terms = [_combine_factors([analyze(d, g, w if i == j else None)
                                for i, (d, g) in enumerate(factors)])
              for j, w in enumerate(weights)]
-    if all(t[0] == "finite" for t in terms):
-        verdict, value, evidence = "finite", sum(t[1] for t in terms), None
+    lead = _lead(terms)
+    if lead is None:
+        verdict, value, evidence = "finite", sum(t.value for t in terms), None
     else:
-        open_terms = [t for t in terms if t[0] != "finite"]
-        verdict, value, evidence = next(
-            (t for t in open_terms if t[0] == "diverging"), open_terms[0])
+        verdict, value, evidence = lead.verdict, None, lead.evidence
 
     if verdict == "finite" and times:
         breaks = spec.control.breaks if spec.control is not None else ()
@@ -833,13 +839,10 @@ def evaluate_condition(
 
     estimate = None
     if n >= 2:
-        try:
-            if weight is not None:
-                estimate = estimate_batch(model, f_batch, n, seeds)
-            else:
-                estimate = _importance_estimate(model, f_batch, factors, n, seeds)
-        except EstimationError as exc:
-            logger.warning("Monte Carlo cross-check unavailable: %s", exc)
+        if weight is not None:
+            estimate = estimate_batch(model, f_batch, n, seeds)
+        else:
+            estimate = _importance_estimate(model, f_batch, factors, n, seeds)
 
     return ConditionReport(
         condition=condition_doc,

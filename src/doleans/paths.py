@@ -346,12 +346,6 @@ class PredictableControl:
     def constant(cls, value: float) -> "PredictableControl":
         return cls((), (float(value),))
 
-    @classmethod
-    def indicator_after(cls, t0: float) -> "PredictableControl":
-        if t0 < 0.0:
-            raise ValueError("indicator time must be nonnegative")
-        return cls((float(t0),), (0.0, 1.0))
-
     def value_at(self, s: float) -> float:
         return self.values[bisect_left(self.breaks, s)]
 
@@ -382,8 +376,9 @@ def control_indicator_after(t0: float) -> PredictableControl:
     """Control equal to 0 on ``[0, t0]`` and 1 on ``(t0, inf)``.
 
     Left-continuity makes a jump occurring exactly at ``t0`` see the value 0.
+    A negative ``t0`` is a ``ValueError``.
     """
-    return PredictableControl.indicator_after(t0)
+    return PredictableControl((float(t0),), (0.0, 1.0))
 
 
 def integrate_control_drift(path: JumpPath, a: PredictableControl, t: float) -> float:
@@ -463,7 +458,6 @@ class ProcessModel:
     build_batch: Callable[..., PathBatch]
     disc_qv: Callable[[JumpPath, float], float] | None = None
     lm_compensator: Callable[[JumpPath, float], float] | None = None
-    description: str = ""
 
     def sampler(self, seed: int, stream_index: int) -> JumpPath:
         """Deterministic path for ``(seed, stream_index)``: row 0 of that
@@ -511,7 +505,6 @@ def example1_model() -> ProcessModel:
         name="example1",
         drivers=drivers,
         build=build,
-        description="single jump drawn from the xi law at time 1, horizon 1",
         build_batch=build_batch,
     )
 
@@ -576,6 +569,8 @@ def example2_model() -> ProcessModel:
         ),
     )
 
+    drift = ExpCompensatorDrift(0.0)
+
     def build(e: float) -> JumpPath:
         # floor keeps the horizon strictly positive in float; the cap keeps
         # e^tau finite for proposal draws far out in the tail
@@ -583,10 +578,8 @@ def example2_model() -> ProcessModel:
         return JumpPath(
             horizon=tau,
             jumps=((tau, math.exp(tau)),),
-            drift=ExpCompensatorDrift(0.0),
+            drift=drift,
         )
-
-    drift = ExpCompensatorDrift(0.0)
 
     def build_batch(e: np.ndarray) -> PathBatch:
         tau = np.minimum(np.maximum(e, 1e-300), _JUMP_TIME_CAP)
@@ -603,8 +596,6 @@ def example2_model() -> ProcessModel:
         build=build,
         disc_qv=_ps_disc_qv,
         lm_compensator=_lm_compensator,
-        description="compensated integral of e^s against a Poisson process, "
-        "stopped at the first jump",
         build_batch=build_batch,
     )
 
@@ -638,6 +629,8 @@ def example3_model() -> ProcessModel:
         ),
     )
 
+    drift = ExpCompensatorDrift(1.0)
+
     def build(x: float, e: float) -> JumpPath:
         # floor keeps 1 + e strictly above 1 in float so the two jump
         # times stay ordered; the displaced mass is ~1e-15
@@ -645,10 +638,8 @@ def example3_model() -> ProcessModel:
         return JumpPath(
             horizon=tau_hat,
             jumps=((1.0, x), (tau_hat, math.exp(tau_hat - 1.0))),
-            drift=ExpCompensatorDrift(1.0),
+            drift=drift,
         )
-
-    drift = ExpCompensatorDrift(1.0)
 
     def build_batch(x: np.ndarray, e: np.ndarray) -> PathBatch:
         tau_hat = 1.0 + np.minimum(np.maximum(e, 1e-15), _JUMP_TIME_CAP)
@@ -663,8 +654,6 @@ def example3_model() -> ProcessModel:
         name="example3",
         drivers=drivers,
         build=build,
-        description="eta jump at time 1 plus a restarted compensated "
-        "exponential Poisson integral stopped at its first jump",
         build_batch=build_batch,
     )
 

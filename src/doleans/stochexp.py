@@ -22,8 +22,8 @@ Next to the scalar functionals sit batch kernels over a
 repeat the scalar arithmetic operation for operation (transcendentals
 through ``math``, control segments summed as ``math.fsum`` does), so every
 row is bit-identical to the scalar value; :func:`pathwise_functional`
-gives each condition kind's integrand as an exponent, an optional weight
-and its batch kernel.
+gives each condition kind's integrand as an :class:`Integrand` record of
+an exponent, an optional weight and its batch kernel.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -64,10 +65,9 @@ __all__ = [
     "jacod_batch",
     "theorem1_batch",
     "lemma1_batch",
+    "Integrand",
     "pathwise_functional",
 ]
-
-CONDITION_KINDS = ("jacod", "protter_shimbo", "lepingle_memin", "theorem1", "lemma1")
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -401,46 +401,57 @@ def lemma1_batch(batch: PathBatch) -> np.ndarray:
     return stoch_exponential_batch(batch) * jacod_batch(batch)
 
 
+class Integrand(NamedTuple):
+    """A kind's integrand ``exp(exponent) [weight]``; see :func:`pathwise_functional`."""
+
+    exponent: Callable[[JumpPath, float], float]
+    weight: Callable[[JumpPath, float], float] | None
+    batch: Callable[[PathBatch], np.ndarray] | None
+
+
 def _jacod_log(path: JumpPath, t: float) -> float:
     return jacod_functional(path, t).log_value
 
 
-def _theorem1_entry(spec: ConditionSpec, model: ProcessModel):
+def _theorem1_entry(spec: ConditionSpec, model: ProcessModel) -> Integrand:
     a, eps = spec.control, spec.epsilon
-    return (lambda p, t: theorem1_functional(p, a, eps, t).log_value, None,
-            lambda b: theorem1_batch(b, a, eps))
+    return Integrand(lambda p, t: theorem1_functional(p, a, eps, t).log_value, None,
+                     lambda b: theorem1_batch(b, a, eps))
 
 
-def _lepingle_memin_entry(spec: ConditionSpec, model: ProcessModel):
+def _lepingle_memin_entry(spec: ConditionSpec, model: ProcessModel) -> Integrand:
     if model.lm_compensator is None:
         raise UnsupportedModelError(
             f"model {model.name!r} carries no closed-form compensator"
         )
-    return model.lm_compensator, None, None
+    return Integrand(model.lm_compensator, None, None)
 
 
 _FUNCTIONALS = {
-    "jacod": lambda spec, model: (_jacod_log, None, jacod_batch),
-    "theorem1": _theorem1_entry,
+    "jacod": lambda spec, model: Integrand(_jacod_log, None, jacod_batch),
     # protter_shimbo_functional itself rejects a model without <M^d>
-    "protter_shimbo": lambda spec, model: (
+    "protter_shimbo": lambda spec, model: Integrand(
         lambda p, t: protter_shimbo_functional(model, p, t).log_value, None, None),
     "lepingle_memin": _lepingle_memin_entry,
-    "lemma1": lambda spec, model: (log_stoch_exponential, _jacod_log, lemma1_batch),
+    "theorem1": _theorem1_entry,
+    "lemma1": lambda spec, model: Integrand(log_stoch_exponential, _jacod_log,
+                                            lemma1_batch),
 }
 
+CONDITION_KINDS = tuple(_FUNCTIONALS)
 
-def pathwise_functional(spec: ConditionSpec, model: ProcessModel):
-    """The pathwise integrand of ``spec`` on ``model``: ``(exponent, weight, batch)``.
+
+def pathwise_functional(spec: ConditionSpec, model: ProcessModel) -> Integrand:
+    """The pathwise integrand of ``spec`` on ``model``, the one record of
+    per-kind facts.
 
     The condition asks whether ``E[exp(exponent(path, t)) weight(path, t)]``
-    is finite.  ``weight`` is ``None`` (a weight of one) for every kind but
-    ``lemma1``, whose exponent is ``log E_t(M)`` and whose weight is the
-    jump-condition exponent.  ``batch(path_batch)`` gives the integrand's
-    values at every row's horizon, bit-identical to ``exponent(row,
-    row.horizon)`` for a weightless kind and to ``exp_or_inf(exponent(row,
-    row.horizon)) * weight(row, row.horizon)`` for ``lemma1``; it is
-    ``None`` for the kinds evaluated path by path only.  Raises
+    is finite.  Only ``lemma1`` has a weight (``None`` is a weight of one):
+    its exponent is ``log E_t(M)``, its weight the jump-condition exponent.
+    ``batch(path_batch)`` gives at every row's horizon, bit for bit,
+    ``exponent`` without a weight and ``exp_or_inf(exponent) * weight``
+    with one.  It is ``None`` exactly for ``protter_shimbo`` and
+    ``lepingle_memin``, whose exponents exceed float range.  Raises
     :class:`UnsupportedModelError` when the model lacks the closed forms
     the kind needs, at once or at the first evaluation of ``exponent``.
     """

@@ -324,6 +324,7 @@ def test_sampler_is_row_zero_of_the_stream_batch(name, seed, i):
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
     row = model.build_batch(*model.driver_columns(rng, 1)).path(0)
     path = model.sampler(seed, i)
+    assert path == row
     assert bits([path.horizon]) == bits([row.horizon])
     assert [bits(j) for j in path.jumps] == [bits(j) for j in row.jumps]
     assert path.drift.kind == row.drift.kind

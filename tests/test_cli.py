@@ -1,11 +1,13 @@
 """Command-line interface: schemas, verdict wiring, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import doleans.cli as cli_mod
 from doleans import mc, path_from_json
 from doleans.cli import main, parse_control, run_lemma_suites, run_reproduction
 from doleans.girsanov import lemma2_lhs, lemma3_gap
@@ -197,6 +199,30 @@ class TestConditionCommand:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert f"got {n}" in lines[0]
 
+    def test_nonfinite_cross_check_is_an_error(self, capsys, monkeypatch):
+        real = mc.pathwise_functional
+        monkeypatch.setattr(mc, "pathwise_functional", lambda spec, model: real(
+            spec, model)._replace(batch=lambda b: np.full(len(b), math.nan)))
+        code, out, err = run_cli(capsys, "condition", "--model", "example1",
+                                 "--kind", "lemma1", "--n", "1000")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "non-finite" in lines[0]
+
+    def test_nonfinite_leaf_is_an_error(self, capsys, tmp_path, monkeypatch):
+        real = cli_mod.evaluate_condition
+        monkeypatch.setattr(cli_mod, "evaluate_condition", lambda *a, **k:
+                            dataclasses.replace(real(*a, **k), quadrature=math.nan))
+        report = tmp_path / "report.json"
+        for extra in ((), ("--out", str(report))):
+            code, out, err = run_cli(capsys, "condition", "--model", "example1",
+                                     "--kind", "jacod", *extra)
+            assert code == 1 and out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not report.exists()
+
     def test_invalid_combo_usage_error(self, capsys):
         # control forbidden for the plain jump condition
         with pytest.raises(SystemExit) as exc:
@@ -300,6 +326,25 @@ class TestReproducePathCount:
         for n in (1, 0, -5):
             with pytest.raises(ValueError, match=f"n must be .*got {n}"):
                 run_reproduction(1, 0, n)
+        for n in (2.5, 1000.0):
+            with pytest.raises(TypeError):
+                run_reproduction(1, 0, n)
+
+    def test_nonfinite_leaf_is_an_error(self, capsys, tmp_path, monkeypatch):
+        def overflowing(which, seed, n):
+            return {"which": which, "seed": seed, "n": n,
+                    "rows": [{"check": "c", "expected": "finite",
+                              "observed": "finite", "ok": True,
+                              "quadrature": math.inf}],
+                    "families": {}, "ok": True}
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli_mod, "run_reproduction", overflowing)
+        code, out, err = run_cli(capsys, "reproduce", "--which", "1")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLemmas:

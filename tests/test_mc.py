@@ -1,5 +1,6 @@
 """Monte Carlo engine, quadrature, divergence detection, condition verdicts."""
 
+import argparse
 import dataclasses
 import json
 import logging
@@ -11,6 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 from doleans import (
+    CONDITION_KINDS,
     ConditionSpec,
     PredictableControl,
     QuadratureAccuracyError,
@@ -26,7 +28,7 @@ from doleans import (
     quadrature_expectation,
     stoch_exponential_batch,
 )
-from doleans import mc
+from doleans import cli, mc, stochexp
 from doleans.cli import (
     CLAIMS,
     example2_bound,
@@ -75,6 +77,29 @@ class TestEstimateBatch:
         assert type(seeds.seed) is int and seeds == SeedSpec(2**64 - 1, 2)
         report = evaluate_condition(model1, ConditionSpec("jacod"), seeds)
         assert json.loads(json.dumps(report.to_json()))["condition"]["seed"] == 2**64 - 1
+
+    def test_numpy_counts_are_python_ints(self, model1):
+        seeds = SeedSpec(7, np.int64(4))
+        assert type(seeds.streams) is int and seeds == SeedSpec(7, 4)
+        report = evaluate_condition(model1, ConditionSpec("jacod"), seeds,
+                                    n=np.int64(1000))
+        doc = json.loads(json.dumps(report.to_json()))
+        assert (doc["condition"]["n"], doc["condition"]["streams"]) == (1000, 4)
+        assert doc["estimate"]["n"] == 1000
+
+    @pytest.mark.parametrize("n", [2.5, 1000.0])
+    def test_non_integer_counts_rejected_before_quadrature(self, n, model1,
+                                                           monkeypatch):
+        def no_quadrature(f, lo, hi):
+            raise AssertionError("quadrature ran before n was checked")
+
+        monkeypatch.setattr(mc, "_quad_piece", no_quadrature)
+        with pytest.raises(TypeError):
+            SeedSpec(0, n)
+        with pytest.raises(TypeError):
+            evaluate_condition(model1, ConditionSpec("jacod"), SeedSpec(0), n)
+        with pytest.raises(TypeError):
+            estimate_batch(model1, stoch_exponential_batch, n, SeedSpec(0))
 
 
 class TestQuadratureExpectation:
@@ -488,6 +513,25 @@ class TestEvaluateCondition:
             doc = evaluate_condition(model1, spec, SeedSpec(3, 4), 100).to_json()
             assert doc["condition"]["estimator"] == label
 
+    @pytest.mark.parametrize("kind", ["jacod", "lemma1"])
+    def test_nonfinite_cross_check_raises(self, kind, model1, monkeypatch):
+        # half the values NaN: more than the 0.1% an estimate tolerates
+        real = mc.pathwise_functional
+
+        def nan_batch(spec, model):
+            record = real(spec, model)
+
+            def batch(b):
+                values = record.batch(b)
+                values[::2] = math.nan
+                return values
+
+            return record._replace(batch=batch)
+
+        monkeypatch.setattr(mc, "pathwise_functional", nan_batch)
+        with pytest.raises(EstimationError, match="non-finite"):
+            evaluate_condition(model1, ConditionSpec(kind), SeedSpec(3, 4), 1000)
+
     def test_lemma1_rejects_family_times(self, model3):
         with pytest.raises(ValueError, match="times"):
             evaluate_condition(model3, ConditionSpec("lemma1"), times=(0.5,))
@@ -741,3 +785,58 @@ class TestFamilyTimes:
         value = mc._value_at_time(model, timed, t, spec.control.breaks)
         horizon = evaluate_condition(model, spec).quadrature
         assert math.isclose(value, horizon, rel_tol=mc._QUAD_ACCEPT_REL)
+
+
+# ----------------------------------------------------------------------
+# The kind table: every per-kind fact comes from the integrand record
+# ----------------------------------------------------------------------
+
+def _kind_spec(kind: str) -> ConditionSpec:
+    control = PredictableControl.constant(0.5) if kind == "theorem1" else None
+    return ConditionSpec(kind, control)
+
+
+class TestKindTable:
+    def test_kinds_are_the_table_keys(self):
+        assert CONDITION_KINDS == tuple(stochexp._FUNCTIONALS)
+
+    def test_cli_kind_choices_are_the_kinds_with_hyphens(self):
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        kind = next(a for a in commands.choices["condition"]._actions
+                    if a.dest == "kind")
+        assert sorted(kind.choices) == sorted(k.replace("_", "-")
+                                              for k in CONDITION_KINDS)
+        assert sorted(cli._KIND_FLAGS[c] for c in kind.choices) == \
+            sorted(CONDITION_KINDS)
+
+    @pytest.mark.parametrize("kind", CONDITION_KINDS)
+    def test_no_batch_exactly_for_the_log_integrand_kinds(self, kind, model2,
+                                                          monkeypatch):
+        # a kind without a batch rejects n >= 2 and is decided from its log
+        # integrand L(T) = g(T) + log_density(T) at each cut, with no
+        # quadrature; every other kind integrates
+        def no_quadrature(f, lo, hi):
+            raise AssertionError("quadrature ran")
+
+        spec = _kind_spec(kind)
+        exponent, weight, f_batch = pathwise_functional(spec, model2)
+        monkeypatch.setattr(mc, "_quad_piece", no_quadrature)
+        if f_batch is None:
+            with pytest.raises(ValueError, match="no Monte Carlo cross-check"):
+                evaluate_condition(model2, spec, SeedSpec(0), 100)
+            driver = model2.drivers[0]
+            thresholds = tuple(exponent(p, p.horizon)
+                               for p in map(model2.build, driver.levels))
+            r = evaluate_condition(model2, spec)
+            assert r.divergence.levels == thresholds
+            assert r.divergence.values == tuple(
+                g + driver.dist.log_density(T)
+                for g, T in zip(thresholds, driver.levels))
+        else:
+            with pytest.raises(AssertionError, match="quadrature ran"):
+                evaluate_condition(model2, spec, SeedSpec(0), 100)
+        if weight is not None:
+            with pytest.raises(ValueError, match="no family times"):
+                evaluate_condition(model2, spec, times=(0.5,))

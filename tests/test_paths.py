@@ -173,6 +173,10 @@ class TestPredictableControl:
         assert a.value_at(2.0) == 1.0
         assert a.value_at(0.5) == 0.0
 
+    def test_indicator_rejects_negative_time(self):
+        with pytest.raises(ValueError):
+            control_indicator_after(-1.0)
+
     def test_constant_everywhere(self):
         a = PredictableControl.constant(0.3)
         for t in (0.0, 0.7, 5.0, 100.0):
