@@ -18,13 +18,11 @@ from .paths import (
     EXAMPLE_MODELS,
     ExpCompensatorDrift,
     JumpPath,
-    LinearQv,
     PathBatch,
     PredictableControl,
     ProcessModel,
     ScaledDrift,
     ZeroDrift,
-    ZeroQv,
     control_indicator_after,
     example1_model,
     example2_model,

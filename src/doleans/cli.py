@@ -459,7 +459,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=sorted(_KIND_FLAGS))
     p.add_argument("--a", default=None,
                    help="control process: a constant in [0,1] or indicator:<t0>")
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=float, default=None,
+                   help="theorem1 epsilon in (0,1), default 0.5: validated and "
+                        "reported, but moves no value (<M^c> = 0 on every path)")
     p.add_argument("--n", type=int, default=0,
                    help="Monte Carlo cross-check sample count (0 = none)")
     p.add_argument("--streams", type=int, default=16)

@@ -6,19 +6,17 @@ local martingale
 
     N~_t = N_t - int_0^t a(1-a)/(1 + a dM) d[M]_s,
 
-whose jumps are ``dN~ = (1-a) dM / (1 + a dM) > -1``.  For finite-activity
-paths the correction integral is the jump sum
-``sum a(1-a)(dM)^2/(1+a dM)`` plus the continuous part
-``int a(1-a) d<M^c>``, so the whole decomposition is exact pathwise
-algebra and the product identity
+whose jumps are ``dN~ = (1-a) dM / (1 + a dM) > -1``.  The paths here are
+purely discontinuous with finite activity, so ``<M^c> = 0`` and the
+correction integral is the jump sum ``sum a(1-a)(dM)^2/(1+a dM)``; the
+whole decomposition is exact pathwise algebra and the product identity
 
     E_T(int a dM) * E~_T(N~) = E_T(M)
 
 holds realization by realization.  :func:`decompose` assembles the three
-log values from shared floating-point terms so the drift and
-quadratic-variation contributions cancel exactly; only the per-jump
-logarithms contribute rounding, keeping the identity gap below ~1e-12
-even for jump sizes near e^700.
+log values from shared floating-point terms so the drift contributions
+cancel exactly; only the per-jump logarithms contribute rounding, keeping
+the identity gap below ~1e-12 even for jump sizes near e^700.
 """
 
 from __future__ import annotations
@@ -90,13 +88,6 @@ def decompose(path: JumpPath, a: PredictableControl) -> MeasureChangeDecompositi
             # (1-a)-integral written as dd - c so the three lists cancel exactly
             trans.extend((dd, -c))
             ref.append(dd)
-        dq = path.cont_qv(hi) - path.cont_qv(lo)
-        if dq != 0.0:
-            cq = 0.5 * (v * v) * dq
-            dens.append(-cq)
-            # -a(1-a) dq - (1-a)^2 dq / 2 == -dq/2 + a^2 dq / 2
-            trans.extend((-0.5 * dq, cq))
-            ref.append(-0.5 * dq)
 
     transformed_jumps = []
     for ti, dm in path.jumps:
@@ -132,16 +123,11 @@ def transformed_jacod_integrand(
     """Log of the jump-condition functional of the corrected process,
     expressed in terms of the original path:
 
-    ``int_0^t (1-a)^2 d<M^c> / 2
-    + sum (log(1+dM) - log(1+a dM) - (1-a) dM/(1+dM))``.
+    ``sum (log(1+dM) - log(1+a dM) - (1-a) dM/(1+dM))``.
 
     With ``a == 0`` this reduces bit for bit to the plain jump functional.
     """
     path._check_time(t)
-    qv_sum = 0.0
-    for lo, hi, v in a.segments_until(t):
-        w = 1.0 - v
-        qv_sum += (w * w) * (path.cont_qv(hi) - path.cont_qv(lo))
     s = 0.0
     for ti, dm in path.jumps:
         if ti > t:
@@ -150,17 +136,13 @@ def transformed_jacod_integrand(
         s += (math.log1p(dm) - math.log1p(av * dm)) - (1.0 - av) * (
             dm / (1.0 + dm)
         )
-    return 0.5 * qv_sum + s
+    return s
 
 
 def transformed_jacod_bound(path: JumpPath, a: PredictableControl, t: float) -> float:
     """Upper bound for :func:`transformed_jacod_integrand`: the plain jump
-    functional plus ``int (1-a)^2 d<M^c> / 2``."""
-    qv_sum = 0.0
-    for lo, hi, v in a.segments_until(t):
-        w = 1.0 - v
-        qv_sum += (w * w) * (path.cont_qv(hi) - path.cont_qv(lo))
-    return jacod_functional(path, t).log_value + 0.5 * qv_sum
+    functional, which dominates it jump by jump for every control."""
+    return jacod_functional(path, t).log_value
 
 
 def lemma2_lhs(x, eps):

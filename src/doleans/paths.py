@@ -1,11 +1,12 @@
 """Realized trajectories of finite-activity jump local martingales.
 
 A :class:`JumpPath` is one observed trajectory up to a realized stopping
-time: an ordered list of jumps, a piecewise-smooth finite-variation drift
-(the compensator of compensated Poisson integrals), and the continuous
-quadratic variation carried abstractly.  Drifts are closed-form functions
-of time, not grid discretizations, so the algebraic identities checked
-elsewhere hold to rounding error only.
+time: an ordered list of jumps and a piecewise-smooth finite-variation
+drift (the compensator of compensated Poisson integrals).  Every path is
+purely discontinuous, so its continuous martingale part and ``<M^c>``
+vanish.  Drifts are closed-form functions of time, not grid
+discretizations, so the algebraic identities checked elsewhere hold to
+rounding error only.
 
 The three example models are built here, each driven by one or two scalar
 laws from :mod:`doleans.distributions` through inverse-transform sampling.
@@ -33,8 +34,6 @@ __all__ = [
     "ZeroDrift",
     "ExpCompensatorDrift",
     "ScaledDrift",
-    "ZeroQv",
-    "LinearQv",
     "JumpPath",
     "PathBatch",
     "PredictableControl",
@@ -100,8 +99,8 @@ def apply_math(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Drift and continuous-quadratic-variation components (closed form).
-# ``array(t)`` evaluates a component at every element of a float array,
+# Drift components (closed form).
+# ``array(t)`` evaluates a drift at every element of a float array,
 # bit-identical to calling it element by element.
 # ----------------------------------------------------------------------
 
@@ -175,42 +174,7 @@ class ScaledDrift:
         return self.factor * self.base.derivative(t)
 
 
-class ZeroQv:
-    """Identically zero continuous quadratic variation."""
-
-    __slots__ = ()
-    kind = "zero"
-
-    def __call__(self, t: float) -> float:
-        return 0.0
-
-    def array(self, t: np.ndarray) -> np.ndarray:
-        return np.zeros(np.shape(t))
-
-
-class LinearQv:
-    """Continuous quadratic variation growing at a constant rate."""
-
-    __slots__ = ("rate",)
-
-    def __init__(self, rate: float):
-        if rate < 0.0:
-            raise ValueError("quadratic variation rate must be nonnegative")
-        self.rate = float(rate)
-
-    @property
-    def kind(self) -> str:
-        return f"linear:{self.rate!r}"
-
-    def __call__(self, t: float) -> float:
-        return self.rate * t
-
-    def array(self, t: np.ndarray) -> np.ndarray:
-        return self.rate * np.asarray(t, dtype=float)
-
-
 _ZERO_DRIFT = ZeroDrift()
-_ZERO_QV = ZeroQv()
 
 
 # ----------------------------------------------------------------------
@@ -223,15 +187,14 @@ class JumpPath:
 
     ``jumps`` holds ``(time, size)`` pairs with strictly increasing times in
     ``(0, horizon]`` and every size ``> -1``; ``drift`` is the continuous
-    finite-variation part between jumps and ``cont_qv`` the continuous
-    quadratic variation, both evaluated in closed form.  The path value is
-    ``drift(t) + sum of jump sizes up to t``.
+    finite-variation part between jumps, evaluated in closed form.  The
+    path value is ``drift(t) + sum of jump sizes up to t``; the path has no
+    continuous martingale part, so ``<M^c> = 0``.
     """
 
     horizon: float
     jumps: tuple[tuple[float, float], ...] = ()
     drift: Callable = _ZERO_DRIFT
-    cont_qv: Callable = _ZERO_QV
 
     def __post_init__(self):
         if not (self.horizon >= 0.0):
@@ -266,16 +229,15 @@ class PathBatch:
     """``n`` paths with ``k`` jumps each, as a struct of arrays.
 
     Row ``i`` is the :class:`JumpPath` with horizon ``horizon[i]``, jumps
-    ``zip(jump_t[i], jump_dm[i])`` and the shared ``drift`` and
-    ``cont_qv``; the same invariants are checked for every row.  Batch
-    kernels evaluate functionals at each row's horizon.
+    ``zip(jump_t[i], jump_dm[i])`` and the shared ``drift``; the same
+    invariants are checked for every row.  Batch kernels evaluate
+    functionals at each row's horizon.
     """
 
     horizon: np.ndarray
     jump_t: np.ndarray
     jump_dm: np.ndarray
     drift: Callable = _ZERO_DRIFT
-    cont_qv: Callable = _ZERO_QV
 
     def __post_init__(self):
         n = len(self.horizon)
@@ -309,7 +271,6 @@ class PathBatch:
             horizon=float(self.horizon[i]),
             jumps=tuple(zip(self.jump_t[i].tolist(), self.jump_dm[i].tolist())),
             drift=self.drift,
-            cont_qv=self.cont_qv,
         )
 
 
@@ -670,15 +631,17 @@ EXAMPLE_MODELS: dict[str, Callable[[], ProcessModel]] = {
 # ----------------------------------------------------------------------
 
 def path_to_json(path: JumpPath) -> dict:
-    """Serialize a sampled path; field names are part of the CLI contract."""
-    for component in (path.drift, path.cont_qv):
-        if component.kind == "derived":
-            raise ValueError("derived drift/qv components are not serializable")
+    """Serialize a sampled path; field names are part of the CLI contract.
+
+    ``cont_qv_kind`` is always ``"zero"``: no path carries ``<M^c>``.
+    """
+    if path.drift.kind == "derived":
+        raise ValueError("derived drift components are not serializable")
     return {
         "horizon": path.horizon,
         "jumps": [{"t": t, "dm": dm} for t, dm in path.jumps],
         "drift_kind": path.drift.kind,
-        "cont_qv_kind": path.cont_qv.kind,
+        "cont_qv_kind": "zero",
     }
 
 
@@ -690,19 +653,13 @@ def _drift_from_kind(kind: str):
     raise ValueError(f"unknown drift kind {kind!r}")
 
 
-def _qv_from_kind(kind: str):
-    if kind == "zero":
-        return _ZERO_QV
-    if kind.startswith("linear:"):
-        return LinearQv(float(kind.split(":", 1)[1]))
-    raise ValueError(f"unknown cont_qv kind {kind!r}")
-
-
 def path_from_json(doc: dict) -> JumpPath:
-    """Rebuild a path serialized by :func:`path_to_json`."""
+    """Rebuild a path serialized by :func:`path_to_json`; a ``cont_qv_kind``
+    other than ``"zero"`` is a ``ValueError``."""
+    if doc["cont_qv_kind"] != "zero":
+        raise ValueError(f"cont_qv_kind must be 'zero', got {doc['cont_qv_kind']!r}")
     return JumpPath(
         horizon=float(doc["horizon"]),
         jumps=tuple((float(j["t"]), float(j["dm"])) for j in doc["jumps"]),
         drift=_drift_from_kind(doc["drift_kind"]),
-        cont_qv=_qv_from_kind(doc["cont_qv_kind"]),
     )

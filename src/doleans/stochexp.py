@@ -4,18 +4,20 @@ For a path M with jumps dM > -1 the stochastic exponential is
 
     E_t(M) = exp{M_t - <M^c>_t / 2} prod_{s<=t} (1 + dM_s) e^{-dM_s},
 
-the unique solution of ``E_t = 1 + int_0^t E_{s-} dM_s``.  Everything here
-is computed pathwise in log space: the linear jump terms of ``M_t`` cancel
-against the ``e^{-dM}`` factors symbolically, so the log value is
+the unique solution of ``E_t = 1 + int_0^t E_{s-} dM_s``.  Every path here
+is purely discontinuous, so ``<M^c> = 0`` and each ``<M^c>`` term of the
+criteria vanishes.  Everything is computed pathwise in log space: the
+linear jump terms of ``M_t`` cancel against the ``e^{-dM}`` factors
+symbolically, so the log value is
 
-    drift(t) - <M^c>_t / 2 + sum log(1 + dM_s),
+    drift(t) + sum log(1 + dM_s),
 
 which never overflows for jump sizes up to e^700.
 
 The condition functionals share the per-jump building block
-``log(1+d) - d/(1+d)`` and differ in the control-process and
-quadratic-variation terms.  The evaluator with control ``a == 0`` is
-arranged to reproduce the plain jump functional bit for bit.
+``log(1+d) - d/(1+d)`` and differ in the control-process terms.  The
+evaluator with control ``a == 0`` is arranged to reproduce the plain jump
+functional bit for bit.
 
 Next to the scalar functionals sit batch kernels over a
 :class:`~doleans.paths.PathBatch`, evaluated at each row's horizon.  They
@@ -81,9 +83,10 @@ class ConditionSpec:
     """Which integrability condition to evaluate, with its parameters.
 
     ``theorem1`` requires a predictable control; its ``epsilon`` defaults
-    to 1/2 (any value in (0, 1) is admissible and the term it scales
-    vanishes for models without a continuous part).  The other kinds
-    forbid both parameters.
+    to 1/2.  Any value in (0, 1) is admissible, and it is validated and
+    reported but moves no value: the term it scales integrates against
+    ``<M^c>``, which is zero on every path.  The other kinds forbid both
+    parameters.
     """
 
     kind: str
@@ -169,7 +172,7 @@ def log_stoch_exponential(path: JumpPath, t: float) -> float:
         if ti > t:
             break
         s += math.log1p(dm)
-    return path.drift(t) - 0.5 * path.cont_qv(t) + s
+    return path.drift(t) + s
 
 
 def stoch_exponential(path: JumpPath, t: float) -> float:
@@ -187,15 +190,9 @@ def sde_residual(path: JumpPath, t: float) -> float:
     The jump part of the integral is exact; the drift part is adaptive
     quadrature between jumps, so the residual is bounded by
     ``1e-9 * max(1, E_t)`` for well-scaled paths.
-
-    Only meaningful for pathwise-consistent inputs, i.e. ``cont_qv == 0``:
-    a nonzero abstract quadratic variation without a realized continuous
-    martingale is a probability-zero configuration for which the integral
-    equation does not hold realization by realization.
     """
     path._check_time(t)
     target = stoch_exponential(path, t)
-    qv = path.cont_qv
     drift = path.drift
     has_drift = not isinstance(drift, ZeroDrift)
 
@@ -208,12 +205,12 @@ def sde_residual(path: JumpPath, t: float) -> float:
             c = cum_jump_log
 
             def integrand(s, _c=c):
-                return math.exp(drift(s) - 0.5 * qv(s) + _c) * drift.derivative(s)
+                return math.exp(drift(s) + _c) * drift.derivative(s)
 
             val, _err = quad(integrand, prev, ti, epsabs=1e-12, epsrel=1e-12, limit=200)
             integral += val
         if dm is not None:
-            e_left = math.exp(drift(ti) - 0.5 * qv(ti) + cum_jump_log)
+            e_left = math.exp(drift(ti) + cum_jump_log)
             integral += e_left * dm
             cum_jump_log += math.log1p(dm)
             prev = ti
@@ -223,7 +220,7 @@ def sde_residual(path: JumpPath, t: float) -> float:
 def jacod_functional(path: JumpPath, t: float) -> FunctionalValue:
     """Pathwise exponent of the jump-based integrability condition:
 
-    ``<M^c>_t / 2 + sum_{s<=t} (log(1+dM_s) - dM_s/(1+dM_s))``.
+    ``sum_{s<=t} (log(1+dM_s) - dM_s/(1+dM_s))``.
     """
     path._check_time(t)
     s = 0.0
@@ -231,34 +228,38 @@ def jacod_functional(path: JumpPath, t: float) -> FunctionalValue:
         if ti > t:
             break
         s += _jump_term(dm)
-    return FunctionalValue.from_log(0.5 * path.cont_qv(t) + s)
+    return FunctionalValue.from_log(s)
+
+
+def _closed_form(model: ProcessModel, form: Callable | None, what: str) -> Callable:
+    """``form``, or :class:`UnsupportedModelError` if the model lacks it."""
+    if form is None:
+        raise UnsupportedModelError(f"model {model.name!r} carries no closed-form {what}")
+    return form
 
 
 def protter_shimbo_functional(
     model: ProcessModel, path: JumpPath, t: float
 ) -> FunctionalValue:
-    """Pathwise exponent ``<M^c>_t / 2 + <M^d>_t`` of the bracket-based condition.
+    """Pathwise exponent ``<M^d>_t`` of the bracket-based condition.
 
     Needs the model's closed-form ``disc_qv``; models without one are
     rejected.
     """
-    if model.disc_qv is None:
-        raise UnsupportedModelError(
-            f"model {model.name!r} carries no closed-form <M^d>"
-        )
+    disc_qv = _closed_form(model, model.disc_qv, "<M^d>")
     path._check_time(t)
-    return FunctionalValue.from_log(0.5 * path.cont_qv(t) + model.disc_qv(path, t))
+    return FunctionalValue.from_log(disc_qv(path, t))
 
 
 def lepingle_memin_A(path: JumpPath, t: float) -> float:
-    """The nondecreasing process ``<M^c>_t / 2 + sum ((1+dM) log(1+dM) - dM)``."""
+    """The nondecreasing process ``sum ((1+dM) log(1+dM) - dM)``."""
     path._check_time(t)
     s = 0.0
     for ti, dm in path.jumps:
         if ti > t:
             break
         s += (1.0 + dm) * math.log1p(dm) - dm
-    return 0.5 * path.cont_qv(t) + s
+    return s
 
 
 def theorem1_functional(
@@ -266,29 +267,23 @@ def theorem1_functional(
 ) -> FunctionalValue:
     """Pathwise exponent of the control-extended condition:
 
-    ``int_0^t a dM + int_0^t (1/2 - a) d<M^c> + eps int_0^t 1{1-a<eps} d<M^c>
-    + sum (log(1+dM) - dM/(1+dM) + log(1+a dM) - a dM)``.
+    ``int_0^t a dM + sum (log(1+dM) - dM/(1+dM) + log(1+a dM) - a dM)``.
 
-    The linear jump part of ``int a dM`` cancels the ``- a dM`` terms
-    symbolically, so only logarithms of jump sizes enter.  With ``a == 0``
-    the result is bit-identical to :func:`jacod_functional`.
+    The condition's ``<M^c>`` terms, ``int (1/2 - a) d<M^c>`` and the one
+    scaled by ``eps``, vanish on these purely discontinuous paths, so
+    ``eps`` is validated but moves no value.  The linear jump part of
+    ``int a dM`` cancels the ``- a dM`` terms symbolically, so only
+    logarithms of jump sizes enter.  With ``a == 0`` the result is
+    bit-identical to :func:`jacod_functional`.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("epsilon must lie strictly in (0, 1)")
     path._check_time(t)
 
-    # one pass over the control segments; the drift terms are summed by
-    # math.fsum in segment order, exactly as integrate_control_drift does
-    drift_terms = []
-    qv_part = 0.0
-    eps_part = 0.0
-    for lo, hi, v in a.segments_until(t):
-        drift_terms.append(v * (path.drift(hi) - path.drift(lo)))
-        dq = path.cont_qv(hi) - path.cont_qv(lo)
-        qv_part += (0.5 - v) * dq
-        if 1.0 - v < eps:
-            eps_part += eps * dq
-    drift_part = math.fsum(drift_terms)
+    # the drift terms are summed by math.fsum in segment order, exactly as
+    # integrate_control_drift does
+    drift_part = math.fsum(v * (path.drift(hi) - path.drift(lo))
+                           for lo, hi, v in a.segments_until(t))
 
     s = 0.0
     for ti, dm in path.jumps:
@@ -296,7 +291,7 @@ def theorem1_functional(
             break
         av = a.value_at(ti)
         s += _jump_term(dm) + math.log1p(av * dm)
-    return FunctionalValue.from_log(((drift_part + qv_part) + eps_part) + s)
+    return FunctionalValue.from_log(drift_part + s)
 
 
 def lemma1_functional(path: JumpPath, t: float) -> float:
@@ -331,7 +326,7 @@ def log_stoch_exponential_batch(batch: PathBatch) -> np.ndarray:
     s = np.zeros(len(batch))
     for dm in batch.jump_dm.T:
         s = s + apply_math(math.log1p, dm)
-    return batch.drift.array(T) - 0.5 * batch.cont_qv.array(T) + s
+    return batch.drift.array(T) + s
 
 
 def stoch_exponential_batch(batch: PathBatch) -> np.ndarray:
@@ -344,7 +339,7 @@ def jacod_batch(batch: PathBatch) -> np.ndarray:
     s = np.zeros(len(batch))
     for dm in batch.jump_dm.T:
         s = s + _jump_term_array(dm)
-    return 0.5 * batch.cont_qv.array(batch.horizon) + s
+    return s
 
 
 def theorem1_batch(
@@ -354,37 +349,28 @@ def theorem1_batch(
     if not (0.0 < eps < 1.0):
         raise ValueError("epsilon must lie strictly in (0, 1)")
     T = batch.horizon
-    drift, qv = batch.drift, batch.cont_qv
+    drift = batch.drift
     drift_T = drift.array(T)
-    qv_T = qv.array(T)
 
     # slot j carries values[j] on (breaks[j-1], min(breaks[j], T)], with
     # breaks[-1] = 0 and a final break at infinity: the segments of
-    # PredictableControl.segments_until(T), empty slots masked out.  Drift
-    # and qv are evaluated at a break only where some row's segment ends
+    # PredictableControl.segments_until(T), empty slots masked out.  The
+    # drift is evaluated at a break only where some row's segment ends
     # there, as in the scalar path (e^b may overflow for breaks past every
-    # horizon).
+    # horizon).  eps is validated only: it scales a <M^c> term, which is
+    # zero on every path.
     lows = (0.0,) + a.breaks
     highs = a.breaks + (math.inf,)
     terms = np.zeros((len(batch), len(a.values)))
     present = np.empty(terms.shape, dtype=bool)
-    qv_part = np.zeros(len(batch))
-    eps_part = np.zeros(len(batch))
     for j, (lo, hi, v) in enumerate(zip(lows, highs, a.values)):
         live = present[:, j]
         np.greater(np.minimum(hi, T), lo, out=live)
         if not live.any():
             continue
         cut = hi < T
-        d_hi, q_hi = drift_T, qv_T
-        if cut.any():
-            d_hi = np.where(cut, drift(hi), drift_T)
-            q_hi = np.where(cut, qv(hi), qv_T)
+        d_hi = np.where(cut, drift(hi), drift_T) if cut.any() else drift_T
         terms[:, j] = v * (d_hi - drift(lo))
-        dq = q_hi - qv(lo)
-        qv_part = np.where(live, qv_part + (0.5 - v) * dq, qv_part)
-        if 1.0 - v < eps:
-            eps_part = np.where(live, eps_part + eps * dq, eps_part)
     drift_part = _fsum_rows(terms, present)
 
     values = np.asarray(a.values)
@@ -393,7 +379,7 @@ def theorem1_batch(
     for t, dm in zip(batch.jump_t.T, batch.jump_dm.T):
         av = values[np.searchsorted(breaks, t, side="left")]
         s = s + (_jump_term_array(dm) + apply_math(math.log1p, av * dm))
-    return ((drift_part + qv_part) + eps_part) + s
+    return drift_part + s
 
 
 def lemma1_batch(batch: PathBatch) -> np.ndarray:
@@ -419,20 +405,12 @@ def _theorem1_entry(spec: ConditionSpec, model: ProcessModel) -> Integrand:
                      lambda b: theorem1_batch(b, a, eps))
 
 
-def _lepingle_memin_entry(spec: ConditionSpec, model: ProcessModel) -> Integrand:
-    if model.lm_compensator is None:
-        raise UnsupportedModelError(
-            f"model {model.name!r} carries no closed-form compensator"
-        )
-    return Integrand(model.lm_compensator, None, None)
-
-
 _FUNCTIONALS = {
     "jacod": lambda spec, model: Integrand(_jacod_log, None, jacod_batch),
-    # protter_shimbo_functional itself rejects a model without <M^d>
     "protter_shimbo": lambda spec, model: Integrand(
-        lambda p, t: protter_shimbo_functional(model, p, t).log_value, None, None),
-    "lepingle_memin": _lepingle_memin_entry,
+        _closed_form(model, model.disc_qv, "<M^d>"), None, None),
+    "lepingle_memin": lambda spec, model: Integrand(
+        _closed_form(model, model.lm_compensator, "compensator"), None, None),
     "theorem1": _theorem1_entry,
     "lemma1": lambda spec, model: Integrand(log_stoch_exponential, _jacod_log,
                                             lemma1_batch),
@@ -452,8 +430,8 @@ def pathwise_functional(spec: ConditionSpec, model: ProcessModel) -> Integrand:
     ``exponent`` without a weight and ``exp_or_inf(exponent) * weight``
     with one.  It is ``None`` exactly for ``protter_shimbo`` and
     ``lepingle_memin``, whose exponents exceed float range.  Raises
-    :class:`UnsupportedModelError` when the model lacks the closed forms
-    the kind needs, at once or at the first evaluation of ``exponent``.
+    :class:`UnsupportedModelError` at once when the model lacks the closed
+    form the kind needs.
     """
     return _FUNCTIONALS[spec.kind](spec, model)
 

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from doleans import (
     ExpCompensatorDrift,
     JumpPath,
-    LinearQv,
     ScaledDrift,
     example1_model,
     example2_model,
@@ -35,14 +34,12 @@ def all_models(model1, model2, model3):
     return (model1, model2, model3)
 
 
-def random_two_jump_path(rng: np.random.Generator, with_qv: bool = True) -> JumpPath:
-    """A synthetic path with two jumps, smooth drift and (optionally) linear qv.
+def random_two_jump_path(rng: np.random.Generator) -> JumpPath:
+    """A synthetic path with two jumps and a smooth drift.
 
     Jump sizes are log-uniform in (1e-2, 1e2) shifted by -1 on one side,
     uniform on (-0.9, 5) on the other, so the path exercises both small
-    and large jumps without leaving well-scaled float range.  Pass
-    ``with_qv=False`` for identities that need a pathwise-consistent
-    trajectory (no abstract continuous quadratic variation).
+    and large jumps without leaving well-scaled float range.
     """
     t1, t2 = np.sort(rng.uniform(0.1, 2.0, 2))
     if t2 - t1 < 1e-6:
@@ -50,12 +47,10 @@ def random_two_jump_path(rng: np.random.Generator, with_qv: bool = True) -> Jump
     dm1 = float(rng.uniform(-0.9, 5.0))
     dm2 = float(math.exp(rng.uniform(math.log(1e-2), math.log(1e2))) - 0.99)
     drift = ScaledDrift(ExpCompensatorDrift(0.0), float(rng.uniform(-1.0, 1.0)))
-    qv = LinearQv(float(rng.uniform(0.0, 0.5))) if with_qv else None
     return JumpPath(
         horizon=float(t2),
         jumps=((float(t1), dm1), (float(t2), dm2)),
         drift=drift,
-        **({"cont_qv": qv} if qv is not None else {}),
     )
 
 

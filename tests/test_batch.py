@@ -12,7 +12,6 @@ from doleans import (
     Estimate,
     ExpCompensatorDrift,
     JumpPath,
-    LinearQv,
     PathBatch,
     PredictableControl,
     ScaledDrift,
@@ -128,7 +127,6 @@ def test_build_batch_rows_equal_build(case):
         assert bits([row.horizon]) == bits([path.horizon])
         assert [bits(j) for j in row.jumps] == [bits(j) for j in path.jumps]
         assert row.drift.kind == path.drift.kind
-        assert row.cont_qv.kind == path.cont_qv.kind
 
 
 @given(model_batches())
@@ -213,11 +211,10 @@ def test_kind_table_batch_kernels():
 
 @st.composite
 def synthetic_batches(draw):
-    """Rows with k shared-layout jumps under a scaled compensator drift and a
-    linear continuous quadratic variation, as PathBatch and as JumpPaths."""
+    """Rows with k shared-layout jumps under a scaled compensator drift, as
+    PathBatch and as JumpPaths."""
     drift = ScaledDrift(ExpCompensatorDrift(draw(st.sampled_from([0.0, 1.0]))),
                         draw(st.floats(-1.0, 1.0)))
-    qv = LinearQv(draw(st.floats(0.0, 0.5)))
     k = draw(st.integers(0, 3))
     paths = []
     for _ in range(draw(st.integers(1, 8))):
@@ -226,20 +223,19 @@ def synthetic_batches(draw):
         horizon = last + draw(st.one_of(st.sampled_from([0.0, 1.0]),
                                         st.floats(0.0, 2.0)))
         sizes = draw(st.lists(st.floats(-0.99, 50.0), min_size=k, max_size=k))
-        paths.append(JumpPath(horizon, tuple(zip(times, sizes)), drift, qv))
+        paths.append(JumpPath(horizon, tuple(zip(times, sizes)), drift))
     jumps = np.array([p.jumps for p in paths]).reshape(len(paths), k, 2)
     batch = PathBatch(np.array([p.horizon for p in paths]), jumps[:, :, 0],
-                      jumps[:, :, 1], drift, qv)
+                      jumps[:, :, 1], drift)
     return batch, paths
 
 
 @given(synthetic_batches(), controls(), EPS)
 @settings(max_examples=500, deadline=None)
-def test_batches_with_drift_and_qv_equal_scalar(case, a, eps):
+def test_batches_with_drift_equal_scalar(case, a, eps):
     batch, paths = case
     horizons = batch.horizon.tolist()
-    for component in (batch.drift, batch.cont_qv):
-        assert bits(component.array(batch.horizon)) == bits(map(component, horizons))
+    assert bits(batch.drift.array(batch.horizon)) == bits(map(batch.drift, horizons))
     assert bits(theorem1_batch(batch, a, eps)) == bits(
         theorem1_functional(p, a, eps, p.horizon).log_value for p in paths
     )
@@ -328,7 +324,6 @@ def test_sampler_is_row_zero_of_the_stream_batch(name, seed, i):
     assert bits([path.horizon]) == bits([row.horizon])
     assert [bits(j) for j in path.jumps] == [bits(j) for j in row.jumps]
     assert path.drift.kind == row.drift.kind
-    assert path.cont_qv.kind == row.cont_qv.kind
 
 
 # ----------------------------------------------------------------------

@@ -140,11 +140,15 @@ class TestConditionCommand:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
-    def test_unsupported_pairing_exits_nonzero(self, capsys):
-        code, _, err = run_cli(capsys, "condition", "--model", "example1",
-                               "--kind", "protter-shimbo")
-        assert code == 1
-        assert "error" in err
+    @pytest.mark.parametrize("n", ["0", "100"])
+    @pytest.mark.parametrize("kind, form", [("protter-shimbo", "<M^d>"),
+                                            ("lepingle-memin", "compensator")])
+    def test_unsupported_pairing_exits_nonzero(self, capsys, kind, form, n):
+        # the missing closed form is named whatever the path count
+        code, out, err = run_cli(capsys, "condition", "--model", "example1",
+                                 "--kind", kind, "--n", n)
+        assert code == 1 and out == ""
+        assert err == f"error: model 'example1' carries no closed-form {form}\n"
 
     @pytest.mark.parametrize("kind", ["protter-shimbo", "lepingle-memin"])
     def test_log_scale_kind_monte_carlo_is_an_error(self, capsys, kind):

@@ -62,7 +62,6 @@ class TestDecompose:
                 horizon=p.horizon,
                 jumps=tuple((t, a * dm) for t, dm in p.jumps),
                 drift=ScaledDrift(p.drift, a),
-                cont_qv=p.cont_qv,
             )
             direct = log_stoch_exponential(scaled, p.horizon)
             d = decompose(p, ctrl)
@@ -104,8 +103,8 @@ class TestProductIdentity:
             d = decompose(p, a)
             assert abs(d.identity_relative_error()) <= 1e-12
 
-    def test_random_paths_indicator_control_with_qv(self):
-        # a breakpoint inside the drift- and qv-active region exercises the
+    def test_random_paths_indicator_control(self):
+        # a breakpoint inside the drift-active region exercises the
         # multi-segment cancellation
         rng = np.random.Generator(np.random.Philox(key=14))
         for _ in range(500):

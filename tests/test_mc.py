@@ -405,9 +405,32 @@ class TestEvaluateCondition:
         with pytest.raises(UnsupportedModelError):
             evaluate_condition(coupled, ConditionSpec("jacod"))
 
-    def test_example1_protter_shimbo_unsupported(self, model1):
-        with pytest.raises(UnsupportedModelError):
-            evaluate_condition(model1, ConditionSpec("protter_shimbo"))
+    @pytest.mark.parametrize("n", [0, 100])
+    @pytest.mark.parametrize("kind", ["protter_shimbo", "lepingle_memin"])
+    def test_example1_log_scale_kinds_unsupported(self, model1, kind, n):
+        # example1 carries neither <M^d> nor a compensator; both kinds say
+        # so before any other check, whatever the path count
+        spec = ConditionSpec(kind)
+        with pytest.raises(UnsupportedModelError, match="carries no closed-form"):
+            pathwise_functional(spec, model1)
+        with pytest.raises(UnsupportedModelError, match="carries no closed-form"):
+            evaluate_condition(model1, spec, SeedSpec(0), n)
+
+    @pytest.mark.parametrize("control", [PredictableControl.constant(0.5),
+                                         control_indicator_after(1.0)],
+                             ids=["0.5", "indicator:1.0"])
+    def test_epsilon_moves_no_value(self, all_models, control):
+        # eps scales a <M^c> term, and no path has a continuous part: the
+        # reports differ in condition.epsilon alone, cross-check included
+        for model in all_models:
+            reports = set()
+            for eps in (0.1, 0.5, 0.9):
+                r = evaluate_condition(model, ConditionSpec("theorem1", control, eps),
+                                       SeedSpec(3), 1000)
+                doc = r.to_json()
+                assert doc["condition"].pop("epsilon") == eps
+                reports.add((json.dumps(doc), repr(r.divergence), repr(r.estimate)))
+            assert len(reports) == 1
 
     def test_example3_constant_controls_diverge(self, model3):
         for a in (0.0, 0.25, 0.5, 0.75, 1.0):

@@ -9,7 +9,6 @@ import pytest
 from doleans import (
     ExpCompensatorDrift,
     JumpPath,
-    LinearQv,
     PredictableControl,
     control_indicator_after,
     integrate_control,
@@ -52,10 +51,6 @@ class TestJumpPathInvariants:
                     assert prev < t <= p.horizon
                     assert dm > -1.0
                     prev = t
-                ts = np.linspace(0.0, p.horizon, 7)
-                qv = [p.cont_qv(t) for t in ts]
-                assert qv[0] == 0.0
-                assert all(b >= a for a, b in zip(qv, qv[1:]))
 
 
 def one_jump_values_at(batch, s):
@@ -227,12 +222,6 @@ class TestSerialization:
                 assert q.jumps == p.jumps
                 for t in np.linspace(0.0, p.horizon, 9):
                     assert q.drift(t) == p.drift(t)
-                    assert q.cont_qv(t) == p.cont_qv(t)
-
-    def test_linear_qv_roundtrip(self):
-        p = JumpPath(horizon=2.0, jumps=((1.0, 0.5),), cont_qv=LinearQv(0.25))
-        q = path_from_json(path_to_json(p))
-        assert q.cont_qv(2.0) == 0.5
 
     def test_derived_drift_not_serializable(self):
         from doleans import ScaledDrift
@@ -240,6 +229,13 @@ class TestSerialization:
         p = JumpPath(horizon=1.0, drift=ScaledDrift(ExpCompensatorDrift(0.0), 0.5))
         with pytest.raises(ValueError):
             path_to_json(p)
+
+    def test_cont_qv_kind_is_zero_or_rejected(self, model2):
+        doc = path_to_json(model2.sampler(13, 0))
+        assert doc["cont_qv_kind"] == "zero"
+        for kind in ("linear:0.25", "linear:0.0", "mystery"):
+            with pytest.raises(ValueError, match="cont_qv_kind"):
+                path_from_json({**doc, "cont_qv_kind": kind})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

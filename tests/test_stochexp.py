@@ -15,7 +15,6 @@ from scipy.integrate import quad
 from doleans import (
     ConditionSpec,
     JumpPath,
-    LinearQv,
     PredictableControl,
     UnsupportedModelError,
     control_indicator_after,
@@ -89,11 +88,9 @@ class TestSdeResidual:
             assert abs(sde_residual(p, p.horizon)) <= 1e-9 * max(1.0, e)
 
     def test_synthetic_paths(self):
-        # qv-free paths: the integral equation is a pathwise identity only
-        # for trajectories without abstract continuous quadratic variation
         rng = np.random.Generator(np.random.Philox(key=9))
         for _ in range(50):
-            p = random_two_jump_path(rng, with_qv=False)
+            p = random_two_jump_path(rng)
             e = stoch_exponential(p, p.horizon)
             assert abs(sde_residual(p, p.horizon)) <= 1e-9 * max(1.0, e)
 
@@ -197,14 +194,6 @@ class TestTheorem1Functional:
                 rhs = jacod_functional(p, p.horizon).log_value
                 assert lhs == rhs
 
-    def test_reduction_with_qv_paths(self):
-        zero = PredictableControl.constant(0.0)
-        p = JumpPath(horizon=2.0, jumps=((0.5, 1.5), (1.5, -0.3)),
-                     cont_qv=LinearQv(0.4))
-        lhs = theorem1_functional(p, zero, 0.25, 2.0).log_value
-        rhs = jacod_functional(p, 2.0).log_value
-        assert lhs == rhs
-
     def test_example1_full_control_formula(self, model1):
         # exponent xi + log(1+xi) - xi/(1+xi) + log(1+xi) - xi
         one = PredictableControl.constant(1.0)
@@ -225,25 +214,6 @@ class TestTheorem1Functional:
                       - delta / (1.0 + delta) + math.log1p(delta) - delta)
             got = theorem1_functional(p, one, 0.5, tau).log_value
             assert abs(got - expect) < 1e-9 * max(1.0, abs(expect))
-
-    def test_qv_and_epsilon_terms(self):
-        # path with pure qv: log value is (1/2 - a) qv + eps qv 1{1-a<eps}
-        p = JumpPath(horizon=2.0, cont_qv=LinearQv(1.0))
-        a = PredictableControl.constant(0.75)
-        got = theorem1_functional(p, a, 0.5, 2.0).log_value
-        assert abs(got - ((0.5 - 0.75) * 2.0 + 0.5 * 2.0)) < 1e-15
-        got = theorem1_functional(p, a, 0.2, 2.0).log_value
-        assert abs(got - (0.5 - 0.75) * 2.0) < 1e-15
-
-    def test_qv_terms_with_indicator_control(self):
-        # indicator at t0 = 1: the eps-indicator fires only on (1, t]
-        # where 1 - a == 0 < eps
-        p = JumpPath(horizon=2.0, cont_qv=LinearQv(1.0))
-        a = control_indicator_after(1.0)
-        eps = 0.3
-        expect = (0.5 - 0.0) * 1.0 + (0.5 - 1.0) * 1.0 + eps * 1.0
-        got = theorem1_functional(p, a, eps, 2.0).log_value
-        assert abs(got - expect) < 1e-15
 
     def test_indicator_control_on_example3(self, model3):
         # only the second jump and the post-1 drift enter the control terms
