@@ -58,7 +58,6 @@ from .girsanov import (
     lemma2_lhs,
     lemma3_gap,
     product_identity_residual,
-    transformed_jacod_bound,
     transformed_jacod_integrand,
 )
 from .mc import (

@@ -27,14 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import JumpPath, PredictableControl
-from .stochexp import exp_or_inf, jacod_functional, stoch_exponential
+from .stochexp import exp_or_inf, stoch_exponential
 
 __all__ = [
     "MeasureChangeDecomposition",
     "decompose",
     "product_identity_residual",
     "transformed_jacod_integrand",
-    "transformed_jacod_bound",
     "lemma2_lhs",
     "lemma3_gap",
 ]
@@ -125,7 +124,8 @@ def transformed_jacod_integrand(
 
     ``sum (log(1+dM) - log(1+a dM) - (1-a) dM/(1+dM))``.
 
-    With ``a == 0`` this reduces bit for bit to the plain jump functional.
+    With ``a == 0`` this reduces bit for bit to the plain jump functional,
+    which dominates it jump by jump for every control.
     """
     path._check_time(t)
     s = 0.0
@@ -137,12 +137,6 @@ def transformed_jacod_integrand(
             dm / (1.0 + dm)
         )
     return s
-
-
-def transformed_jacod_bound(path: JumpPath, a: PredictableControl, t: float) -> float:
-    """Upper bound for :func:`transformed_jacod_integrand`: the plain jump
-    functional, which dominates it jump by jump for every control."""
-    return jacod_functional(path, t).log_value
 
 
 def lemma2_lhs(x, eps):

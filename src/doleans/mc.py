@@ -48,6 +48,7 @@ from .paths import (
     JumpPath,
     PathBatch,
     ProcessModel,
+    apply_math,
     check_seed,
     stream_generator,
 )
@@ -441,6 +442,12 @@ class ConditionReport:
 # the integrand varies by a bounded factor wherever it carries
 # non-negligible mass, so the importance weights are effectively bounded
 # and the estimator's standard error is a valid uncertainty.
+#
+# A driver's probes (three per bin, the other driver at its anchor) are
+# evaluated as one PathBatch by the kind's batch kernel, with one
+# log_density call; each probe equals the scalar functional bit for bit,
+# so the proposal equals a probe-by-probe scalar loop (tests/test_batch.py
+# keeps that loop as its reference).
 # ----------------------------------------------------------------------
 
 _GEOM_DEPTH = 60
@@ -466,49 +473,62 @@ def _piece_edges(lo: float, hi: float) -> np.ndarray:
 
 
 def _driver_proposal(
-    driver: Driver, log_integrand: Callable[[float], float]
+    model: ProcessModel, j: int, f_batch: Callable[[PathBatch], np.ndarray]
 ) -> _DriverProposal:
-    """Piecewise-uniform proposal matched to ``exp(log_integrand) * density``."""
-    lo_list, width_list, logw_list = [], [], []
-    log_density = driver.dist.log_density
-    for a, b in driver.dist.support:
-        edges = _piece_edges(a, b)
-        for j in range(len(edges) - 1):
-            lo, hi = float(edges[j]), float(edges[j + 1])
-            width = hi - lo
-            if width <= 0.0:
-                continue
-            m = -math.inf
-            for frac in (0.25, 0.5, 0.75):
-                x = lo + width * frac
-                ld = log_density(x)
-                if ld == -math.inf:
-                    continue
-                m = max(m, log_integrand(x) + ld)
-            if m == -math.inf:
-                continue
-            lo_list.append(lo)
-            width_list.append(width)
-            logw_list.append(m + math.log(width))
-    logw = np.asarray(logw_list)
+    """Piecewise-uniform proposal for driver ``j`` matched to
+    ``exp(g) * density``.
+
+    ``g`` is the log functional ``f_batch`` with every other driver at its
+    anchor, less its value at the anchors for driver 0 of a two-driver
+    model: the factor :func:`_split_factors` gives that driver.  Each bin
+    is probed at its quarter points, all in one batch, and its weight is
+    the largest probe that is not NaN (as Python's ``max`` from ``-inf``
+    keeps it); probes off the support are not built.
+    """
+    drivers = model.drivers
+    driver = drivers[j]
+    edges = [_piece_edges(a, b) for a, b in driver.dist.support]
+    lo = np.concatenate([e[:-1] for e in edges])
+    width = np.concatenate([e[1:] for e in edges]) - lo
+    keep = width > 0.0
+    lo, width = lo[keep], width[keep]
+
+    x = (lo[:, None] + width[:, None] * np.array([0.25, 0.5, 0.75])).ravel()
+    ld = driver.dist.log_density(x)
+    live = ld != -math.inf
+    probes = x[live]
+    subtract = j == 0 and len(drivers) > 1
+    if subtract:
+        probes = np.append(probes, driver.anchor)
+    columns = [probes if i == j else np.full(len(probes), d.anchor)
+               for i, d in enumerate(drivers)]
+    g = f_batch(model.build_batch(*columns))
+    if subtract:
+        g = g[:-1] - g[-1]
+    v = np.full(len(x), -math.inf)
+    v[live] = g + ld[live]
+
+    m = np.full(len(lo), -math.inf)
+    for probe in v.reshape(len(lo), 3).T:
+        m = np.where(probe > m, probe, m)
+    keep = m != -math.inf
+    logw = m[keep] + apply_math(math.log, width[keep])
     p = np.exp(logw - logw.max())
     p = np.maximum(p, 1e-12)
     p /= p.sum()
-    return _DriverProposal(
-        lo=np.asarray(lo_list), width=np.asarray(width_list), prob=p
-    )
+    return _DriverProposal(lo=lo[keep], width=width[keep], prob=p)
 
 
 def _importance_estimate(
     model: ProcessModel,
     f_batch: Callable[[PathBatch], np.ndarray],
-    factors: list[tuple[Driver, Callable[[float], float]]],
     n: int,
     seeds: SeedSpec,
 ) -> Estimate:
-    """IS estimate of ``E exp(F)``; ``f_batch`` evaluates ``F`` on whole streams."""
-    proposals = [_driver_proposal(driver, g) for driver, g in factors]
-    log_densities = [driver.dist.log_density for driver, _ in factors]
+    """IS estimate of ``E exp(F)``; ``f_batch`` evaluates ``F`` on whole
+    batches, the proposal probes included."""
+    proposals = [_driver_proposal(model, j, f_batch) for j in range(len(model.drivers))]
+    log_densities = [driver.dist.log_density for driver in model.drivers]
 
     def kernel(rng: np.random.Generator, m: int) -> np.ndarray:
         log_w = np.zeros(m)
@@ -842,7 +862,7 @@ def evaluate_condition(
         if weight is not None:
             estimate = estimate_batch(model, f_batch, n, seeds)
         else:
-            estimate = _importance_estimate(model, f_batch, factors, n, seeds)
+            estimate = _importance_estimate(model, f_batch, n, seeds)
 
     return ConditionReport(
         condition=condition_doc,

@@ -23,9 +23,11 @@ Next to the scalar functionals sit batch kernels over a
 :class:`~doleans.paths.PathBatch`, evaluated at each row's horizon.  They
 repeat the scalar arithmetic operation for operation (transcendentals
 through ``math``, control segments summed as ``math.fsum`` does), so every
-row is bit-identical to the scalar value; :func:`pathwise_functional`
-gives each condition kind's integrand as an :class:`Integrand` record of
-an exponent, an optional weight and its batch kernel.
+row is bit-identical to the scalar value.  Each ``math`` pass runs once
+per distinct value: ``log1p(dM)`` is shared by every term that needs it.
+:func:`pathwise_functional` gives each condition kind's integrand as an
+:class:`Integrand` record of an exponent, an optional weight and its
+batch kernel.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -160,8 +162,8 @@ def _jump_term(dm: float) -> float:
     return math.log1p(dm) - dm / (1.0 + dm)
 
 
-def _jump_term_array(dm: np.ndarray) -> np.ndarray:
-    return apply_math(math.log1p, dm) - dm / (1.0 + dm)
+def _jump_term_array(dm: np.ndarray, log1p_dm: np.ndarray) -> np.ndarray:
+    return log1p_dm - dm / (1.0 + dm)
 
 
 def log_stoch_exponential(path: JumpPath, t: float) -> float:
@@ -320,13 +322,45 @@ def _fsum_rows(terms: np.ndarray, present: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log1p_columns(batch: PathBatch) -> Iterator[np.ndarray]:
+    """``log1p(dM)`` of each jump column in turn: the one ``math.log1p``
+    pass per column that the kernels below share."""
+    return (apply_math(math.log1p, dm) for dm in batch.jump_dm.T)
+
+
+def _log_stoch_exponential_rows(batch: PathBatch,
+                                log1p_dm: Iterable[np.ndarray]) -> np.ndarray:
+    s = np.zeros(len(batch))
+    for col in log1p_dm:
+        s = s + col
+    return batch.drift.array(batch.horizon) + s
+
+
+def _jacod_rows(batch: PathBatch, log1p_dm: Iterable[np.ndarray]) -> np.ndarray:
+    s = np.zeros(len(batch))
+    for dm, log1p in zip(batch.jump_dm.T, log1p_dm):
+        s = s + _jump_term_array(dm, log1p)
+    return s
+
+
+def _log1p_scaled(av: np.ndarray, dm: np.ndarray, log1p_dm: np.ndarray) -> np.ndarray:
+    """``log1p(av * dm)`` element by element, from ``log1p_dm = log1p(dm)``.
+
+    ``1 * dm`` is ``dm`` exactly and ``log1p(+-0)`` is ``+-0``, so rows
+    with ``av == 1`` reuse ``log1p_dm`` and rows with ``av == 0`` keep
+    ``av * dm``; only the other rows take a ``math.log1p`` pass.
+    """
+    ad = av * dm
+    out = np.where(av == 1.0, log1p_dm, ad)
+    rest = (av != 0.0) & (av != 1.0)
+    if rest.any():
+        out[rest] = apply_math(math.log1p, ad[rest])
+    return out
+
+
 def log_stoch_exponential_batch(batch: PathBatch) -> np.ndarray:
     """:func:`log_stoch_exponential` at every row's horizon."""
-    T = batch.horizon
-    s = np.zeros(len(batch))
-    for dm in batch.jump_dm.T:
-        s = s + apply_math(math.log1p, dm)
-    return batch.drift.array(T) + s
+    return _log_stoch_exponential_rows(batch, _log1p_columns(batch))
 
 
 def stoch_exponential_batch(batch: PathBatch) -> np.ndarray:
@@ -336,10 +370,7 @@ def stoch_exponential_batch(batch: PathBatch) -> np.ndarray:
 
 def jacod_batch(batch: PathBatch) -> np.ndarray:
     """:func:`jacod_functional` log values at every row's horizon."""
-    s = np.zeros(len(batch))
-    for dm in batch.jump_dm.T:
-        s = s + _jump_term_array(dm)
-    return s
+    return _jacod_rows(batch, _log1p_columns(batch))
 
 
 def theorem1_batch(
@@ -376,15 +407,17 @@ def theorem1_batch(
     values = np.asarray(a.values)
     breaks = np.asarray(a.breaks, dtype=float)
     s = np.zeros(len(batch))
-    for t, dm in zip(batch.jump_t.T, batch.jump_dm.T):
+    for t, dm, log1p in zip(batch.jump_t.T, batch.jump_dm.T, _log1p_columns(batch)):
         av = values[np.searchsorted(breaks, t, side="left")]
-        s = s + (_jump_term_array(dm) + apply_math(math.log1p, av * dm))
+        s = s + (_jump_term_array(dm, log1p) + _log1p_scaled(av, dm, log1p))
     return drift_part + s
 
 
 def lemma1_batch(batch: PathBatch) -> np.ndarray:
     """:func:`lemma1_functional` values at every row's horizon."""
-    return stoch_exponential_batch(batch) * jacod_batch(batch)
+    log1p_dm = list(_log1p_columns(batch))
+    return (exp_or_inf_array(_log_stoch_exponential_rows(batch, log1p_dm))
+            * _jacod_rows(batch, log1p_dm))
 
 
 class Integrand(NamedTuple):

@@ -33,7 +33,7 @@ from doleans import (
     theorem1_batch,
     theorem1_functional,
 )
-from doleans import mc
+from doleans import mc, stochexp
 from doleans.stochexp import exp_or_inf, pathwise_functional
 
 MODELS = {m.name: m for m in (example1_model(), example2_model(), example3_model())}
@@ -361,23 +361,68 @@ def reference_plain_estimate(model, f_path, seeds: SeedSpec, n: int) -> Estimate
     return reference_reduce(values, n)
 
 
+def reference_proposal(driver, log_integrand) -> mc._DriverProposal:
+    """The IS proposal of one driver probe by probe: each bin of
+    ``mc._piece_edges`` is probed at its quarter points through the scalar
+    ``log_density`` and ``log_integrand``, and weighted by Python's ``max``
+    of the probes times its width."""
+    lo_list, width_list, logw_list = [], [], []
+    log_density = driver.dist.log_density
+    for a, b in driver.dist.support:
+        edges = mc._piece_edges(a, b)
+        for j in range(len(edges) - 1):
+            lo, hi = float(edges[j]), float(edges[j + 1])
+            width = hi - lo
+            if width <= 0.0:
+                continue
+            m = -math.inf
+            for frac in (0.25, 0.5, 0.75):
+                x = lo + width * frac
+                ld = log_density(x)
+                if ld == -math.inf:
+                    continue
+                m = max(m, log_integrand(x) + ld)
+            if m == -math.inf:
+                continue
+            lo_list.append(lo)
+            width_list.append(width)
+            logw_list.append(m + math.log(width))
+    logw = np.asarray(logw_list)
+    p = np.exp(logw - logw.max())
+    p = np.maximum(p, 1e-12)
+    p /= p.sum()
+    return mc._DriverProposal(lo=np.asarray(lo_list), width=np.asarray(width_list),
+                              prob=p)
+
+
+def scalar_log_functional(spec: ConditionSpec):
+    """The scalar log functional of a ``jacod`` or ``theorem1`` spec at the
+    path horizon."""
+    if spec.kind == "jacod":
+        return lambda p: jacod_functional(p, p.horizon).log_value
+    return lambda p: theorem1_functional(p, spec.control, spec.epsilon,
+                                         p.horizon).log_value
+
+
+def reference_factors(model, f_path):
+    """``(driver, log integrand)`` of every driver, split as the engine's
+    quadrature splits them."""
+    return mc._split_factors(model, lambda vals: f_path(model.build(*vals)))
+
+
 def reference_estimate(model, spec: ConditionSpec, seeds: SeedSpec, n: int) -> Estimate:
     """The Monte Carlo cross-check path by path: the same streams and draws,
-    one ``build`` and one scalar functional per path.
+    one ``build`` and one scalar functional per path, and the IS proposals
+    of :func:`reference_proposal`.
 
-    The IS proposals come from the engine's own (scalar) constructors; the
-    stream loop, path building, evaluation and reduction are spelled out.
+    The stream loop, path building, evaluation and reduction are spelled out.
     """
     if spec.kind == "lemma1":
         return reference_plain_estimate(
             model, lambda p: lemma1_functional(p, p.horizon), seeds, n)
-    if spec.kind == "jacod":
-        f_path = lambda p: jacod_functional(p, p.horizon).log_value
-    else:
-        f_path = lambda p: theorem1_functional(
-            p, spec.control, spec.epsilon, p.horizon).log_value
-    factors = mc._split_factors(model, lambda vals: f_path(model.build(*vals)))
-    proposals = [mc._driver_proposal(driver, g) for driver, g in factors]
+    f_path = scalar_log_functional(spec)
+    factors = reference_factors(model, f_path)
+    proposals = [reference_proposal(driver, g) for driver, g in factors]
 
     values = []
     for rng, m in reference_streams(seeds, n):
@@ -422,6 +467,101 @@ def test_estimate_equals_per_path_reference(name, spec, streams, n):
     expected = reference_estimate(model, spec, seeds, n)
     batched = evaluate_condition(model, spec, seeds, n).estimate
     assert repr(batched) == repr(expected)
+
+
+PROPOSAL_SPECS = [
+    ConditionSpec("jacod"),
+    ConditionSpec("theorem1", PredictableControl.constant(0.0)),
+    ConditionSpec("theorem1", PredictableControl.constant(0.3)),
+    ConditionSpec("theorem1", PredictableControl.constant(1.0)),
+    ConditionSpec("theorem1", control_indicator_after(1.0)),
+    ConditionSpec("theorem1", PredictableControl((0.5, 1.5), (0.2, 1.0, 0.7))),
+]
+
+
+def assert_same_proposal(engine, reference):
+    for field in ("lo", "width", "prob"):
+        assert bits(getattr(engine, field)) == bits(getattr(reference, field)), field
+
+
+@pytest.mark.parametrize("spec", PROPOSAL_SPECS, ids=[s.label() for s in PROPOSAL_SPECS])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_proposal_equals_scalar_reference(name, spec):
+    model = MODELS[name]
+    f_batch = pathwise_functional(spec, model).batch
+    factors = reference_factors(model, scalar_log_functional(spec))
+    assert len(factors) == len(model.drivers)
+    for j, (driver, g) in enumerate(factors):
+        assert_same_proposal(mc._driver_proposal(model, j, f_batch),
+                             reference_proposal(driver, g))
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_proposal_skips_nan_probes_as_scalar_max(name):
+    # the probe batch holds the live probes in the scalar call order, so
+    # odd rows are the odd-numbered scalar calls
+    model = MODELS[name]
+    spec = ConditionSpec("theorem1", PredictableControl.constant(0.3))
+    f_batch = pathwise_functional(spec, model).batch
+    f_path = scalar_log_functional(spec)
+
+    def nan_batch(batch):
+        out = f_batch(batch)
+        out[1::2] = math.nan
+        return out
+
+    calls = []
+
+    def nan_scalar(x):
+        calls.append(x)
+        return math.nan if len(calls) % 2 == 0 else f_path(model.build(x))
+
+    engine = mc._driver_proposal(model, 0, nan_batch)
+    reference = reference_proposal(model.drivers[0], nan_scalar)
+    assert_same_proposal(engine, reference)
+    # the NaN probes moved some bin weights: the test exercises the rule
+    plain = mc._driver_proposal(model, 0, f_batch)
+    assert bits(engine.prob) != bits(plain.prob)
+
+
+class CountingLog1p:
+    """Counts the elements ``stochexp.apply_math`` hands ``math.log1p``."""
+
+    def __init__(self, monkeypatch):
+        self.elements = 0
+        real = stochexp.apply_math
+
+        def counted(fn, x):
+            if fn is math.log1p:
+                self.elements += np.size(x)
+            return real(fn, x)
+
+        monkeypatch.setattr(stochexp, "apply_math", counted)
+
+
+@pytest.mark.parametrize("control, passes", [
+    (PredictableControl.constant(0.0), 1),
+    (PredictableControl.constant(1.0), 1),
+    (control_indicator_after(1.0), 1),
+    (PredictableControl.constant(0.3), 2),
+])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_theorem1_batch_log1p_passes(monkeypatch, name, control, passes):
+    # one log1p(dm) per jump; log1p(a dm) only where a is neither 0 nor 1
+    model = MODELS[name]
+    batch = model.build_batch(*model.driver_columns(np.random.default_rng(0), 200))
+    counter = CountingLog1p(monkeypatch)
+    theorem1_batch(batch, control, 0.5)
+    assert counter.elements == passes * batch.jump_dm.size
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_lemma1_batch_takes_one_log1p_pass(monkeypatch, name):
+    model = MODELS[name]
+    batch = model.build_batch(*model.driver_columns(np.random.default_rng(0), 200))
+    counter = CountingLog1p(monkeypatch)
+    lemma1_batch(batch)
+    assert counter.elements == batch.jump_dm.size
 
 
 # ----------------------------------------------------------------------

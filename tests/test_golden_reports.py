@@ -9,7 +9,8 @@ of reports covering ``jacod`` and ``lemma1`` on all three models, and
 single- and multi-factor inconclusive, and a multi-factor diverging
 product scaled by its finite factor.  The two log-scale kinds on example2
 carry the log integrand at each cut as their values.  The ``reproduce``
-documents, Monte Carlo rows included, and the ``sample`` and ``exponential``
+documents, Monte Carlo rows included, the ``n >= 2`` cross-check reports
+of ``test_batch.CROSSCHECK_SPECS``, and the ``sample`` and ``exponential``
 output are pinned by digest.
 
 A re-pin is allowed only for a change that regroups the quadrature on
@@ -28,10 +29,12 @@ import pytest
 from doleans import (
     ConditionSpec,
     PredictableControl,
+    SeedSpec,
     control_indicator_after,
     evaluate_condition,
 )
 from doleans.cli import main, run_reproduction
+from test_batch import CROSSCHECK_SPECS
 
 CASES = {
     "example1_jacod": ("example1", ConditionSpec("jacod"), ()),
@@ -199,6 +202,40 @@ def test_report_bytes_unchanged(case, all_models):
     model = {m.name: m for m in all_models}[name]
     report = evaluate_condition(model, spec, times=times)
     assert json.dumps(report.to_json(), sort_keys=True) == GOLDEN[case]
+
+
+#: sha256 of ``json.dumps(report.to_json(), sort_keys=True)`` for each
+#: Monte Carlo cross-check of ``CROSSCHECK_SPECS`` at ``SeedSpec(12345, 16)``
+#: and ``n = 20_000``: the importance-sampled estimates (proposal, draws,
+#: weights, batch kernels) and the plain ``lemma1`` ones.
+CROSSCHECK_SHA256 = {
+    ("example1", "theorem1(a=1.0, eps=0.5)"):
+        "f1ab4a93a592fa14a3c26ceed3cfd5e4bad541072a1dcad99129cb6bd6930229",
+    ("example2", "theorem1(a=0.6, eps=0.5)"):
+        "e9d7058810238542b3a1675d89f3bb25555c4ff51c9c6febc326919ecfda078b",
+    ("example3", "theorem1(a=indicator:1.0, eps=0.5)"):
+        "d9319db475fdf798bc9ac829d093d46f0611c046fbd5c4902e18dd9a7dfc692f",
+    ("example3", "theorem1(a=0.3, eps=0.5)"):
+        "2c4e6beef85f24d36d909c80ecb596683b804e037fdd195c433c33a2a0c54a47",
+    ("example1", "jacod"):
+        "c19acee76e60da4b13008ea65eb977862bf6d9d1c50175ecf4988d27a63ca87d",
+    ("example1", "lemma1"):
+        "05d742d26092f42abf936c499aeee465e2a3b6c5073d2d84d62a34a4f4063ae1",
+    ("example2", "lemma1"):
+        "8acffdae55114d38708fc51dc8f82bfe211a7213814c9eb2589a44d88a19df2e",
+    ("example3", "lemma1"):
+        "9a6c059dc95deb9acd3c3f27b792d0066f0bf6a729f9bead0ef5a5a54ae50468",
+}
+
+
+@pytest.mark.parametrize("name, spec", CROSSCHECK_SPECS,
+                         ids=[f"{n} {s.label()}" for n, s in CROSSCHECK_SPECS])
+def test_crosscheck_bytes_unchanged(all_models, name, spec):
+    model = {m.name: m for m in all_models}[name]
+    report = evaluate_condition(model, spec, SeedSpec(12345, 16), 20_000)
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        CROSSCHECK_SHA256[(name, spec.label())]
 
 
 #: sha256 of the ``reproduce`` document as ``doleans reproduce --seed 7``
