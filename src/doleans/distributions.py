@@ -8,10 +8,12 @@ root-finding.  All callables accept a float or a NumPy array.
 Quadrature calls ``density``, ``log_density`` and ``cdf`` on one float per
 node, so :func:`_branchwise` gives float input (``np.float64`` included) a
 scalar route: the branch masks are tested on the float itself and only the
-matching branch formula runs, on a 1-element array.  That is exactly what
-the array route evaluates for a 1-element input, so the two routes agree
-bit for bit.  The formulas are never run on a bare ``np.float64``: NumPy's
-scalar ``**`` is not always the array ``**`` in the last bit.
+matching branch formula runs, on that float.  Branch formulas use NumPy
+ufuncs for every operation except ``+ - * /``: a ufunc runs the same inner
+loop on a float as on an array, and the four IEEE operations round alike
+on both, so the two routes agree bit for bit.  The ``**`` operator is
+never used: on an ``np.float64`` it takes NumPy's scalar power, which is
+not always the array ``**`` in the last bit.
 """
 
 from __future__ import annotations
@@ -40,16 +42,14 @@ def _branchwise(x, branches, default=0.0):
     The branch masks must be disjoint; points no mask selects get
     ``default``.  A float ``x`` (``np.float64`` included) takes the scalar
     route: each mask is tested on ``x`` itself and the first match returns
-    ``value_fn(np.array([x]))[0]``, the ufuncs the array route applies to a
-    1-element input, so both routes give the same bits.  Running
-    ``value_fn`` on the ``np.float64`` scalar instead would be faster but
-    not identical: the scalar ``**`` power differs from the array one in
-    the last bit on some inputs (the density of ``xi`` and of ``eta``).
+    ``value_fn(x)``.  This gives the array route's bits because every
+    ``value_fn`` applies ufuncs (never ``**``) and ``+ - * /`` only; see
+    the module docstring.
     """
     if isinstance(x, float):
         for mask_fn, value_fn in branches:
             if mask_fn(x):
-                return float(value_fn(np.array([x]))[0])
+                return float(value_fn(x))
         return float(default)
     arr = np.asarray(x, dtype=float)
     flat = np.atleast_1d(arr)
@@ -102,9 +102,9 @@ class InverseCdfDistribution:
 def _xi_density(x):
     return _branchwise(x, [
         (lambda a: (a > -1.0) & (a <= 0.0),
-         lambda a: np.exp(a / (1.0 + a)) / (2.0 * (1.0 + a) ** 2)),
+         lambda a: np.exp(a / (1.0 + a)) / (2.0 * np.square(1.0 + a))),
         (lambda a: (a > 0.0) & (a < 1.0),
-         lambda a: np.exp(-a / (1.0 - a)) / (2.0 * (1.0 - a) ** 2)),
+         lambda a: np.exp(-a / (1.0 - a)) / (2.0 * np.square(1.0 - a))),
     ])
 
 
@@ -167,7 +167,7 @@ def make_xi_distribution() -> InverseCdfDistribution:
 def _eta_density(x):
     return _branchwise(x, [
         (lambda a: (a >= -0.5) & (a <= 0.0), lambda a: 1.0 - 3.0 * a),
-        (lambda a: a >= 1.0, lambda a: 0.25 / a ** 3),
+        (lambda a: a >= 1.0, lambda a: 0.25 / np.power(a, 3.0)),
     ])
 
 

@@ -27,7 +27,10 @@ row is bit-identical to the scalar value.  Each ``math`` pass runs once
 per distinct value: ``log1p(dM)`` is shared by every term that needs it.
 :func:`pathwise_functional` gives each condition kind's integrand as an
 :class:`Integrand` record of an exponent, an optional weight and its
-batch kernel.
+batch kernel.  Quadrature calls an exponent at every node, so the table
+reads the float cores ``_jacod_log`` and ``_theorem1_log`` that
+:func:`jacod_functional` and :func:`theorem1_functional` wrap, without
+their range checks and the :class:`FunctionalValue` around the result.
 """
 
 from __future__ import annotations
@@ -219,18 +222,24 @@ def sde_residual(path: JumpPath, t: float) -> float:
     return target - 1.0 - integral
 
 
+def _jacod_log(path: JumpPath, t: float) -> float:
+    """Log value of :func:`jacod_functional`, for ``t`` in ``[0, horizon]``
+    unchecked."""
+    s = 0.0
+    for ti, dm in path.jumps:
+        if ti > t:
+            break
+        s += _jump_term(dm)
+    return s
+
+
 def jacod_functional(path: JumpPath, t: float) -> FunctionalValue:
     """Pathwise exponent of the jump-based integrability condition:
 
     ``sum_{s<=t} (log(1+dM_s) - dM_s/(1+dM_s))``.
     """
     path._check_time(t)
-    s = 0.0
-    for ti, dm in path.jumps:
-        if ti > t:
-            break
-        s += _jump_term(dm)
-    return FunctionalValue.from_log(s)
+    return FunctionalValue.from_log(_jacod_log(path, t))
 
 
 def _closed_form(model: ProcessModel, form: Callable | None, what: str) -> Callable:
@@ -264,6 +273,23 @@ def lepingle_memin_A(path: JumpPath, t: float) -> float:
     return s
 
 
+def _theorem1_log(path: JumpPath, a: PredictableControl, t: float) -> float:
+    """Log value of :func:`theorem1_functional`, for ``t`` in
+    ``[0, horizon]`` unchecked."""
+    # the drift terms are summed by math.fsum in segment order, exactly as
+    # integrate_control_drift does
+    drift_part = math.fsum(v * (path.drift(hi) - path.drift(lo))
+                           for lo, hi, v in a.segments_until(t))
+
+    s = 0.0
+    for ti, dm in path.jumps:
+        if ti > t:
+            break
+        av = a.value_at(ti)
+        s += _jump_term(dm) + math.log1p(av * dm)
+    return drift_part + s
+
+
 def theorem1_functional(
     path: JumpPath, a: PredictableControl, eps: float, t: float
 ) -> FunctionalValue:
@@ -281,19 +307,7 @@ def theorem1_functional(
     if not (0.0 < eps < 1.0):
         raise ValueError("epsilon must lie strictly in (0, 1)")
     path._check_time(t)
-
-    # the drift terms are summed by math.fsum in segment order, exactly as
-    # integrate_control_drift does
-    drift_part = math.fsum(v * (path.drift(hi) - path.drift(lo))
-                           for lo, hi, v in a.segments_until(t))
-
-    s = 0.0
-    for ti, dm in path.jumps:
-        if ti > t:
-            break
-        av = a.value_at(ti)
-        s += _jump_term(dm) + math.log1p(av * dm)
-    return FunctionalValue.from_log(drift_part + s)
+    return FunctionalValue.from_log(_theorem1_log(path, a, t))
 
 
 def lemma1_functional(path: JumpPath, t: float) -> float:
@@ -428,13 +442,9 @@ class Integrand(NamedTuple):
     batch: Callable[[PathBatch], np.ndarray] | None
 
 
-def _jacod_log(path: JumpPath, t: float) -> float:
-    return jacod_functional(path, t).log_value
-
-
 def _theorem1_entry(spec: ConditionSpec, model: ProcessModel) -> Integrand:
     a, eps = spec.control, spec.epsilon
-    return Integrand(lambda p, t: theorem1_functional(p, a, eps, t).log_value, None,
+    return Integrand(lambda p, t: _theorem1_log(p, a, t), None,
                      lambda b: theorem1_batch(b, a, eps))
 
 
@@ -459,6 +469,9 @@ def pathwise_functional(spec: ConditionSpec, model: ProcessModel) -> Integrand:
     The condition asks whether ``E[exp(exponent(path, t)) weight(path, t)]``
     is finite.  Only ``lemma1`` has a weight (``None`` is a weight of one):
     its exponent is ``log E_t(M)``, its weight the jump-condition exponent.
+    ``exponent`` and ``weight`` take ``t`` in ``[0, horizon]``; the
+    ``jacod`` and ``theorem1`` exponents and the ``lemma1`` weight do not
+    check it, and give the public functional's ``log_value`` bit for bit.
     ``batch(path_batch)`` gives at every row's horizon, bit for bit,
     ``exponent`` without a weight and ``exp_or_inf(exponent) * weight``
     with one.  It is ``None`` exactly for ``protter_shimbo`` and

@@ -4,6 +4,8 @@ Oracles: adaptive quadrature of the densities (normalization, branch
 masses, moments) and symbolic antiderivatives where they are elementary.
 """
 
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -13,6 +15,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from doleans import (
+    distributions,
     make_eta_distribution,
     make_first_jump_time,
     make_xi_distribution,
@@ -213,7 +216,7 @@ def test_eta_quantile_lands_in_support(u):
 
 
 # ----------------------------------------------------------------------
-# Scalar route of _branchwise: bit-identical to 1-element array evaluation
+# Scalar route of _branchwise: bit-identical to array evaluation
 # ----------------------------------------------------------------------
 
 FUNCTIONS = ("density", "log_density", "cdf")
@@ -261,9 +264,10 @@ def test_scalar_route_matches_array_route_at_edges(dist, fn_name):
 @pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
 def test_scalar_route_matches_array_route_sweep(dist, fn_name):
     # a seeded sweep dense enough to see rare last-bit differences (a few
-    # per ten thousand inputs for a formula evaluated on np.float64
+    # per ten thousand inputs for a formula using ** on np.float64
     # scalars): draws from the law, uniform points around the support and
-    # geometric offsets from every support end
+    # geometric offsets from every support end, each against a 1-element
+    # array and against its element of one whole-array call
     rng = np.random.Generator(np.random.Philox(key=7))
     ends = np.array(_ends(dist))
     offsets = 10.0 ** rng.uniform(-300.0, 1.0, 2000) * rng.choice([-1.0, 1.0], 2000)
@@ -272,5 +276,20 @@ def test_scalar_route_matches_array_route_sweep(dist, fn_name):
         rng.uniform(ends[0] - 1.0, ends[-1] + 50.0, 5000),
         rng.choice(ends, 2000) + offsets,
     ])
-    for x in xs.tolist():
-        _assert_scalar_route_exact(getattr(dist, fn_name), x)
+    fn = getattr(dist, fn_name)
+    with np.errstate(all="ignore"):
+        whole = fn(xs)  # one call over every point, as the IS proposals make
+    for x, w in zip(xs.tolist(), whole.tolist()):
+        _assert_scalar_route_exact(fn, x)
+        assert repr(fn(x)) == repr(w), x
+
+
+def test_branch_formulas_never_use_the_power_operator():
+    # the scalar route runs each branch formula on the float itself; that
+    # matches the array route only without ``**``, which on an np.float64
+    # takes NumPy's scalar power and can differ in the last bit
+    tree = ast.parse(inspect.getsource(distributions))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(getattr(node, "op", None), ast.Pow)]
+    assert not lines, (f"** at lines {lines} of distributions.py: use np.square "
+                       "or np.power, so float and array inputs give the same bits")

@@ -29,6 +29,8 @@ from doleans import (
     theorem1_functional,
 )
 
+from doleans.stochexp import pathwise_functional
+
 from conftest import random_two_jump_path
 
 A_HALF = PredictableControl.constant(0.5)
@@ -248,6 +250,62 @@ class TestLemma1Functional:
         dm = np.exp(rng.uniform(math.log(1e-6), math.log(1e3), 5000)) - 0.999999
         vals = np.log1p(dm) - dm / (1.0 + dm)
         assert vals.min() >= 0.0
+
+
+CORE_CONTROLS = (
+    PredictableControl.constant(0.0),
+    PredictableControl.constant(0.3),
+    PredictableControl.constant(1.0),
+    control_indicator_after(1.0),
+    PredictableControl((0.4, 1.2), (0.2, 0.9, 0.6)),
+)
+
+
+def _core_times(path):
+    """The horizon, 0, and interior times at, just before and between the
+    jump times and the control breaks."""
+    h = path.horizon
+    marks = [ti for ti, _ in path.jumps] + [0.4, 1.0, 1.2]
+    times = {h, 0.0, 0.5 * h}
+    for m in marks:
+        times.update(x for x in (m, math.nextafter(m, 0.0)) if 0.0 <= x <= h)
+    return sorted(times)
+
+
+class TestKindTableCores:
+    """The kind table reads float cores without range checks; they must
+    give the public functionals' ``log_value`` bit for bit."""
+
+    @pytest.mark.parametrize("model_name", ["model1", "model2", "model3"])
+    def test_exponents_equal_public_log_values(self, model_name, request):
+        model = request.getfixturevalue(model_name)
+        jacod = pathwise_functional(ConditionSpec("jacod"), model)
+        lemma1 = pathwise_functional(ConditionSpec("lemma1"), model)
+        theorem1 = [(a, pathwise_functional(ConditionSpec("theorem1", a), model))
+                    for a in CORE_CONTROLS]
+        for i in range(100):
+            p = model.sampler(26, i)
+            for t in _core_times(p):
+                want = repr(jacod_functional(p, t).log_value)
+                assert repr(jacod.exponent(p, t)) == want, (i, t)
+                assert repr(lemma1.weight(p, t)) == want, (i, t)
+                for a, entry in theorem1:
+                    got = entry.exponent(p, t)
+                    assert repr(got) == repr(
+                        theorem1_functional(p, a, 0.5, t).log_value), (i, t, a)
+
+    def test_public_functionals_still_check_their_arguments(self, model3):
+        p = model3.sampler(26, 0)
+        for t in (-1e-300, -1.0, math.nextafter(p.horizon, math.inf), math.inf, math.nan):
+            with pytest.raises(ValueError):
+                jacod_functional(p, t)
+            with pytest.raises(ValueError):
+                theorem1_functional(p, A_HALF, 0.5, t)
+            with pytest.raises(ValueError):
+                lemma1_functional(p, t)
+        for eps in (0.0, 1.0, -0.5, math.nan):
+            with pytest.raises(ValueError):
+                theorem1_functional(p, A_HALF, eps, p.horizon)
 
 
 class TestConditionSpec:
