@@ -8,7 +8,11 @@ root-finding.  All callables accept a float or a NumPy array.
 Quadrature calls ``density``, ``log_density`` and ``cdf`` on one float per
 node, so :func:`_branchwise` gives float input (``np.float64`` included) a
 scalar route: the branch masks are tested on the float itself and only the
-matching branch formula runs, on that float.  Branch formulas use NumPy
+matching branch formula runs, on that float.  The inverse CDFs have the
+same float route for a float ``u`` with ``0 < u < 1``, which the path
+sampler (``ProcessModel.sampler``) and the separability probe of the
+quadrature engine call one uniform at a time; every other input, the ends
+0 and 1 included, takes the array route.  Branch formulas use NumPy
 ufuncs for every operation except ``+ - * /``: a ufunc runs the same inner
 loop on a float as on an array, and the four IEEE operations round alike
 on both, so the two routes agree bit for bit.  The ``**`` operator is
@@ -127,14 +131,36 @@ def _xi_cdf(x):
     ])
 
 
+def _is_open_unit(u) -> bool:
+    """Whether ``u`` takes an inverse CDF's float route: a float
+    (``np.float64`` included) in ``(0, 1)``, where every branch formula is
+    finite, so that route never warns."""
+    return isinstance(u, float) and 0.0 < u < 1.0
+
+
+def _xi_left(u):
+    y = np.log(2.0 * u)
+    return y / (1.0 - y)
+
+
+def _xi_right(u):
+    z = -np.log(2.0 * (1.0 - u))
+    return z / (1.0 + z)
+
+
 def _xi_inverse_cdf(u):
+    # Floats in (0, 1) come one at a time from the sampler and the
+    # separability probe: they run only the branch they select.
+    if _is_open_unit(u):
+        return float(_xi_left(u) if u <= 0.5 else _xi_right(u))
     arr = np.asarray(u, dtype=float)
     # Each branch formula is finite on all of (0, 1), so np.where is safe;
-    # errstate silences the unused branch at the interval endpoints.
+    # errstate silences the unused branch at the interval endpoints, where
+    # the used one reads inf/inf and the support ends are set instead.
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.log(2.0 * arr)
-        z = -np.log(2.0 * (1.0 - arr))
-        out = np.where(arr <= 0.5, y / (1.0 - y), z / (1.0 + z))
+        out = np.where(arr <= 0.5, _xi_left(arr), _xi_right(arr))
+    out[arr == 0.0] = -1.0
+    out[arr == 1.0] = 1.0
     return float(out) if arr.ndim == 0 else out
 
 
@@ -188,13 +214,21 @@ def _eta_cdf(x):
     ])
 
 
+def _eta_first(u):
+    return (1.0 - np.sqrt(1.0 + 6.0 * (0.875 - u))) / 3.0
+
+
+def _eta_second(u):
+    return 1.0 / np.sqrt(8.0 * (1.0 - u))
+
+
 def _eta_inverse_cdf(u):
-    arr = np.asarray(u, dtype=float)
     # The CDF is flat at 7/8 across the support gap (0, 1); dispatch on the
     # cumulative mass so u >= 7/8 lands on the tail branch starting at 1.
-    first = (1.0 - np.sqrt(1.0 + 6.0 * (0.875 - arr))) / 3.0
-    second = 1.0 / np.sqrt(8.0 * (1.0 - arr))
-    out = np.where(arr < 0.875, first, second)
+    if _is_open_unit(u):
+        return float(_eta_first(u) if u < 0.875 else _eta_second(u))
+    arr = np.asarray(u, dtype=float)
+    out = np.where(arr < 0.875, _eta_first(arr), _eta_second(arr))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -234,6 +268,8 @@ def _exp_cdf(x):
 
 
 def _exp_inverse_cdf(u):
+    if _is_open_unit(u):
+        return float(-np.log1p(-u))
     arr = np.asarray(u, dtype=float)
     out = -np.log1p(-arr)
     return float(out) if arr.ndim == 0 else out

@@ -609,15 +609,15 @@ def _split_factors(
     base = f_vals(anchors)
     g0 = lambda x: f_vals((x, anchors[1])) - base
     g1 = lambda y: f_vals((anchors[0], y))
-    # interior quantiles plus both tails, where the log functional is largest
+    # interior quantiles plus both tails, where the log functional is largest;
+    # each probe point and its factor value is computed once, not per pair
     qs = (1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9)
-    for ux in qs:
-        for uy in qs:
-            x = drivers[0].dist.inverse_cdf(ux)
-            y = drivers[1].dist.inverse_cdf(uy)
+    xs = [(x, g0(x)) for x in map(drivers[0].dist.inverse_cdf, qs)]
+    ys = [(y, g1(y)) for y in map(drivers[1].dist.inverse_cdf, qs)]
+    for x, gx in xs:
+        for y, gy in ys:
             whole = f_vals((x, y))
-            split = g0(x) + g1(y)
-            if abs(whole - split) > 1e-9 * max(1.0, abs(whole)):
+            if abs(whole - (gx + gy)) > 1e-9 * max(1.0, abs(whole)):
                 raise UnsupportedModelError(
                     "log functional does not separate over the drivers"
                 )

@@ -422,9 +422,15 @@ class ProcessModel:
 
     def sampler(self, seed: int, stream_index: int) -> JumpPath:
         """Deterministic path for ``(seed, stream_index)``: row 0 of that
-        stream's draws (see :func:`stream_generator`)."""
-        rng = stream_generator(seed, stream_index)
-        return self.build(*(float(col[0]) for col in self.driver_columns(rng, 1)))
+        stream's draws (see :func:`stream_generator`).
+
+        The row is drawn on floats, with no one-row batch: each driver's
+        uniform goes alone through its inverse CDF's float route, which
+        gives the bits of :meth:`driver_columns`.
+        """
+        u = stream_generator(seed, stream_index).random(len(self.drivers))
+        return self.build(*(d.dist.inverse_cdf(max(v, _MIN_UNIFORM))
+                            for d, v in zip(self.drivers, u.tolist())))
 
     def driver_columns(self, rng: np.random.Generator, count: int) -> list[np.ndarray]:
         """Inverse-transform draws of every driver for ``count`` paths.

@@ -326,6 +326,38 @@ def test_sampler_is_row_zero_of_the_stream_batch(name, seed, i):
     assert path.drift.kind == row.drift.kind
 
 
+@pytest.mark.parametrize("name", sorted(MODELS))
+@given(seed=st.integers(0, 2**64 - 1), i=st.integers(0, 2**72 - 1))
+@settings(max_examples=150, deadline=None)
+def test_sampler_is_row_zero_of_the_stream_batch_property(name, seed, i):
+    # the sampler draws its row on floats; the oracle is the one-row batch
+    # of the generator Philox(key=seed).jumped(i) reaches
+    model = MODELS[name]
+    rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+    row = model.build_batch(*model.driver_columns(rng, 1)).path(0)
+    path = model.sampler(seed, i)
+    assert bits([path.horizon]) == bits([row.horizon])
+    assert [bits(j) for j in path.jumps] == [bits(j) for j in row.jumps]
+    assert path.drift.kind == row.drift.kind
+
+
+class _ZeroUniforms:
+    def random(self, size):
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_sampler_floors_a_zero_uniform(name, monkeypatch):
+    # a zero draw (2^-53 per uniform) is raised to the 1e-300 floor as in
+    # driver_columns; xi at u = 0 would be the excluded jump size -1
+    model = MODELS[name]
+    monkeypatch.setattr("doleans.paths.stream_generator", lambda seed, i: _ZeroUniforms())
+    row = model.build_batch(*model.driver_columns(_ZeroUniforms(), 1)).path(0)
+    path = model.sampler(0, 0)
+    assert bits([path.horizon]) == bits([row.horizon])
+    assert [bits(j) for j in path.jumps] == [bits(j) for j in row.jumps]
+
+
 # ----------------------------------------------------------------------
 # evaluate_condition estimates against a per-path reference loop
 # ----------------------------------------------------------------------

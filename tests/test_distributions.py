@@ -7,6 +7,7 @@ masses, moments) and symbolic antiderivatives where they are elementary.
 import ast
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -293,3 +294,98 @@ def test_branch_formulas_never_use_the_power_operator():
              if isinstance(getattr(node, "op", None), ast.Pow)]
     assert not lines, (f"** at lines {lines} of distributions.py: use np.square "
                        "or np.power, so float and array inputs give the same bits")
+
+
+# ----------------------------------------------------------------------
+# Float route of the inverse CDFs: a float u in (0, 1) runs only its
+# branch, bit-identical to the array route and, like it, without warnings
+# ----------------------------------------------------------------------
+
+def _ulp_neighbours(u, k=3):
+    below = above = u
+    out = [u]
+    for _ in range(k):
+        below, above = math.nextafter(below, -1.0), math.nextafter(above, 2.0)
+        out += [below, above]
+    return out
+
+
+# the sampler's floor, the smallest 53-bit uniform, each branch switch and
+# the largest float below 1, with their ulp neighbours inside (0, 1)
+QUANTILE_POINTS = tuple(
+    v for u in (1e-300, 2.0**-53, 0.5, 0.875, 1.0 - 2.0**-53)
+    for v in _ulp_neighbours(u) if 0.0 < v < 1.0
+)
+QUANTILE_EDGES = (0.0, -0.0, 1.0, 1.5, -1.0, math.nan, math.inf, -math.inf)
+
+
+def _array_route(fn):
+    return lambda u: float(fn(np.array([u]))[0])
+
+
+def _assert_float_route_exact(fn, u):
+    want = repr(_array_route(fn)(u))
+    assert repr(fn(u)) == want, u
+    assert repr(fn(np.float64(u))) == want, u
+
+
+def _value_and_warnings(fn, u):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn(u)
+    return repr(value), sorted({w.category.__name__ for w in caught})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
+@given(u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=300, deadline=None)
+def test_inverse_cdf_float_route_matches_array_route_property(dist, u):
+    _assert_float_route_exact(dist.inverse_cdf, u)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
+def test_inverse_cdf_float_route_matches_array_route_at_ulp_neighbours(dist):
+    for u in QUANTILE_POINTS:
+        _assert_float_route_exact(dist.inverse_cdf, u)
+
+
+@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
+def test_inverse_cdf_edges_take_the_array_route(dist):
+    # outside (0, 1) a float gives the 1-element array's value and the
+    # same warning categories, so the float route adds no warning there
+    array_route = _array_route(dist.inverse_cdf)
+    for u in QUANTILE_EDGES:
+        want = _value_and_warnings(array_route, u)
+        assert _value_and_warnings(dist.inverse_cdf, u) == want, u
+        assert _value_and_warnings(dist.inverse_cdf, np.float64(u)) == want, u
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
+def test_inverse_cdf_float_route_sweep(dist):
+    # uniforms as the sampler draws them, geometric offsets from 0 and from
+    # 1 and points around each branch switch, each against a 1-element
+    # array and against its element of one whole-array call
+    rng = np.random.Generator(np.random.Philox(key=8))
+    us = np.concatenate([
+        np.maximum(rng.random(5000), 1e-300),
+        10.0 ** rng.uniform(-300.0, 0.0, 2000),
+        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 2000),
+        rng.choice([0.5, 0.875], 2000) + rng.uniform(-1e-6, 1e-6, 2000),
+    ])
+    us = us[(us > 0.0) & (us < 1.0)]
+    whole = dist.inverse_cdf(us)
+    for u, w in zip(us.tolist(), whole.tolist()):
+        _assert_float_route_exact(dist.inverse_cdf, u)
+        assert repr(dist.inverse_cdf(u)) == repr(w), u
+
+
+def test_xi_inverse_cdf_at_closed_ends():
+    # the support ends, as eta and the exponential law give theirs, so that
+    # cdf(inverse_cdf(u)) == u holds at 0 and 1 too
+    for u, x in ((0.0, -1.0), (-0.0, -1.0), (1.0, 1.0)):
+        assert XI.inverse_cdf(u) == x
+        assert XI.cdf(XI.inverse_cdf(u)) == abs(u)
+    assert XI.inverse_cdf(np.array([0.0, 1.0])).tolist() == [-1.0, 1.0]

@@ -390,6 +390,30 @@ class TestEvaluateCondition:
         with pytest.raises(UnsupportedModelError):
             mc._split_factors(model3, f_vals)
 
+    def test_split_probe_evaluates_each_point_once(self, model3):
+        # one base value, each factor at its 5 probe points and the 25
+        # probe pairs: 36 calls, with 5 quantiles inverted per driver
+        inversions, calls = [], []
+
+        def counted(dist):
+            def inverse_cdf(u):
+                inversions.append(u)
+                return dist.inverse_cdf(u)
+            return dataclasses.replace(dist, inverse_cdf=inverse_cdf)
+
+        model = dataclasses.replace(model3, drivers=tuple(
+            dataclasses.replace(d, dist=counted(d.dist)) for d in model3.drivers))
+        inner = mc._on_drivers(model, stochexp._jacod_log)
+
+        def f_vals(vals):
+            calls.append(vals)
+            return inner(vals)
+
+        assert len(mc._split_factors(model, f_vals)) == 2
+        assert len(calls) == 36
+        assert len(inversions) == 10
+        assert len(set(calls[11:])) == 25
+
     def test_lemma1_rejects_coupled_drivers(self, model3):
         # the second jump grows with eta above 0.5: neither the exponent
         # nor the bracket separates, so the per-driver factors do not apply
