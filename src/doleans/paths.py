@@ -425,8 +425,10 @@ class ProcessModel:
         stream's draws (see :func:`stream_generator`).
 
         The row is drawn on floats, with no one-row batch: each driver's
-        uniform goes alone through its inverse CDF's float route, which
-        gives the bits of :meth:`driver_columns`.
+        uniform goes alone through its inverse CDF, whose branch table
+        takes the same float route as the densities (see
+        :mod:`doleans.distributions`) and gives the bits of
+        :meth:`driver_columns`.
         """
         u = stream_generator(seed, stream_index).random(len(self.drivers))
         return self.build(*(d.dist.inverse_cdf(max(v, _MIN_UNIFORM))

@@ -217,89 +217,16 @@ def test_eta_quantile_lands_in_support(u):
 
 
 # ----------------------------------------------------------------------
-# Scalar route of _branchwise: bit-identical to array evaluation
+# Scalar route of _branchwise: bit-identical to array evaluation, with the
+# same warnings, on the x axis of the densities and CDFs and on the u axis
+# of the inverse CDFs
 # ----------------------------------------------------------------------
 
-FUNCTIONS = ("density", "log_density", "cdf")
+FUNCTIONS = ("density", "log_density", "cdf", "inverse_cdf")
 EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan)
+# the closed ends of [0, 1] and the branch switches of the inverse CDFs
+UNIT_ENDS = (0.0, 0.5, 0.875, 1.0)
 
-
-def _ends(dist):
-    return sorted({e for piece in dist.support for e in piece if math.isfinite(e)})
-
-
-def _assert_scalar_route_exact(fn, x):
-    with np.errstate(all="ignore"):  # overflow at 1e308 warns on both routes
-        want = repr(float(fn(np.array([x]))[0]))
-        assert repr(fn(x)) == want, x
-        assert repr(fn(np.float64(x))) == want, x
-
-
-def _near_ends(dist):
-    ends = _ends(dist)
-    end = st.sampled_from(ends)
-    return st.one_of(
-        st.floats(allow_nan=True, allow_infinity=True),
-        st.floats(min_value=ends[0] - 2.0, max_value=ends[-1] + 60.0),
-        st.builds(lambda e, k: e + k * math.ulp(e), end, st.integers(-10**4, 10**4)),
-        st.builds(lambda e, d: e + d, end, st.floats(-1e-3, 1e-3)),
-    )
-
-
-@pytest.mark.parametrize("fn_name", FUNCTIONS)
-@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
-@given(data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_scalar_route_matches_array_route_property(dist, fn_name, data):
-    _assert_scalar_route_exact(getattr(dist, fn_name), data.draw(_near_ends(dist)))
-
-
-@pytest.mark.parametrize("fn_name", FUNCTIONS)
-@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
-def test_scalar_route_matches_array_route_at_edges(dist, fn_name):
-    for x in EDGES + tuple(_ends(dist)):
-        _assert_scalar_route_exact(getattr(dist, fn_name), x)
-
-
-@pytest.mark.parametrize("fn_name", FUNCTIONS)
-@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
-def test_scalar_route_matches_array_route_sweep(dist, fn_name):
-    # a seeded sweep dense enough to see rare last-bit differences (a few
-    # per ten thousand inputs for a formula using ** on np.float64
-    # scalars): draws from the law, uniform points around the support and
-    # geometric offsets from every support end, each against a 1-element
-    # array and against its element of one whole-array call
-    rng = np.random.Generator(np.random.Philox(key=7))
-    ends = np.array(_ends(dist))
-    offsets = 10.0 ** rng.uniform(-300.0, 1.0, 2000) * rng.choice([-1.0, 1.0], 2000)
-    xs = np.concatenate([
-        dist.inverse_cdf(rng.uniform(1e-12, 1.0 - 1e-12, 5000)),
-        rng.uniform(ends[0] - 1.0, ends[-1] + 50.0, 5000),
-        rng.choice(ends, 2000) + offsets,
-    ])
-    fn = getattr(dist, fn_name)
-    with np.errstate(all="ignore"):
-        whole = fn(xs)  # one call over every point, as the IS proposals make
-    for x, w in zip(xs.tolist(), whole.tolist()):
-        _assert_scalar_route_exact(fn, x)
-        assert repr(fn(x)) == repr(w), x
-
-
-def test_branch_formulas_never_use_the_power_operator():
-    # the scalar route runs each branch formula on the float itself; that
-    # matches the array route only without ``**``, which on an np.float64
-    # takes NumPy's scalar power and can differ in the last bit
-    tree = ast.parse(inspect.getsource(distributions))
-    lines = [node.lineno for node in ast.walk(tree)
-             if isinstance(getattr(node, "op", None), ast.Pow)]
-    assert not lines, (f"** at lines {lines} of distributions.py: use np.square "
-                       "or np.power, so float and array inputs give the same bits")
-
-
-# ----------------------------------------------------------------------
-# Float route of the inverse CDFs: a float u in (0, 1) runs only its
-# branch, bit-identical to the array route and, like it, without warnings
-# ----------------------------------------------------------------------
 
 def _ulp_neighbours(u, k=3):
     below = above = u
@@ -319,67 +246,146 @@ QUANTILE_POINTS = tuple(
 QUANTILE_EDGES = (0.0, -0.0, 1.0, 1.5, -1.0, math.nan, math.inf, -math.inf)
 
 
-def _array_route(fn):
-    return lambda u: float(fn(np.array([u]))[0])
+def _ends(dist, fn_name):
+    if fn_name == "inverse_cdf":
+        return list(UNIT_ENDS)
+    return sorted({e for piece in dist.support for e in piece if math.isfinite(e)})
 
 
-def _assert_float_route_exact(fn, u):
-    want = repr(_array_route(fn)(u))
-    assert repr(fn(u)) == want, u
-    assert repr(fn(np.float64(u))) == want, u
-
-
-def _value_and_warnings(fn, u):
+def _value_and_warnings(fn, x):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = fn(u)
+        value = fn(x)
     return repr(value), sorted({w.category.__name__ for w in caught})
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
-@given(u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-@settings(max_examples=300, deadline=None)
-def test_inverse_cdf_float_route_matches_array_route_property(dist, u):
-    _assert_float_route_exact(dist.inverse_cdf, u)
+def _assert_scalar_route_exact(dist, fn_name, x):
+    # a float and an np.float64 give the 1-element array's bits; an inverse
+    # CDF warns on no route, while the other functions may overflow at
+    # 1e308, which warns on arrays and np.float64 but not on a Python float
+    fn = getattr(dist, fn_name)
+    seen = [_value_and_warnings(route, x) for route in (
+        lambda v: float(fn(np.array([v]))[0]), fn, lambda v: fn(np.float64(v)))]
+    assert [value for value, _ in seen] == [seen[0][0]] * 3, x
+    assert fn_name != "inverse_cdf" or not any(w for _, w in seen), (x, seen)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
-def test_inverse_cdf_float_route_matches_array_route_at_ulp_neighbours(dist):
-    for u in QUANTILE_POINTS:
-        _assert_float_route_exact(dist.inverse_cdf, u)
+def _near_ends(dist, fn_name):
+    ends = _ends(dist, fn_name)
+    end = st.sampled_from(ends)
+    around = ((0.0, 1.0) if fn_name == "inverse_cdf"
+              else (ends[0] - 2.0, ends[-1] + 60.0))
+    return st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(*around),
+        st.builds(lambda e, k: e + k * math.ulp(e), end, st.integers(-10**4, 10**4)),
+        st.builds(lambda e, d: e + d, end, st.floats(-1e-3, 1e-3)),
+    )
 
 
-@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
-def test_inverse_cdf_edges_take_the_array_route(dist):
-    # outside (0, 1) a float gives the 1-element array's value and the
-    # same warning categories, so the float route adds no warning there
-    array_route = _array_route(dist.inverse_cdf)
-    for u in QUANTILE_EDGES:
-        want = _value_and_warnings(array_route, u)
-        assert _value_and_warnings(dist.inverse_cdf, u) == want, u
-        assert _value_and_warnings(dist.inverse_cdf, np.float64(u)) == want, u
+def _edge_points(dist, fn_name):
+    if fn_name == "inverse_cdf":
+        return QUANTILE_POINTS + QUANTILE_EDGES
+    return EDGES + tuple(_ends(dist, fn_name))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
-def test_inverse_cdf_float_route_sweep(dist):
-    # uniforms as the sampler draws them, geometric offsets from 0 and from
-    # 1 and points around each branch switch, each against a 1-element
-    # array and against its element of one whole-array call
-    rng = np.random.Generator(np.random.Philox(key=8))
-    us = np.concatenate([
-        np.maximum(rng.random(5000), 1e-300),
-        10.0 ** rng.uniform(-300.0, 0.0, 2000),
-        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 2000),
-        rng.choice([0.5, 0.875], 2000) + rng.uniform(-1e-6, 1e-6, 2000),
+def _sweep_points(dist, fn_name):
+    # seeded and dense enough to see rare last-bit differences (a few per
+    # ten thousand inputs for a formula using ** on np.float64 scalars)
+    if fn_name == "inverse_cdf":
+        # uniforms as the sampler draws them, geometric offsets from 0 and
+        # from 1 and points around each branch switch
+        rng = np.random.Generator(np.random.Philox(key=8))
+        return np.concatenate([
+            np.maximum(rng.random(5000), 1e-300),
+            10.0 ** rng.uniform(-300.0, 0.0, 2000),
+            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 2000),
+            rng.choice([0.5, 0.875], 2000) + rng.uniform(-1e-6, 1e-6, 2000),
+        ])
+    # draws from the law, uniform points around the support and geometric
+    # offsets from every support end
+    rng = np.random.Generator(np.random.Philox(key=7))
+    ends = np.array(_ends(dist, fn_name))
+    offsets = 10.0 ** rng.uniform(-300.0, 1.0, 2000) * rng.choice([-1.0, 1.0], 2000)
+    return np.concatenate([
+        dist.inverse_cdf(rng.uniform(1e-12, 1.0 - 1e-12, 5000)),
+        rng.uniform(ends[0] - 1.0, ends[-1] + 50.0, 5000),
+        rng.choice(ends, 2000) + offsets,
     ])
-    us = us[(us > 0.0) & (us < 1.0)]
-    whole = dist.inverse_cdf(us)
-    for u, w in zip(us.tolist(), whole.tolist()):
-        _assert_float_route_exact(dist.inverse_cdf, u)
-        assert repr(dist.inverse_cdf(u)) == repr(w), u
+
+
+@pytest.mark.parametrize("fn_name", FUNCTIONS)
+@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_scalar_route_matches_array_route_property(dist, fn_name, data):
+    _assert_scalar_route_exact(dist, fn_name, data.draw(_near_ends(dist, fn_name)))
+
+
+@pytest.mark.parametrize("fn_name", FUNCTIONS)
+@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
+def test_scalar_route_matches_array_route_at_edges(dist, fn_name):
+    for x in _edge_points(dist, fn_name):
+        _assert_scalar_route_exact(dist, fn_name, x)
+
+
+@pytest.mark.parametrize("fn_name", FUNCTIONS)
+@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
+def test_scalar_route_matches_array_route_sweep(dist, fn_name):
+    # each point against a 1-element array and against its element of one
+    # whole-array call, as the IS proposals and the chunk sampler make
+    xs = _sweep_points(dist, fn_name)
+    fn = getattr(dist, fn_name)
+    with np.errstate(all="ignore"):
+        whole = fn(xs)
+    for x, w in zip(xs.tolist(), whole.tolist()):
+        _assert_scalar_route_exact(dist, fn_name, x)
+        assert repr(fn(x)) == repr(w), x
+
+
+@pytest.mark.parametrize("fn_name", FUNCTIONS)
+@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
+def test_branch_masks_are_disjoint(dist, fn_name):
+    # the float route takes the first branch whose mask holds and the array
+    # route writes every branch in turn, so the last one: the two agree
+    # only where at most one mask holds
+    xs = np.concatenate([_sweep_points(dist, fn_name), _edge_points(dist, fn_name)])
+    branches = getattr(dist, fn_name).branches
+    hits = sum(np.asarray(mask(xs), dtype=int) for mask, _ in branches)
+    assert hits.max() <= 1
+
+
+def test_branch_formulas_never_use_the_power_operator():
+    # the scalar route runs each branch formula on the float itself; that
+    # matches the array route only without ``**``, which on an np.float64
+    # takes NumPy's scalar power and can differ in the last bit
+    tree = ast.parse(inspect.getsource(distributions))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(getattr(node, "op", None), ast.Pow)]
+    assert not lines, (f"** at lines {lines} of distributions.py: use np.square "
+                       "or np.power, so float and array inputs give the same bits")
+
+
+# ----------------------------------------------------------------------
+# Inverse CDFs on and off [0, 1]
+# ----------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.name)
+def test_inverse_cdf_maps_the_closed_unit_interval_into_the_support(dist):
+    # every u in [0, 1] lands in a closed support piece, the ends on the
+    # support ends, and anything else is nan, on every route and silently
+    inside = (0.0, -0.0, 5e-324, 0.5, 0.875, 1.0 - 2.0**-53, 1.0)
+    outside = (-5e-324, -1.0, 1.0 + 2.0**-52, 1.5, math.nan, math.inf, -math.inf)
+    lo, hi = dist.support[0][0], dist.support[-1][1]
+    whole = dist.inverse_cdf(np.array(inside + outside)).tolist()
+    for route in (float, np.float64, lambda u: np.array([u])):
+        got = [float(np.ravel(dist.inverse_cdf(route(u)))[0]) for u in inside + outside]
+        assert repr(got) == repr(whole)
+    for u, x in zip(inside, whole):
+        assert any(a <= x <= b for a, b in dist.support), (u, x)
+    assert whole[0] == whole[1] == lo and whole[len(inside) - 1] == hi
+    assert all(math.isnan(x) for x in whole[len(inside):]), whole
 
 
 def test_xi_inverse_cdf_at_closed_ends():
