@@ -101,15 +101,14 @@ def _emit(payload, rows, args: argparse.Namespace) -> None:
 def _cmd_sample(args: argparse.Namespace) -> int:
     model = EXAMPLE_MODELS[args.model]()
     docs = []
-    rows = [("index", "horizon", "t1", "dm1", "t2", "dm2", "drift_kind", "cont_qv_kind")]
+    rows = [("index", "horizon", "t1", "dm1", "t2", "dm2", "drift_kind")]
     for i in range(args.n):
         path = model.sampler(args.seed, i)
         doc = path_to_json(path)
         docs.append(doc)
         jumps = list(path.jumps) + [("", "")] * (2 - len(path.jumps))
         rows.append((i, path.horizon, jumps[0][0], jumps[0][1],
-                     jumps[1][0], jumps[1][1], doc["drift_kind"],
-                     doc["cont_qv_kind"]))
+                     jumps[1][0], jumps[1][1], doc["drift_kind"]))
     _emit(docs, rows, args)
     return 0
 

@@ -638,18 +638,18 @@ EXAMPLE_MODELS: dict[str, Callable[[], ProcessModel]] = {
 # JSON round-tripping for sampled paths
 # ----------------------------------------------------------------------
 
-def path_to_json(path: JumpPath) -> dict:
-    """Serialize a sampled path; field names are part of the CLI contract.
+#: The keys of a serialized path, part of the CLI contract.
+_PATH_KEYS = frozenset({"horizon", "jumps", "drift_kind"})
 
-    ``cont_qv_kind`` is always ``"zero"``: no path carries ``<M^c>``.
-    """
+
+def path_to_json(path: JumpPath) -> dict:
+    """Serialize a sampled path as ``{horizon, jumps: [{t, dm}], drift_kind}``."""
     if path.drift.kind == "derived":
         raise ValueError("derived drift components are not serializable")
     return {
         "horizon": path.horizon,
         "jumps": [{"t": t, "dm": dm} for t, dm in path.jumps],
         "drift_kind": path.drift.kind,
-        "cont_qv_kind": "zero",
     }
 
 
@@ -662,10 +662,11 @@ def _drift_from_kind(kind: str):
 
 
 def path_from_json(doc: dict) -> JumpPath:
-    """Rebuild a path serialized by :func:`path_to_json`; a ``cont_qv_kind``
-    other than ``"zero"`` is a ``ValueError``."""
-    if doc["cont_qv_kind"] != "zero":
-        raise ValueError(f"cont_qv_kind must be 'zero', got {doc['cont_qv_kind']!r}")
+    """Rebuild a path serialized by :func:`path_to_json`; a document
+    without exactly its keys is a ``ValueError``."""
+    missing, extra = sorted(_PATH_KEYS - set(doc)), sorted(set(doc) - _PATH_KEYS)
+    if missing or extra:
+        raise ValueError(f"path document: missing keys {missing}, unknown keys {extra}")
     return JumpPath(
         horizon=float(doc["horizon"]),
         jumps=tuple((float(j["t"]), float(j["dm"])) for j in doc["jumps"]),

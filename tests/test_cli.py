@@ -27,7 +27,7 @@ class TestSampleCommand:
         docs = json.loads(out)
         assert len(docs) == 3
         for doc in docs:
-            assert set(doc) == {"horizon", "jumps", "drift_kind", "cont_qv_kind"}
+            assert set(doc) == {"horizon", "jumps", "drift_kind"}
             path = path_from_json(doc)
             assert path.horizon == doc["horizon"]
 

@@ -258,17 +258,17 @@ def test_reproduce_bytes_unchanged(which):
 #: --seed 7 --format <format>``: the sampler's paths and their exponentials.
 SAMPLER_SHA256 = {
     ("sample", "example1", "json"):
-        "5c766987f5abdb8449f5fb3c9fd13931f3ebf094fced2f26a326969c3874c649",
+        "fe386943a62c9b4008cc0a411f435502f41c7de49c8f1594d5ce7248f3626a2a",
     ("sample", "example1", "csv"):
-        "77cd5d2225bb1fbf39b54281388a04647cc0ff8bf22b14125613ffeefbd19e1b",
+        "9bdfe525066e1806b6b94df2a3c13e185c0b144a67858876544624502a50f110",
     ("sample", "example2", "json"):
-        "bbd4c8de97948af9d33c661e18685298493c587fbfd429460ac8de9f0d365a92",
+        "2e981a3b6ad21c9127caffe960c3cc6d8a0db440aa776b5ac9f3242ab3e280ec",
     ("sample", "example2", "csv"):
-        "bd141233044c3a36b1cc068e93087f072ca8fcf7be56202b227a7af2f35aed94",
+        "10e315895a16c70cf25cac0749a536b04d7ee2e87836c94153f101c81b158950",
     ("sample", "example3", "json"):
-        "84d3098e97d6485fdd87da3475df3d6de33c08bc581b208376307b0078f19dd2",
+        "6fe56031090cf8cea647972595fd667b7d0232a408bf9c54f9d5f9287bc39211",
     ("sample", "example3", "csv"):
-        "aa04975c492e33d0c55f483da66055db7e4a38b2176a72ed6a2d50e5276d5652",
+        "6cd7dd91525ceae65a1826eb03590efbda55bf120b0262240b2815a3911613cf",
     ("exponential", "example1", "json"):
         "8a2cb5b8d343942164db02ac38a99a1c8ebd3a169a254e58cc5f4f9814ef827d",
     ("exponential", "example1", "csv"):

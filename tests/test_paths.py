@@ -210,7 +210,7 @@ class TestSerialization:
     def test_schema_fields(self, model3):
         p = model3.sampler(1, 0)
         doc = path_to_json(p)
-        assert set(doc) == {"horizon", "jumps", "drift_kind", "cont_qv_kind"}
+        assert set(doc) == {"horizon", "jumps", "drift_kind"}
         assert all(set(j) == {"t", "dm"} for j in doc["jumps"])
 
     def test_roundtrip(self, all_models):
@@ -230,14 +230,19 @@ class TestSerialization:
         with pytest.raises(ValueError):
             path_to_json(p)
 
-    def test_cont_qv_kind_is_zero_or_rejected(self, model2):
+    def test_cont_qv_kind_is_absent_and_rejected(self, model2):
         doc = path_to_json(model2.sampler(13, 0))
-        assert doc["cont_qv_kind"] == "zero"
-        for kind in ("linear:0.25", "linear:0.0", "mystery"):
-            with pytest.raises(ValueError, match="cont_qv_kind"):
+        assert "cont_qv_kind" not in doc
+        for kind in ("zero", "linear:0.25", "mystery"):
+            with pytest.raises(ValueError, match=r"unknown keys \['cont_qv_kind'\]"):
                 path_from_json({**doc, "cont_qv_kind": kind})
+
+    def test_missing_key_rejected(self, model2):
+        doc = path_to_json(model2.sampler(13, 0))
+        for key in doc:
+            with pytest.raises(ValueError, match=rf"missing keys \['{key}'\]"):
+                path_from_json({k: v for k, v in doc.items() if k != key})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            path_from_json({"horizon": 1.0, "jumps": [],
-                            "drift_kind": "mystery", "cont_qv_kind": "zero"})
+            path_from_json({"horizon": 1.0, "jumps": [], "drift_kind": "mystery"})
