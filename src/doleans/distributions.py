@@ -47,8 +47,8 @@ def _branchwise(*branches, default=0.0):
 
     The masks must be disjoint; points no mask selects get ``default``.  A
     float (``np.float64`` included) returns ``float(formula(x))`` of the
-    first branch whose mask holds, so the masks are ordered with the most
-    often taken first; an array gets each formula on the elements its mask
+    first branch whose mask holds, so a table lists its most often taken
+    branch first; an array gets each formula on the elements its mask
     selects.  The table is kept as the function's ``branches`` attribute.
     """
     default = float(default)
@@ -89,7 +89,8 @@ class InverseCdfDistribution:
         1 when the support is unbounded) and anything else, ``nan``
         included, to ``nan``, without a warning.  Where the CDF is flat
         (support gaps) it dispatches past the gap, so
-        ``cdf(inverse_cdf(u)) == u`` on all of ``[0, 1]``.
+        ``cdf(inverse_cdf(u))`` gives back ``u``: exactly at 0 and 1, and
+        up to rounding in between.
     support : tuple of (lo, hi)
         Ordered intervals covering the support.  Adjacent intervals may
         share an endpoint; the split marks a non-smooth point of the

@@ -217,9 +217,9 @@ def test_eta_quantile_lands_in_support(u):
 
 
 # ----------------------------------------------------------------------
-# Scalar route of _branchwise: bit-identical to array evaluation, with the
-# same warnings, on the x axis of the densities and CDFs and on the u axis
-# of the inverse CDFs
+# Scalar route of _branchwise: bit-identical to array evaluation on the x
+# axis of the densities and CDFs and on the u axis of the inverse CDFs,
+# which warn on no route
 # ----------------------------------------------------------------------
 
 FUNCTIONS = ("density", "log_density", "cdf", "inverse_cdf")
@@ -385,6 +385,8 @@ def test_inverse_cdf_maps_the_closed_unit_interval_into_the_support(dist):
     for u, x in zip(inside, whole):
         assert any(a <= x <= b for a, b in dist.support), (u, x)
     assert whole[0] == whole[1] == lo and whole[len(inside) - 1] == hi
+    for u in (0.0, -0.0, 1.0):
+        assert dist.cdf(dist.inverse_cdf(u)) == u
     assert all(math.isnan(x) for x in whole[len(inside):]), whole
 
 
