@@ -28,7 +28,6 @@ from .paths import (
     example2_model,
     example3_model,
     integrate_control,
-    integrate_control_drift,
     path_from_json,
     path_to_json,
 )
@@ -57,7 +56,6 @@ from .girsanov import (
     decompose,
     lemma2_lhs,
     lemma3_gap,
-    product_identity_residual,
     transformed_jacod_integrand,
 )
 from .mc import (

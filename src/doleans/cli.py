@@ -138,7 +138,7 @@ def _condition_spec(parser: argparse.ArgumentParser,
         except ValueError as exc:
             parser.error(f"bad control spec {args.a!r}: {exc}")
     try:
-        return ConditionSpec(_KIND_FLAGS[args.kind], control, args.eps)
+        return ConditionSpec(_KIND_FLAGS[args.kind], control)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -148,7 +148,7 @@ def _cmd_condition(args: argparse.Namespace) -> int:
     report = evaluate_condition(
         model,
         args.spec,
-        SeedSpec(args.seed, args.streams),
+        SeedSpec(args.seed, 16),
         args.n,
         levels=args.levels,
     )
@@ -160,6 +160,12 @@ def _cmd_condition(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # reproduce: the paper's claims and their closed-form oracles
 # ----------------------------------------------------------------------
+
+def example1_exponential(x: float) -> float:
+    """E_T(M) of example1 as a function of its one jump ``x``: the drift
+    cancels, leaving ``1 + x`` (also the eta factor of example3's E_T(M))."""
+    return 1.0 + x
+
 
 def example2_exponential(t: float) -> float:
     """E_tau(M) of example2 as a function of the jump time ``tau = t``;
@@ -265,7 +271,7 @@ def _example3_rows(model, value: float | None) -> list[dict]:
     eta_d, exp_d = model.drivers
     product = (quadrature_expectation(eta_d.dist, example3_eta_factor)
                * quadrature_expectation(exp_d.dist, example3_tau_factor))
-    m_eta = quadrature_expectation(eta_d.dist, lambda x: 1.0 + x)
+    m_eta = quadrature_expectation(eta_d.dist, example1_exponential)
     m_exp = quadrature_expectation(exp_d.dist, example2_exponential)
     return [
         _row(
@@ -321,7 +327,7 @@ def run_reproduction(which: int, seed: int, n: int) -> dict:
             "identical" if same else "different",
             same,
         ))
-        rows.append(_martingale_row(model, lambda x: 1.0 + x, n, seeds))
+        rows.append(_martingale_row(model, example1_exponential, n, seeds))
     elif which == 2:
         rows.append(_martingale_row(model, example2_exponential, n, seeds))
     else:
@@ -385,32 +391,29 @@ def run_lemma_suites(
     Injectable ``lemma2``/``lemma3`` callables let the suites themselves be
     exercised against deliberately broken variants.
     """
-    violations = []
-    xs = np.linspace(0.0, 1.0, _LEMMA_GRID)
-    es = np.linspace(1e-6, 1.0 - 1e-6, _LEMMA_GRID)
-    vals = lemma2(xs[:, None], es[None, :])
-    if vals.min() < _LEMMA_TOL:
-        i, j = np.unravel_index(int(vals.argmin()), vals.shape)
-        violations.append(("lemma2-grid", (float(xs[i]), float(es[j])),
-                           float(vals.min())))
-
     rng = stream_generator(seed, 0)
-    xr = rng.random(_LEMMA_DRAWS)
-    er = rng.uniform(1e-12, 1.0 - 1e-12, _LEMMA_DRAWS)
-    vals = lemma2(xr, er)
-    if vals.min() < _LEMMA_TOL:
-        k = int(vals.argmin())
-        violations.append(("lemma2-random", (float(xr[k]), float(er[k])),
-                           float(vals.min())))
-
-    ar = rng.random(_LEMMA_DRAWS)
-    # jump sizes log-uniform over (-1 + 1e-9, 1e6) via 1 + dm
-    dm = np.exp(rng.uniform(math.log(1e-9), math.log(1e6 + 1.0), _LEMMA_DRAWS)) - 1.0
-    vals = lemma3(ar, dm)
-    if vals.min() < _LEMMA_TOL:
-        k = int(vals.argmin())
-        violations.append(("lemma3-random", (float(ar[k]), float(dm[k])),
-                           float(vals.min())))
+    n = _LEMMA_DRAWS
+    # (name, lemma, draw): each draw runs in turn, so the random suites
+    # take their uniforms from the stream in table order
+    suites = (
+        ("lemma2-grid", lemma2,
+         lambda: (np.linspace(0.0, 1.0, _LEMMA_GRID)[:, None],
+                  np.linspace(1e-6, 1.0 - 1e-6, _LEMMA_GRID)[None, :])),
+        ("lemma2-random", lemma2,
+         lambda: (rng.random(n), rng.uniform(1e-12, 1.0 - 1e-12, n))),
+        # jump sizes log-uniform over (-1 + 1e-9, 1e6) via 1 + dm
+        ("lemma3-random", lemma3,
+         lambda: (rng.random(n),
+                  np.exp(rng.uniform(math.log(1e-9), math.log(1e6 + 1.0), n)) - 1.0)),
+    )
+    violations = []
+    for name, lemma, draw in suites:
+        x, y = draw()
+        vals = lemma(x, y)
+        if vals.min() < _LEMMA_TOL:
+            k = np.unravel_index(int(vals.argmin()), vals.shape)
+            point = tuple(float(np.broadcast_to(v, vals.shape)[k]) for v in (x, y))
+            violations.append((name, point, float(vals.min())))
     return violations
 
 
@@ -458,12 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=sorted(_KIND_FLAGS))
     p.add_argument("--a", default=None,
                    help="control process: a constant in [0,1] or indicator:<t0>")
-    p.add_argument("--eps", type=float, default=None,
-                   help="theorem1 epsilon in (0,1), default 0.5: validated and "
-                        "reported, but moves no value (<M^c> = 0 on every path)")
     p.add_argument("--n", type=int, default=0,
                    help="Monte Carlo cross-check sample count (0 = none)")
-    p.add_argument("--streams", type=int, default=16)
     p.add_argument("--levels", type=float, nargs="+", default=None)
 
     p = sub.add_parser("reproduce", help="run one counterexample suite")

@@ -184,7 +184,7 @@ _eta_log_density = _branchwise(
 _eta_cdf = _branchwise(
     (_eta_body, lambda a: (-1.5 * a * a + a) + 0.875),
     (lambda a: (a > 0.0) & (a < 1.0), lambda a: 0.875),
-    (_eta_tail, lambda a: 1.0 - 0.125 / (a * a)),
+    (_eta_tail, lambda a: 1.0 - 0.125 / a / a),
 )
 # The CDF is flat at 7/8 across the support gap (0, 1); dispatching on the
 # cumulative mass sends u >= 7/8 to the tail branch starting at 1.

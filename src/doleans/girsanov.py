@@ -27,12 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import JumpPath, PredictableControl
-from .stochexp import exp_or_inf, stoch_exponential
 
 __all__ = [
     "MeasureChangeDecomposition",
     "decompose",
-    "product_identity_residual",
     "transformed_jacod_integrand",
     "lemma2_lhs",
     "lemma3_gap",
@@ -52,18 +50,6 @@ class MeasureChangeDecomposition:
     log_density_factor: float
     log_transformed_exponential: float
     identity_log_gap: float
-
-    @property
-    def density_factor(self) -> float:
-        return exp_or_inf(self.log_density_factor)
-
-    @property
-    def transformed_exponential(self) -> float:
-        return exp_or_inf(self.log_transformed_exponential)
-
-    @property
-    def product(self) -> float:
-        return exp_or_inf(self.log_density_factor + self.log_transformed_exponential)
 
     def identity_relative_error(self) -> float:
         """Signed relative defect of ``density * transformed == E_T(M)``."""
@@ -104,16 +90,6 @@ def decompose(path: JumpPath, a: PredictableControl) -> MeasureChangeDecompositi
         log_transformed_exponential=math.fsum(trans),
         identity_log_gap=gap,
     )
-
-
-def product_identity_residual(path: JumpPath, a: PredictableControl) -> float:
-    """``E_T(int a dM) * E~_T(N~) - E_T(M)`` as an absolute number.
-
-    Contract: magnitude at most ``1e-12 * E_T(M)``.  Computed from the
-    decomposition's log gap so the bound survives extreme jump sizes.
-    """
-    d = decompose(path, a)
-    return d.identity_relative_error() * stoch_exponential(path, path.horizon)
 
 
 def transformed_jacod_integrand(

@@ -39,7 +39,6 @@ __all__ = [
     "PredictableControl",
     "control_indicator_after",
     "integrate_control",
-    "integrate_control_drift",
     "Driver",
     "ProcessModel",
     "check_seed",
@@ -342,27 +341,16 @@ def control_indicator_after(t0: float) -> PredictableControl:
     return PredictableControl((float(t0),), (0.0, 1.0))
 
 
-def integrate_control_drift(path: JumpPath, a: PredictableControl, t: float) -> float:
-    """Drift part of the control integral: ``int_0^t a(s) d(drift)(s)``.
-
-    Exact on each constant segment of the control because the drift is a
-    closed-form function of time.
-    """
-    path._check_time(t)
-    return math.fsum(
-        v * (path.drift(hi) - path.drift(lo)) for lo, hi, v in a.segments_until(t)
-    )
-
-
 def integrate_control(path: JumpPath, a: PredictableControl, t: float) -> float:
     """Stochastic integral ``int_0^t a dM`` of a piecewise-constant control.
 
     Equals the jump sum ``sum a(t_i) dM_i`` plus the drift part, both in
-    closed form.
+    closed form: the drift is exact on each constant segment of the control.
     """
     path._check_time(t)
     jump_sum = math.fsum(a.value_at(ti) * dm for ti, dm in path.jumps if ti <= t)
-    return jump_sum + integrate_control_drift(path, a, t)
+    return jump_sum + math.fsum(
+        v * (path.drift(hi) - path.drift(lo)) for lo, hi, v in a.segments_until(t))
 
 
 # ----------------------------------------------------------------------

@@ -277,7 +277,7 @@ def _theorem1_log(path: JumpPath, a: PredictableControl, t: float) -> float:
     """Log value of :func:`theorem1_functional`, for ``t`` in
     ``[0, horizon]`` unchecked."""
     # the drift terms are summed by math.fsum in segment order, exactly as
-    # integrate_control_drift does
+    # integrate_control does
     drift_part = math.fsum(v * (path.drift(hi) - path.drift(lo))
                            for lo, hi, v in a.segments_until(t))
 

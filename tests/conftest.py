@@ -5,13 +5,18 @@ import pytest
 from scipy.integrate import quad
 
 from doleans import (
+    Driver,
     ExpCompensatorDrift,
     JumpPath,
+    PathBatch,
+    ProcessModel,
     ScaledDrift,
     example1_model,
     example2_model,
     example3_model,
+    make_first_jump_time,
 )
+from doleans.paths import apply_math
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +37,57 @@ def model3():
 @pytest.fixture(scope="session")
 def all_models(model1, model2, model3):
     return (model1, model2, model3)
+
+
+#: Cap on the witness's jump time.  Its jump is ``expm1(-tau)``, and
+#: ``1 + expm1(-tau)`` rounds to 0 for tau above about 37, where the jump
+#: would reach -1; the cap moves ``E[E_T]`` by about 1e-16.
+WITNESS_JUMP_TIME_CAP = 36.0
+
+
+class WitnessDrift:
+    """``t + expm1(-t)``, minus the integral of the jump size
+    ``e^{-s} - 1`` up to ``t``; the path's horizon stops it at tau."""
+
+    __slots__ = ()
+    kind = "derived"
+
+    def __call__(self, t: float) -> float:
+        return t + math.expm1(-t)
+
+    def array(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return t + apply_math(math.expm1, -t)
+
+    def derivative(self, t: float) -> float:
+        return -math.expm1(-t)
+
+
+def witness_model() -> ProcessModel:
+    """One jump of size ``e^{-tau} - 1`` at ``tau ~ Exp(1)``, compensated
+    and stopped at ``tau``: ``E_tau(M) = exp(e^{-tau} - 1)``, so
+    ``E[E_T(M)] = 1 - e^{-1}`` and ``E(M)`` is not uniformly integrable."""
+    drift = WitnessDrift()
+
+    def build(e: float) -> JumpPath:
+        tau = min(max(e, 1e-300), WITNESS_JUMP_TIME_CAP)
+        return JumpPath(horizon=tau, jumps=((tau, math.expm1(-tau)),), drift=drift)
+
+    def build_batch(e: np.ndarray) -> PathBatch:
+        tau = np.minimum(np.maximum(e, 1e-300), WITNESS_JUMP_TIME_CAP)
+        return PathBatch(horizon=tau, jump_t=tau[:, None],
+                         jump_dm=apply_math(math.expm1, -tau)[:, None], drift=drift)
+
+    driver = Driver(name="tau", dist=make_first_jump_time(), anchor=1.0,
+                    levels=(4.0, 8.0, 16.0, 32.0), growth="linear",
+                    truncate=lambda T: (None, T), start=0.0)
+    return ProcessModel(name="witness", drivers=(driver,), build=build,
+                        build_batch=build_batch)
+
+
+@pytest.fixture(scope="session")
+def witness():
+    return witness_model()
 
 
 def random_two_jump_path(rng: np.random.Generator) -> JumpPath:

@@ -33,7 +33,12 @@ from doleans import (
     stoch_exponential_batch,
     theorem1_functional,
 )
-from doleans.cli import example2_bound, example3_eta_factor, example3_tau_factor
+from doleans.cli import (
+    example1_exponential,
+    example2_bound,
+    example3_eta_factor,
+    example3_tau_factor,
+)
 
 from conftest import example2_closed_form
 
@@ -162,7 +167,7 @@ def test_criterion_07_martingale_property(model1, model2):
         )
         assert abs(est2.mean - 1.0) <= 3.0 * est2.se
 
-        exact1 = quadrature_expectation(XI, lambda x: 1.0 + x)
+        exact1 = quadrature_expectation(XI, example1_exponential)
         assert abs(exact1 - 1.0) <= 1e-8
 
         # derived closed form: e * int_1^inf (1+u) e^{-u} / u^2 du == 1

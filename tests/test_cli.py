@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +241,41 @@ class TestConditionCommand:
             main(["condition", "--model", "example1", "--kind", "theorem1",
                   "--a", "indicator:x"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [("--eps", "0.25"), ("--streams", "4")])
+    def test_removed_flags_are_usage_errors(self, capsys, flag):
+        # theorem1's epsilon moves no value and the stream count is always
+        # 16, so neither is a flag
+        with pytest.raises(SystemExit) as exc:
+            main(["condition", "--model", "example2", "--kind", "theorem1",
+                  "--a", "0.5", *flag])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+#: values for the README's placeholders: seed, path count, output file
+_README_PLACEHOLDERS = {"S": "7", "N": "100", "F": "out.json"}
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("doleans ")]
+
+
+def test_readme_cli_lines_parse():
+    # every documented line, its optional [...] groups included, is a valid
+    # invocation, so a removed flag cannot linger in the docs
+    lines = _readme_cli_lines()
+    assert len(lines) >= 5
+    for tokens in lines:
+        argv = [_README_PLACEHOLDERS.get(t.strip("[]"), t.strip("[]"))
+                for t in tokens]
+        parser = cli_mod._build_parser()
+        args = parser.parse_args(argv)
+        if args.command == "condition":
+            cli_mod._condition_spec(parser, args)
 
 
 class TestParseControl:

@@ -260,14 +260,13 @@ def _value_and_warnings(fn, x):
 
 
 def _assert_scalar_route_exact(dist, fn_name, x):
-    # a float and an np.float64 give the 1-element array's bits; an inverse
-    # CDF warns on no route, while the other functions may overflow at
-    # 1e308, which warns on arrays and np.float64 but not on a Python float
+    # a float and an np.float64 give the 1-element array's bits and its
+    # warnings, and an inverse CDF warns on no route
     fn = getattr(dist, fn_name)
     seen = [_value_and_warnings(route, x) for route in (
         lambda v: float(fn(np.array([v]))[0]), fn, lambda v: fn(np.float64(v)))]
-    assert [value for value, _ in seen] == [seen[0][0]] * 3, x
-    assert fn_name != "inverse_cdf" or not any(w for _, w in seen), (x, seen)
+    assert seen == [seen[0]] * 3, (x, seen)
+    assert fn_name != "inverse_cdf" or not seen[0][1], (x, seen)
 
 
 def _near_ends(dist, fn_name):

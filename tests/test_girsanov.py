@@ -16,8 +16,6 @@ from doleans import (
     lemma2_lhs,
     lemma3_gap,
     log_stoch_exponential,
-    product_identity_residual,
-    stoch_exponential,
     transformed_jacod_integrand,
 )
 
@@ -78,21 +76,13 @@ class TestDecompose:
                 expect = (1.0 - a) * dm / (1.0 + a * dm)
                 assert abs(dn - expect) <= 1e-15 * max(1.0, abs(expect))
 
-    def test_product_consistency(self, model3):
-        ind = control_indicator_after(1.0)
-        for i in range(50):
-            p = model3.sampler(7, i)
-            d = decompose(p, ind)
-            assert abs(d.product - d.density_factor * d.transformed_exponential) \
-                <= 1e-12 * d.product
-
 
 class TestProductIdentity:
-    def test_zero_control_residual_zero(self, model1):
+    def test_zero_control_gap_zero(self, model1):
         zero = PredictableControl.constant(0.0)
         for i in range(20):
             p = model1.sampler(8, i)
-            assert product_identity_residual(p, zero) == 0.0
+            assert decompose(p, zero).identity_log_gap == 0.0
 
     def test_random_paths_random_constant_control(self):
         rng = np.random.Generator(np.random.Philox(key=10))
@@ -124,8 +114,9 @@ class TestProductIdentity:
         for i in range(200):
             p = model3.sampler(12, i)
             d = decompose(p, ind)
-            ref = stoch_exponential(p, p.horizon)
-            assert abs(d.product - ref) <= 1e-12 * max(ref, 1e-300)
+            ref = log_stoch_exponential(p, p.horizon)
+            assert abs(d.log_density_factor + d.log_transformed_exponential
+                       - ref) <= 1e-12
 
     def test_full_grid_all_models(self, all_models):
         # the identity holds omega by omega for every control

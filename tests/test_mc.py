@@ -31,6 +31,7 @@ from doleans import (
 from doleans import cli, mc, stochexp
 from doleans.cli import (
     CLAIMS,
+    example1_exponential,
     example2_bound,
     example2_exponential,
     example3_eta_factor,
@@ -484,7 +485,7 @@ class TestEvaluateCondition:
     def test_lemma1_example1_oracle(self, model1):
         # E (1+x)(log(1+x) - x/(1+x)) by direct quadrature
         oracle = quadrature_expectation(
-            XI, lambda x: (1.0 + x) * (math.log1p(x) - x / (1.0 + x))
+            XI, lambda x: example1_exponential(x) * (math.log1p(x) - x / (1.0 + x))
         )
         r = evaluate_condition(model1, ConditionSpec("lemma1"))
         assert abs(r.quadrature - oracle) <= 1e-9 * oracle
@@ -494,8 +495,8 @@ class TestEvaluateCondition:
         # single-driver integrals, each written out explicitly here
         eta = make_eta_distribution()
         lj = lambda z: math.log1p(z) - z / (1.0 + z)
-        e_u_b0 = quadrature_expectation(eta, lambda x: (1.0 + x) * lj(x))
-        e_u = quadrature_expectation(eta, lambda x: 1.0 + x)
+        e_u_b0 = quadrature_expectation(eta, lambda x: example1_exponential(x) * lj(x))
+        e_u = quadrature_expectation(eta, example1_exponential)
 
         def exp_factor(weight):
             def g(y):
@@ -621,6 +622,37 @@ class TestQuadratureMonteCarloAgreement:
         r = evaluate_condition(model3, spec, SeedSpec(43, 32), 1_000_000)
         assert r.verdict == "finite"
         assert abs(r.estimate.mean - r.quadrature) <= 3.0 * r.estimate.se
+
+
+class TestExample1ExactIncrement:
+    """On xi's left branch the example1 ``theorem1(a)`` family obeys
+    ``F(d) - F(d0) = ((1 - a)/2) ln(d0/d) + a (d0 - d)/2`` exactly."""
+
+    @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75, 0.99, 0.995, 0.9999])
+    def test_reported_family_obeys_the_increment(self, a, model1):
+        r = evaluate_condition(
+            model1, ConditionSpec("theorem1", PredictableControl.constant(a)))
+        assert r.divergence is not None, r.verdict
+        levels, values = r.divergence.levels, r.divergence.values
+        assert levels[0] == 1e-2 and len(levels) == 4
+        for d, v in zip(levels, values):
+            exact = (0.5 * (1.0 - a) * math.log(levels[0] / d)
+                     + 0.5 * a * (levels[0] - d))
+            assert abs((v - values[0]) - exact) <= 1e-10, (d, v)
+
+    def test_full_control_is_finite_without_a_family(self, model1):
+        r = evaluate_condition(
+            model1, ConditionSpec("theorem1", PredictableControl.constant(1.0)))
+        assert r.verdict == "finite" and r.divergence is None
+
+    def test_deep_levels_raise(self, model1):
+        # float x = -1 + d holds d only to about 1e-16/d relative, so these
+        # cuts miss the quadrature contract; they raise, never degrade
+        with pytest.raises(QuadratureAccuracyError) as exc:
+            evaluate_condition(
+                model1, ConditionSpec("theorem1", PredictableControl.constant(0.5)),
+                levels=(1e-6, 1e-8, 1e-10, 1e-12))
+        assert exc.value.achieved > mc._QUAD_ACCEPT_REL * exc.value.value
 
 
 class TestExample2MartingaleOracle:

@@ -22,10 +22,16 @@ from doleans import (
     evaluate_condition,
     make_eta_distribution,
     make_first_jump_time,
+    make_xi_distribution,
     quadrature_expectation,
 )
 from doleans import mc
-from doleans.cli import example2_exponential, example3_eta_factor, example3_tau_factor
+from doleans.cli import (
+    example1_exponential,
+    example2_exponential,
+    example3_eta_factor,
+    example3_tau_factor,
+)
 from doleans.stochexp import pathwise_functional
 
 REL = 1e-10
@@ -151,11 +157,13 @@ def test_condition_quadrature_matches_mpmath(case, all_models):
 
 
 @pytest.mark.parametrize("shared, dist, oracle", [
+    (example1_exponential, make_xi_distribution(), lambda: xi_mean(lambda x: 1 + x)),
     (example3_eta_factor, make_eta_distribution(), lambda: eta_mean(eta_factor)),
     (example3_tau_factor, make_first_jump_time(), lambda: tau_mean(tau_factor)),
     (example2_exponential, make_first_jump_time(),
      lambda: tau_mean(lambda y: (1 + exp(y)) * exp(1 - exp(y)))),
-], ids=["example3_eta_factor", "example3_tau_factor", "example2_exponential"])
+], ids=["example1_exponential", "example3_eta_factor", "example3_tau_factor",
+        "example2_exponential"])
 def test_shared_oracles_match_mpmath(shared, dist, oracle):
     value = quadrature_expectation(dist, shared)
     assert math.isclose(value, _reference(oracle), rel_tol=REL, abs_tol=0.0)
