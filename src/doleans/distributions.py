@@ -79,7 +79,8 @@ class InverseCdfDistribution:
     Parameters
     ----------
     name : str
-        Identifier used in reports.
+        Short label of the law (``xi``, ``eta``, ``first_jump_time``); no
+        computation or report reads it.
     density, log_density : callable
         Probability density and its natural log (``-inf`` off support).
     cdf : callable

@@ -125,9 +125,10 @@ def lemma2_lhs(x, eps):
     """
     x_arr = np.asarray(x, dtype=float)
     e_arr = np.asarray(eps, dtype=float)
-    if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
+    # written as "not all inside" so that nan is rejected too
+    if not np.all((x_arr >= 0.0) & (x_arr <= 1.0)):
         raise ValueError("x must lie in [0, 1]")
-    if np.any(e_arr <= 0.0) or np.any(e_arr >= 1.0):
+    if not np.all((e_arr > 0.0) & (e_arr < 1.0)):
         raise ValueError("eps must lie strictly in (0, 1)")
     quadratic = (1.0 - e_arr * e_arr) * x_arr * x_arr - 2.0 * x_arr + 1.0
     boost = 2.0 * e_arr * (1.0 - x_arr < e_arr)
@@ -146,9 +147,9 @@ def lemma3_gap(a, dm):
     """
     a_arr = np.asarray(a, dtype=float)
     d_arr = np.asarray(dm, dtype=float)
-    if np.any(a_arr < 0.0) or np.any(a_arr > 1.0):
+    if not np.all((a_arr >= 0.0) & (a_arr <= 1.0)):
         raise ValueError("a must lie in [0, 1]")
-    if np.any(d_arr <= -1.0):
+    if not np.all(d_arr > -1.0):
         raise ValueError("dm must exceed -1")
     out = np.log1p(a_arr * d_arr) - a_arr * (d_arr / (1.0 + d_arr))
     if np.ndim(a) == 0 and np.ndim(dm) == 0:

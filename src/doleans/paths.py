@@ -466,10 +466,6 @@ def example1_model() -> ProcessModel:
     )
 
 
-def _capped(value: float, cap: float) -> float:
-    return cap if value > cap else value
-
-
 def _truncate_jump_time(T: float) -> tuple[None, float]:
     # build caps the jump time, so past the cap the integrand is no longer
     # the model's and a truncated family there stops growing
@@ -477,6 +473,21 @@ def _truncate_jump_time(T: float) -> tuple[None, float]:
         raise ValueError(
             f"jump-time level {T!r} exceeds the jump-time cap {_JUMP_TIME_CAP!r}")
     return None, T
+
+
+def _waiting_time(name: str, start: float) -> tuple[Driver, ExpCompensatorDrift]:
+    """The unit-exponential waiting-time driver whose clock starts at
+    ``start``, and the compensator of the Poisson integral it stops."""
+    driver = Driver(
+        name=name,
+        dist=make_first_jump_time(),
+        anchor=1.0,
+        levels=(10.0, 20.0, 40.0, 80.0),
+        growth="linear",
+        truncate=_truncate_jump_time,
+        start=start,
+    )
+    return driver, ExpCompensatorDrift(start)
 
 
 def _ps_disc_qv(path: JumpPath, t: float) -> float:
@@ -513,25 +524,12 @@ def example2_model() -> ProcessModel:
     closed forms ``int e^{2s} ds`` and
     ``int ((1+e^s) ln(1+e^s) - e^s) ds`` on ``[0, t ^ tau]``.
     """
-    law = make_first_jump_time()
-    drivers = (
-        Driver(
-            name="tau1",
-            dist=law,
-            anchor=1.0,
-            levels=(10.0, 20.0, 40.0, 80.0),
-            growth="linear",
-            truncate=_truncate_jump_time,
-            start=0.0,
-        ),
-    )
-
-    drift = ExpCompensatorDrift(0.0)
+    tau1, drift = _waiting_time("tau1", 0.0)
 
     def build(e: float) -> JumpPath:
         # floor keeps the horizon strictly positive in float; the cap keeps
         # e^tau finite for proposal draws far out in the tail
-        tau = _capped(max(e, 1e-300), _JUMP_TIME_CAP)
+        tau = min(max(e, 1e-300), _JUMP_TIME_CAP)
         return JumpPath(
             horizon=tau,
             jumps=((tau, math.exp(tau)),),
@@ -549,7 +547,7 @@ def example2_model() -> ProcessModel:
 
     return ProcessModel(
         name="example2",
-        drivers=drivers,
+        drivers=(tau1,),
         build=build,
         disc_qv=_ps_disc_qv,
         lm_compensator=_lm_compensator,
@@ -564,52 +562,39 @@ def example3_model() -> ProcessModel:
     The two drivers (eta and the post-1 exponential waiting time) are
     sampled independently.
     """
-    eta = make_eta_distribution()
-    law = make_first_jump_time()
-    drivers = (
-        Driver(
-            name="eta",
-            dist=eta,
-            anchor=0.0,
-            levels=(1e-2, 1e-3, 1e-4, 1e-5),
-            growth="log",
-            truncate=lambda delta: (None, 1.0 / delta),
-        ),
-        Driver(
-            name="tau1_hat",
-            dist=law,
-            anchor=1.0,
-            levels=(10.0, 20.0, 40.0, 80.0),
-            growth="linear",
-            truncate=_truncate_jump_time,
-            start=1.0,
-        ),
+    start = 1.0
+    eta = Driver(
+        name="eta",
+        dist=make_eta_distribution(),
+        anchor=0.0,
+        levels=(1e-2, 1e-3, 1e-4, 1e-5),
+        growth="log",
+        truncate=lambda delta: (None, 1.0 / delta),
     )
-
-    drift = ExpCompensatorDrift(1.0)
+    tau1_hat, drift = _waiting_time("tau1_hat", start)
 
     def build(x: float, e: float) -> JumpPath:
-        # floor keeps 1 + e strictly above 1 in float so the two jump
-        # times stay ordered; the displaced mass is ~1e-15
-        tau_hat = 1.0 + _capped(max(e, 1e-15), _JUMP_TIME_CAP)
+        # floor keeps start + e strictly above start in float so the two
+        # jump times stay ordered; the displaced mass is ~1e-15
+        tau_hat = start + min(max(e, 1e-15), _JUMP_TIME_CAP)
         return JumpPath(
             horizon=tau_hat,
-            jumps=((1.0, x), (tau_hat, math.exp(tau_hat - 1.0))),
+            jumps=((start, x), (tau_hat, math.exp(tau_hat - start))),
             drift=drift,
         )
 
     def build_batch(x: np.ndarray, e: np.ndarray) -> PathBatch:
-        tau_hat = 1.0 + np.minimum(np.maximum(e, 1e-15), _JUMP_TIME_CAP)
+        tau_hat = start + np.minimum(np.maximum(e, 1e-15), _JUMP_TIME_CAP)
         return PathBatch(
             horizon=tau_hat,
-            jump_t=np.column_stack((np.ones(len(tau_hat)), tau_hat)),
-            jump_dm=np.column_stack((x, apply_math(math.exp, tau_hat - 1.0))),
+            jump_t=np.column_stack((np.full(len(tau_hat), start), tau_hat)),
+            jump_dm=np.column_stack((x, apply_math(math.exp, tau_hat - start))),
             drift=drift,
         )
 
     return ProcessModel(
         name="example3",
-        drivers=drivers,
+        drivers=(eta, tau1_hat),
         build=build,
         build_batch=build_batch,
     )
@@ -626,8 +611,10 @@ EXAMPLE_MODELS: dict[str, Callable[[], ProcessModel]] = {
 # JSON round-tripping for sampled paths
 # ----------------------------------------------------------------------
 
-#: The keys of a serialized path, part of the CLI contract.
+#: The keys of a serialized path and of each of its jumps, part of the
+#: CLI contract.
 _PATH_KEYS = frozenset({"horizon", "jumps", "drift_kind"})
+_JUMP_KEYS = frozenset({"t", "dm"})
 
 
 def path_to_json(path: JumpPath) -> dict:
@@ -649,14 +636,22 @@ def _drift_from_kind(kind: str):
     raise ValueError(f"unknown drift kind {kind!r}")
 
 
-def path_from_json(doc: dict) -> JumpPath:
-    """Rebuild a path serialized by :func:`path_to_json`; a document
-    without exactly its keys is a ``ValueError``."""
-    missing, extra = sorted(_PATH_KEYS - set(doc)), sorted(set(doc) - _PATH_KEYS)
+def _with_keys(doc, keys: frozenset, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be an object, got {type(doc).__name__}")
+    missing, extra = sorted(keys - set(doc)), sorted(set(doc) - keys)
     if missing or extra:
-        raise ValueError(f"path document: missing keys {missing}, unknown keys {extra}")
+        raise ValueError(f"{what}: missing keys {missing}, unknown keys {extra}")
+    return doc
+
+
+def path_from_json(doc: dict) -> JumpPath:
+    """Rebuild a path serialized by :func:`path_to_json`; a document or a
+    jump without exactly its keys is a ``ValueError``."""
+    _with_keys(doc, _PATH_KEYS, "path document")
+    jumps = (_with_keys(j, _JUMP_KEYS, "jump") for j in doc["jumps"])
     return JumpPath(
         horizon=float(doc["horizon"]),
-        jumps=tuple((float(j["t"]), float(j["dm"])) for j in doc["jumps"]),
+        jumps=tuple((float(j["t"]), float(j["dm"])) for j in jumps),
         drift=_drift_from_kind(doc["drift_kind"]),
     )

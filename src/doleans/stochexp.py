@@ -387,12 +387,8 @@ def jacod_batch(batch: PathBatch) -> np.ndarray:
     return _jacod_rows(batch, _log1p_columns(batch))
 
 
-def theorem1_batch(
-    batch: PathBatch, a: PredictableControl, eps: float
-) -> np.ndarray:
+def theorem1_batch(batch: PathBatch, a: PredictableControl) -> np.ndarray:
     """:func:`theorem1_functional` log values at every row's horizon."""
-    if not (0.0 < eps < 1.0):
-        raise ValueError("epsilon must lie strictly in (0, 1)")
     T = batch.horizon
     drift = batch.drift
     drift_T = drift.array(T)
@@ -402,8 +398,7 @@ def theorem1_batch(
     # PredictableControl.segments_until(T), empty slots masked out.  The
     # drift is evaluated at a break only where some row's segment ends
     # there, as in the scalar path (e^b may overflow for breaks past every
-    # horizon).  eps is validated only: it scales a <M^c> term, which is
-    # zero on every path.
+    # horizon).
     lows = (0.0,) + a.breaks
     highs = a.breaks + (math.inf,)
     terms = np.zeros((len(batch), len(a.values)))
@@ -443,9 +438,9 @@ class Integrand(NamedTuple):
 
 
 def _theorem1_entry(spec: ConditionSpec, model: ProcessModel) -> Integrand:
-    a, eps = spec.control, spec.epsilon
+    a = spec.control
     return Integrand(lambda p, t: _theorem1_log(p, a, t), None,
-                     lambda b: theorem1_batch(b, a, eps))
+                     lambda b: theorem1_batch(b, a))
 
 
 _FUNCTIONALS = {
@@ -490,9 +485,9 @@ def jump_term_reduction_gap(a, dm):
     """
     a_arr = np.asarray(a, dtype=float)
     d_arr = np.asarray(dm, dtype=float)
-    if np.any(a_arr < 0.0) or np.any(a_arr > 1.0):
+    if not np.all((a_arr >= 0.0) & (a_arr <= 1.0)):
         raise ValueError("control values must lie in [0, 1]")
-    if np.any(d_arr <= -1.0):
+    if not np.all(d_arr > -1.0):
         raise ValueError("jump sizes must exceed -1")
     full = np.log1p(d_arr) - d_arr / (1.0 + d_arr)
     ad = a_arr * d_arr

@@ -178,7 +178,7 @@ def test_theorem1_batch_equals_scalar(case, a, eps):
     batch = build_batch(model, rows)
     expected = [theorem1_functional(p, a, eps, p.horizon).log_value
                 for p in scalar_paths(model, rows)]
-    assert bits(theorem1_batch(batch, a, eps)) == bits(expected)
+    assert bits(theorem1_batch(batch, a)) == bits(expected)
 
 
 @given(model_batches(), controls(), EPS)
@@ -236,7 +236,7 @@ def test_batches_with_drift_equal_scalar(case, a, eps):
     batch, paths = case
     horizons = batch.horizon.tolist()
     assert bits(batch.drift.array(batch.horizon)) == bits(map(batch.drift, horizons))
-    assert bits(theorem1_batch(batch, a, eps)) == bits(
+    assert bits(theorem1_batch(batch, a)) == bits(
         theorem1_functional(p, a, eps, p.horizon).log_value for p in paths
     )
     assert bits(jacod_batch(batch)) == bits(
@@ -258,7 +258,7 @@ def test_theorem1_batch_skips_breaks_past_every_horizon():
               PredictableControl((2.0, 750.0, 800.0), (0.2, 0.4, 0.6, 0.8))):
         paths = [batch.path(i) for i in range(len(batch))]
         expected = [theorem1_functional(p, a, 0.5, p.horizon).log_value for p in paths]
-        assert bits(theorem1_batch(batch, a, 0.5)) == bits(expected)
+        assert bits(theorem1_batch(batch, a)) == bits(expected)
 
 
 def test_theorem1_batch_sums_many_segments_as_fsum():
@@ -269,21 +269,15 @@ def test_theorem1_batch_sums_many_segments_as_fsum():
     a = PredictableControl((0.5, 1.0, 2.0), (0.3, 0.7, 0.1, 0.9))
     paths = [batch.path(i) for i in range(len(batch))]
     expected = [theorem1_functional(p, a, 0.5, p.horizon).log_value for p in paths]
-    assert bits(theorem1_batch(batch, a, 0.5)) == bits(expected)
+    assert bits(theorem1_batch(batch, a)) == bits(expected)
 
 
 def test_theorem1_batch_at_zero_control_equals_jacod_batch():
     rng = np.random.Generator(np.random.Philox(key=3))
     for model in MODELS.values():
         batch = model.build_batch(*model.driver_columns(rng, 500))
-        zero = theorem1_batch(batch, PredictableControl.constant(0.0), 0.5)
+        zero = theorem1_batch(batch, PredictableControl.constant(0.0))
         assert bits(zero) == bits(jacod_batch(batch))
-
-
-def test_theorem1_batch_rejects_bad_epsilon():
-    batch = example1_model().build_batch(np.array([0.5]))
-    with pytest.raises(ValueError):
-        theorem1_batch(batch, PredictableControl.constant(0.5), 1.0)
 
 
 class TestPathBatchInvariants:
@@ -583,7 +577,7 @@ def test_theorem1_batch_log1p_passes(monkeypatch, name, control, passes):
     model = MODELS[name]
     batch = model.build_batch(*model.driver_columns(np.random.default_rng(0), 200))
     counter = CountingLog1p(monkeypatch)
-    theorem1_batch(batch, control, 0.5)
+    theorem1_batch(batch, control)
     assert counter.elements == passes * batch.jump_dm.size
 
 

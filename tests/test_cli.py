@@ -257,9 +257,11 @@ class TestConditionCommand:
 _README_PLACEHOLDERS = {"S": "7", "N": "100", "F": "out.json"}
 
 
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_cli_lines() -> list[list[str]]:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```")[1]
+    block = _README.read_text().split("## Command line", 1)[1].split("```")[1]
     return [shlex.split(line)[1:] for line in block.splitlines()
             if line.startswith("doleans ")]
 
@@ -276,6 +278,14 @@ def test_readme_cli_lines_parse():
         args = parser.parse_args(argv)
         if args.command == "condition":
             cli_mod._condition_spec(parser, args)
+
+
+def test_readme_library_block_runs():
+    # the one python block runs as written, so a changed signature cannot
+    # linger in the docs
+    blocks = _README.read_text().split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```", 1)[0], str(_README), "exec"), {})
 
 
 class TestParseControl:
@@ -388,6 +398,20 @@ class TestReproducePathCount:
         assert list(tmp_path.iterdir()) == []
 
 
+def _indicator_flipped(x, eps):
+    x = np.asarray(x, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    return ((1.0 - eps * eps) * x * x - 2.0 * x + 1.0
+            + 2.0 * eps * (1.0 - x >= eps))
+
+
+def _negative_and_nan(x, eps):
+    vals = np.array(lemma2_lhs(x, eps))
+    vals.flat[0] = -1.0
+    vals.flat[-1] = math.nan
+    return vals
+
+
 class TestLemmas:
     def test_passes(self, capsys):
         code, out, _ = run_cli(capsys, "lemmas")
@@ -419,18 +443,17 @@ class TestLemmas:
         for (_, got), want in zip(calls[1:], ((xr, er), (ar, dm))):
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
-    def test_mutant_indicator_flip_detected(self):
+    @pytest.mark.parametrize("mutant, reported", [
         # flipping the indicator removes the boost exactly where the bare
         # quadratic is negative, between 1/(1+eps) and 1
-        def mutant(x, eps):
-            x = np.asarray(x, dtype=float)
-            eps = np.asarray(eps, dtype=float)
-            return ((1.0 - eps * eps) * x * x - 2.0 * x + 1.0
-                    + 2.0 * eps * (1.0 - x >= eps))
-
+        (_indicator_flipped,
+         lambda x, eps, value: 1.0 / (1.0 + eps) < x <= 1.0 and value < 0.0),
+        # a nan elsewhere in the suite must not hide the -1
+        (_negative_and_nan, lambda x, eps, value: math.isnan(value)),
+    ], ids=["indicator-flip", "negative-and-nan"])
+    def test_mutant_detected(self, mutant, reported):
         violations = run_lemma_suites(lemma2=mutant)
         assert violations
         name, (x, eps), value = violations[0]
         assert name.startswith("lemma2")
-        assert 1.0 / (1.0 + eps) < x <= 1.0
-        assert value < 0.0
+        assert reported(x, eps, value)

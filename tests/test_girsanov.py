@@ -190,10 +190,9 @@ class TestLemma2:
         assert vals.min() >= 0.0
 
     def test_domain_validated(self):
-        with pytest.raises(ValueError):
-            lemma2_lhs(1.5, 0.5)
-        with pytest.raises(ValueError):
-            lemma2_lhs(0.5, 1.0)
+        for x, eps in ((1.5, 0.5), (0.5, 1.0), (math.nan, 0.5), (0.5, math.nan)):
+            with pytest.raises(ValueError):
+                lemma2_lhs(x, eps)
 
     def test_mutant_without_boost_goes_negative(self):
         # removing the indicator term must be caught between the roots
@@ -229,10 +228,9 @@ class TestLemma3:
         assert lemma3_gap(a, dm).min() >= -1e-12
 
     def test_domain_validated(self):
-        with pytest.raises(ValueError):
-            lemma3_gap(1.2, 0.5)
-        with pytest.raises(ValueError):
-            lemma3_gap(0.5, -1.0)
+        for a, dm in ((1.2, 0.5), (0.5, -1.0), (math.nan, 0.5), (0.5, math.nan)):
+            with pytest.raises(ValueError):
+                lemma3_gap(a, dm)
 
 
 @given(

@@ -243,6 +243,17 @@ class TestSerialization:
             with pytest.raises(ValueError, match=rf"missing keys \['{key}'\]"):
                 path_from_json({k: v for k, v in doc.items() if k != key})
 
+    @pytest.mark.parametrize("jump, message", [
+        ({"t": 1.0}, r"jump: missing keys \['dm'\], unknown keys \[\]"),
+        ({"t": 1.0, "dm": 0.5, "w": 2.0},
+         r"jump: missing keys \[\], unknown keys \['w'\]"),
+        ([1.0, 0.5], r"jump must be an object, got list"),
+    ], ids=["missing", "extra", "list"])
+    def test_jump_keys_checked(self, jump, message):
+        doc = {"horizon": 1.0, "jumps": [jump], "drift_kind": "zero"}
+        with pytest.raises(ValueError, match=message):
+            path_from_json(doc)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             path_from_json({"horizon": 1.0, "jumps": [], "drift_kind": "mystery"})

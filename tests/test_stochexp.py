@@ -365,3 +365,10 @@ def test_jump_term_reduction_gap_vectorized():
     a = rng.random(100_000)
     dm = np.exp(rng.uniform(math.log(1e-9), math.log(1e3 + 1.0), 100_000)) - 1.0
     assert jump_term_reduction_gap(a, dm).min() >= -1e-12
+
+
+@pytest.mark.parametrize("a, dm", [(-0.1, 0.5), (1.2, 0.5), (0.5, -1.0),
+                                   (math.nan, 0.5), (0.5, math.nan)])
+def test_jump_term_reduction_gap_domain_validated(a, dm):
+    with pytest.raises(ValueError):
+        jump_term_reduction_gap(a, dm)
