@@ -293,9 +293,11 @@ def run_reproduction(which: int, seed: int, n: int) -> dict:
     """Experiment suite for one counterexample; returns the report document.
 
     ``n`` is the Monte Carlo path count of the martingale rows, an integer
-    of at least 2; a non-integer ``n`` raises ``TypeError`` and a smaller
-    one ``ValueError``, before any quadrature.
+    of at least 2; a non-integer ``which`` or ``n`` raises ``TypeError`` and
+    an out-of-range one ``ValueError``, before any quadrature.  The document
+    holds ``which`` and ``seed`` as Python ints.
     """
+    which = operator.index(which)
     if which not in CLAIMS:
         raise ValueError("which must be 1, 2 or 3")
     n = operator.index(n)
@@ -335,7 +337,7 @@ def run_reproduction(which: int, seed: int, n: int) -> dict:
 
     return {
         "which": which,
-        "seed": seed,
+        "seed": seeds.seed,
         "n": n,
         "rows": rows,
         "families": families,

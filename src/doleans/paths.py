@@ -310,18 +310,14 @@ class PredictableControl:
         return self.values[bisect_left(self.breaks, s)]
 
     def segments_until(self, t: float) -> Iterator[tuple[float, float, float]]:
-        """Yield ``(lo, hi, value)`` with value held on ``(lo, hi]``, partitioning ``(0, t]``."""
-        if t <= 0.0:
-            return
-        lo = 0.0
-        for b, v in zip(self.breaks, self.values):
-            if b >= t:
-                yield (lo, t, v)
+        """Yield ``(lo, hi, value)`` with value held on ``(lo, hi]``, partitioning ``(0, t]``:
+        the nonempty slots ``(0, b0], (b0, b1], ..., (b_last, inf)`` that start
+        before ``t``, in order, each end clipped to ``t``."""
+        for lo, hi, v in zip((0.0, *self.breaks), (*self.breaks, math.inf), self.values):
+            if lo >= t:
                 return
-            if b > lo:
-                yield (lo, b, v)
-            lo = b
-        yield (lo, t, self.values[-1])
+            if hi > lo:
+                yield (lo, min(hi, t), v)
 
     def label(self) -> str:
         """Short parseable description, e.g. ``0.5`` or ``indicator:1.0``."""
@@ -631,9 +627,22 @@ def path_to_json(path: JumpPath) -> dict:
 def _drift_from_kind(kind: str):
     if kind == "zero":
         return _ZERO_DRIFT
-    if kind.startswith("exp_compensator:"):
-        return ExpCompensatorDrift(float(kind.split(":", 1)[1]))
-    raise ValueError(f"unknown drift kind {kind!r}")
+    if isinstance(kind, str) and kind.startswith("exp_compensator:"):
+        start = float(kind.split(":", 1)[1])
+        if math.isfinite(start):
+            return ExpCompensatorDrift(start)
+    raise ValueError(f"unknown drift_kind {kind!r}: need 'zero' or "
+                     "'exp_compensator:<finite start>'")
+
+
+def _finite_number(value, what: str) -> float:
+    """``value`` as a float; ``ValueError`` unless a finite int or float (not a bool)."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
 def _with_keys(doc, keys: frozenset, what: str) -> dict:
@@ -646,12 +655,17 @@ def _with_keys(doc, keys: frozenset, what: str) -> dict:
 
 
 def path_from_json(doc: dict) -> JumpPath:
-    """Rebuild a path serialized by :func:`path_to_json`; a document or a
-    jump without exactly its keys is a ``ValueError``."""
+    """Rebuild a path serialized by :func:`path_to_json`.  A document or jump
+    without exactly its keys, a ``jumps`` that is not a list, a ``horizon``,
+    ``t`` or ``dm`` that is not a finite number, or an unknown ``drift_kind``
+    is a ``ValueError``."""
     _with_keys(doc, _PATH_KEYS, "path document")
+    if not isinstance(doc["jumps"], list):
+        raise ValueError(f"jumps must be a list, got {type(doc['jumps']).__name__}")
     jumps = (_with_keys(j, _JUMP_KEYS, "jump") for j in doc["jumps"])
     return JumpPath(
-        horizon=float(doc["horizon"]),
-        jumps=tuple((float(j["t"]), float(j["dm"])) for j in jumps),
+        horizon=_finite_number(doc["horizon"], "horizon"),
+        jumps=tuple((_finite_number(j["t"], "jump t"), _finite_number(j["dm"], "jump dm"))
+                    for j in jumps),
         drift=_drift_from_kind(doc["drift_kind"]),
     )

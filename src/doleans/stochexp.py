@@ -22,7 +22,7 @@ functional bit for bit.
 Next to the scalar functionals sit batch kernels over a
 :class:`~doleans.paths.PathBatch`, evaluated at each row's horizon.  They
 repeat the scalar arithmetic operation for operation (transcendentals
-through ``math``, control segments summed as ``math.fsum`` does), so every
+through ``math``, control segments summed in segment order), so every
 row is bit-identical to the scalar value.  Each ``math`` pass runs once
 per distinct value: ``log1p(dM)`` is shared by every term that needs it.
 :func:`pathwise_functional` gives each condition kind's integrand as an
@@ -276,10 +276,9 @@ def lepingle_memin_A(path: JumpPath, t: float) -> float:
 def _theorem1_log(path: JumpPath, a: PredictableControl, t: float) -> float:
     """Log value of :func:`theorem1_functional`, for ``t`` in
     ``[0, horizon]`` unchecked."""
-    # the drift terms are summed by math.fsum in segment order, exactly as
-    # integrate_control does
-    drift_part = math.fsum(v * (path.drift(hi) - path.drift(lo))
-                           for lo, hi, v in a.segments_until(t))
+    drift_part = 0.0
+    for lo, hi, v in a.segments_until(t):
+        drift_part += v * (path.drift(hi) - path.drift(lo))
 
     s = 0.0
     for ti, dm in path.jumps:
@@ -319,22 +318,6 @@ def lemma1_functional(path: JumpPath, t: float) -> float:
 # ----------------------------------------------------------------------
 # Batch kernels: the functionals above at every row's horizon.
 # ----------------------------------------------------------------------
-
-def _fsum_rows(terms: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of the present terms of every row.
-
-    With at most two terms the correctly rounded sum is one IEEE addition
-    started from +0.0 (fsum never returns -0.0); rows with more terms, or
-    with a non-finite sum, go through ``math.fsum`` itself.
-    """
-    out = np.zeros(len(terms))
-    for col, live in zip(terms.T, present.T):
-        out = out + np.where(live, col, 0.0)
-    slow = (present.sum(axis=1) > 2) | ~np.isfinite(out)
-    for i in np.flatnonzero(slow):
-        out[i] = math.fsum(terms[i][present[i]].tolist())
-    return out
-
 
 def _log1p_columns(batch: PathBatch) -> Iterator[np.ndarray]:
     """``log1p(dM)`` of each jump column in turn: the one ``math.log1p``
@@ -393,25 +376,19 @@ def theorem1_batch(batch: PathBatch, a: PredictableControl) -> np.ndarray:
     drift = batch.drift
     drift_T = drift.array(T)
 
-    # slot j carries values[j] on (breaks[j-1], min(breaks[j], T)], with
-    # breaks[-1] = 0 and a final break at infinity: the segments of
-    # PredictableControl.segments_until(T), empty slots masked out.  The
-    # drift is evaluated at a break only where some row's segment ends
+    # row i sums the segments of a.segments_until(T[i]): those of
+    # segments_until(inf) that start before T[i], the last one cut at T[i].
+    # The drift is evaluated at a break only where some row's segment ends
     # there, as in the scalar path (e^b may overflow for breaks past every
     # horizon).
-    lows = (0.0,) + a.breaks
-    highs = a.breaks + (math.inf,)
-    terms = np.zeros((len(batch), len(a.values)))
-    present = np.empty(terms.shape, dtype=bool)
-    for j, (lo, hi, v) in enumerate(zip(lows, highs, a.values)):
-        live = present[:, j]
-        np.greater(np.minimum(hi, T), lo, out=live)
+    drift_part = np.zeros(len(batch))
+    for lo, hi, v in a.segments_until(math.inf):
+        live = T > lo
         if not live.any():
-            continue
+            break
         cut = hi < T
         d_hi = np.where(cut, drift(hi), drift_T) if cut.any() else drift_T
-        terms[:, j] = v * (d_hi - drift(lo))
-    drift_part = _fsum_rows(terms, present)
+        drift_part = drift_part + np.where(live, v * (d_hi - drift(lo)), 0.0)
 
     values = np.asarray(a.values)
     breaks = np.asarray(a.breaks, dtype=float)

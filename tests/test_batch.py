@@ -261,9 +261,10 @@ def test_theorem1_batch_skips_breaks_past_every_horizon():
         assert bits(theorem1_batch(batch, a)) == bits(expected)
 
 
-def test_theorem1_batch_sums_many_segments_as_fsum():
-    # four control segments per row: a plain running sum of the drift terms
-    # rounds differently from math.fsum on about one row in ten
+def test_theorem1_batch_sums_many_segments_in_order():
+    # up to four control segments per row, summed in segment order from 0.0
+    # as the scalar kernel sums them; with more than two segments that sum
+    # can round differently from math.fsum, so the order must match
     tau = np.random.Generator(np.random.Philox(key=5)).uniform(0.0, 6.0, 5000)
     batch = MODELS["example2"].build_batch(tau)
     a = PredictableControl((0.5, 1.0, 2.0), (0.3, 0.7, 0.1, 0.9))

@@ -61,11 +61,12 @@ class TestExponentialCommand:
 @pytest.mark.parametrize("command", ["sample", "exponential"])
 class TestPathCount:
     def test_negative_count_usage_error(self, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--model", "example1", "--n", "-2"])
-        assert exc.value.code == 2
-        out = capsys.readouterr()
-        assert out.out == "" and "--n" in out.err
+        for n in ("-2", "2.5"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--model", "example1", "--n", n])
+            assert exc.value.code == 2
+            out = capsys.readouterr()
+            assert out.out == "" and "--n" in out.err
 
     def test_zero_count_prints_no_paths(self, capsys, command):
         code, out, _ = run_cli(capsys, command, "--model", "example1", "--n", "0")
@@ -338,6 +339,11 @@ class TestReproduce:
         assert (tmp_path / "a.json").read_bytes() == \
             (tmp_path / "b.json").read_bytes()
 
+    def test_numpy_arguments_are_written_as_python_ints(self):
+        doc = run_reproduction(np.int64(2), np.int64(7), 2)
+        assert type(doc["which"]) is int and type(doc["seed"]) is int
+        assert json.dumps(doc) == json.dumps(run_reproduction(2, 7, 2))
+
     def test_mismatch_exits_nonzero_with_diff(self, capsys, tmp_path,
                                               monkeypatch):
         import doleans.cli as cli_mod
@@ -380,6 +386,8 @@ class TestReproducePathCount:
         for n in (2.5, 1000.0):
             with pytest.raises(TypeError):
                 run_reproduction(1, 0, n)
+        with pytest.raises(TypeError):
+            run_reproduction(2.0, 0, 2)
 
     def test_nonfinite_leaf_is_an_error(self, capsys, tmp_path, monkeypatch):
         def overflowing(which, seed, n):
@@ -451,9 +459,17 @@ class TestLemmas:
         # a nan elsewhere in the suite must not hide the -1
         (_negative_and_nan, lambda x, eps, value: math.isnan(value)),
     ], ids=["indicator-flip", "negative-and-nan"])
-    def test_mutant_detected(self, mutant, reported):
+    def test_mutant_detected(self, mutant, reported, capsys, monkeypatch):
         violations = run_lemma_suites(lemma2=mutant)
         assert violations
         name, (x, eps), value = violations[0]
         assert name.startswith("lemma2")
         assert reported(x, eps, value)
+
+        monkeypatch.setattr(cli_mod, "run_lemma_suites",
+                            lambda seed: run_lemma_suites(lemma2=mutant, seed=seed))
+        code, out, err = run_cli(capsys, "lemmas")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == len(violations)
+        assert all(line.startswith("[FAIL] lemma2") for line in lines)

@@ -58,12 +58,25 @@ class TestEstimateBatch:
         c = estimate_batch(model2, stoch_exponential_batch, 5000, SeedSpec(124, 8))
         assert c != a
 
-    def test_nonfinite_fraction_aborts(self, model1):
+    def test_nonfinite_fraction_aborts(self, model1, caplog):
         def sometimes_nan(batch):
             return np.where(batch.jump_dm[:, 0] > 0.0, math.nan, 1.0)
 
         with pytest.raises(EstimationError):
             estimate_batch(model1, sometimes_nan, 1000, SeedSpec(1, 2))
+
+        # at most 0.1% non-finite: excluded, counted and logged
+        def first_row_inf(batch):
+            values = np.ones(len(batch))
+            values[0] = math.inf
+            return values
+
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="doleans.mc"):
+            est = estimate_batch(model1, first_row_inf, 2000, SeedSpec(1, 2))
+        assert (est.mean, est.se, est.n, est.nonfinite) == (1.0, 0.0, 1998, 2)
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 of 2000 functional values were non-finite"]
 
     def test_seedspec_validated(self):
         with pytest.raises(ValueError):
@@ -544,6 +557,12 @@ class TestEvaluateCondition:
                             "quadrature"}
         assert set(doc["estimate"]) == {"mean", "se", "n"}
         assert set(doc["divergence"]) == {"levels", "values", "slope", "model"}
+        with pytest.raises(ValueError, match="unknown verdict 'maybe'"):
+            dataclasses.replace(r1, verdict="maybe")
+        flat = dataclasses.replace(r1.divergence, increasing=False)
+        for divergence in (None, flat):
+            with pytest.raises(ValueError, match="requires monotone increasing"):
+                dataclasses.replace(r1, divergence=divergence)
 
     def test_estimate_present_iff_mc_ran(self, model1):
         spec = ConditionSpec("theorem1", PredictableControl.constant(1.0))

@@ -183,6 +183,14 @@ class TestPredictableControl:
         assert segs == [(0.0, 0.5, 0.1), (0.5, 2.0, 0.6), (2.0, 3.0, 1.0)]
         assert list(a.segments_until(0.25)) == [(0.0, 0.25, 0.1)]
         assert list(a.segments_until(0.5)) == [(0.0, 0.5, 0.1)]
+        # the unclipped segments theorem1_batch reads
+        assert list(a.segments_until(math.inf)) == [
+            (0.0, 0.5, 0.1), (0.5, 2.0, 0.6), (2.0, math.inf, 1.0)]
+        # a break at 0: its first value never applies
+        b = PredictableControl((0.0, 1.0), (0.3, 0.6, 0.9))
+        assert list(b.segments_until(2.0)) == [(0.0, 1.0, 0.6), (1.0, 2.0, 0.9)]
+        for c in (a, b):
+            assert list(c.segments_until(0.0)) == []
 
 
 class TestIntegrateControl:
@@ -222,6 +230,8 @@ class TestSerialization:
                 assert q.jumps == p.jumps
                 for t in np.linspace(0.0, p.horizon, 9):
                     assert q.drift(t) == p.drift(t)
+        doc = {"horizon": 2, "jumps": [{"t": 1, "dm": 0}], "drift_kind": "zero"}
+        assert path_from_json(doc) == JumpPath(2.0, ((1.0, 0.0),))
 
     def test_derived_drift_not_serializable(self):
         from doleans import ScaledDrift
@@ -243,14 +253,29 @@ class TestSerialization:
             with pytest.raises(ValueError, match=rf"missing keys \['{key}'\]"):
                 path_from_json({k: v for k, v in doc.items() if k != key})
 
-    @pytest.mark.parametrize("jump, message", [
-        ({"t": 1.0}, r"jump: missing keys \['dm'\], unknown keys \[\]"),
-        ({"t": 1.0, "dm": 0.5, "w": 2.0},
+    @pytest.mark.parametrize("change, message", [
+        ({"jumps": [{"t": 1.0}]}, r"jump: missing keys \['dm'\], unknown keys \[\]"),
+        ({"jumps": [{"t": 1.0, "dm": 0.5, "w": 2.0}]},
          r"jump: missing keys \[\], unknown keys \['w'\]"),
-        ([1.0, 0.5], r"jump must be an object, got list"),
-    ], ids=["missing", "extra", "list"])
-    def test_jump_keys_checked(self, jump, message):
-        doc = {"horizon": 1.0, "jumps": [jump], "drift_kind": "zero"}
+        ({"jumps": [[1.0, 0.5]]}, r"jump must be an object, got list"),
+        ({"jumps": 5}, r"jumps must be a list, got int"),
+        ({"jumps": [{"t": 1.0, "dm": math.inf}]},
+         r"jump dm must be a finite number, got inf"),
+        ({"jumps": [{"t": math.nan, "dm": 0.5}]},
+         r"jump t must be a finite number, got nan"),
+        ({"horizon": math.inf}, r"horizon must be a finite number, got inf"),
+        ({"horizon": True}, r"horizon must be a finite number, got True"),
+        ({"horizon": "2"}, r"horizon must be a finite number, got '2'"),
+        ({"horizon": None}, r"horizon must be a finite number, got None"),
+        ({"drift_kind": 5}, r"unknown drift_kind 5"),
+        ({"drift_kind": "exp_compensator:nan"}, r"unknown drift_kind 'exp_compensator:nan'"),
+        ({"drift_kind": "exp_compensator:-inf"},
+         r"unknown drift_kind 'exp_compensator:-inf'"),
+    ], ids=["missing", "extra", "list", "jumps-int", "dm-inf", "t-nan", "horizon-inf",
+            "horizon-bool", "horizon-str", "horizon-null", "kind-int", "kind-nan",
+            "kind-minus-inf"])
+    def test_jump_keys_checked(self, change, message):
+        doc = {"horizon": 1.0, "jumps": [], "drift_kind": "zero", **change}
         with pytest.raises(ValueError, match=message):
             path_from_json(doc)
 
