@@ -10,11 +10,13 @@ built once at import by :func:`_branchwise`; each law names its support
 masks once, and the inverse CDFs give the ends ``u == 0`` and ``u == 1``
 branches of their own.  A float (``np.float64`` included) takes the scalar
 route: the masks are tested on the float itself and only the matching
-formula runs, on that float.  Quadrature calls ``density``,
-``log_density`` and ``cdf`` this way once per node, and the path sampler
+formula runs, on that float.  Family-time quadrature calls
+``log_density`` this way once per node, ``quadrature_expectation`` calls
+``density`` so, and the path sampler
 (``ProcessModel.sampler``) and the separability probe of the quadrature
 engine call ``inverse_cdf`` one uniform at a time.  Arrays run each
-formula on the elements its mask selects.  Formulas use NumPy ufuncs for
+formula on the elements its mask selects; the verdict quadrature calls
+``log_density`` once per round on every node of the round.  Formulas use NumPy ufuncs for
 every operation except ``+ - * /``: a ufunc runs the same inner loop on a
 float as on an array, and the four IEEE operations round alike on both, so
 the two routes agree bit for bit.  The ``**`` operator is never used: on an

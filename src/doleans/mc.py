@@ -12,6 +12,15 @@ splits over the drivers as well.
 Quadrature is the primary oracle (~1e-10); Monte Carlo is an independent
 cross-check (~1e-3 at 1e6 paths).
 
+The quadrature is :mod:`doleans.quadpack`, which gives
+``scipy.integrate.quad``'s bits.  A factor's pieces run together, one
+round at a time, and every node of a round goes through
+``model.build_batch``, the kind's batch kernel and one ``log_density``
+call, the other driver at its anchor; the separability probe is one such
+batch too.  Every row equals the scalar functional bit for bit, so each
+piece gets the value a node-by-node scalar loop would.  Family times and
+:func:`quadrature_expectation` evaluate their nodes one at a time.
+
 Divergence is a first-class result: truncated expectations are evaluated
 on an explicit level grid and fitted against ``ln(1/level)`` (log model)
 or ``level`` (linear model).  Conditions whose exponents explode faster
@@ -35,13 +44,12 @@ from __future__ import annotations
 import logging
 import math
 import operator
-import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Collection, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
+from . import quadpack
 from .distributions import InverseCdfDistribution
 from .paths import (
     Driver,
@@ -54,6 +62,7 @@ from .paths import (
 )
 from .stochexp import (
     ConditionSpec,
+    Integrand,
     UnsupportedModelError,
     exp_or_inf_array,
     pathwise_functional,
@@ -205,39 +214,53 @@ def _split_pieces(
     return out
 
 
-def _quad_piece(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """``(value, error bound)`` of ``int_lo^hi f`` by adaptive quadrature.
+Piece = tuple[float, float]
+#: ``values(x) -> (v, bad)``: an integrand at the driver values ``x``, and
+#: ``None`` or a mask of the nodes whose value overflowed.
+NodeValues = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]
 
-    A finite piece with ``lo >= 0`` and ``hi > 1`` is integrated in
-    ``y = log1p(x)``, which spreads the nodes over every scale it spans: in
-    ``x``, a piece from 0 far past a law's bulk leaves that bulk between
-    the nodes and reads 0.0.  Every other piece is integrated in ``x``.
+
+def _quad_run(values: NodeValues, pieces: Sequence[Piece]) -> list[tuple[float, float] | None]:
+    """``(value, error bound)`` of the integral of ``values`` over every
+    piece, or ``None`` for a piece where a node overflowed.
+
+    All pieces run together through :func:`doleans.quadpack.integrate`
+    (``quad`` to 1e-11 absolute or relative, 200 subintervals), one call
+    of ``values`` per round.  A finite piece with ``lo >= 0`` and
+    ``hi > 1`` is integrated in ``y = log1p(x)``, which spreads the nodes
+    over every scale it spans: in ``x``, a piece from 0 far past a law's
+    bulk leaves that bulk between the nodes and reads 0.0.  Every other
+    piece is integrated in ``x``.
     """
-    if lo >= 0.0 and 1.0 < hi < math.inf:
-        g = lambda y: f(math.expm1(y)) * math.exp(y)
-        lo, hi = math.log1p(lo), math.log1p(hi)
-    else:
-        g = f
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(g, lo, hi, epsabs=_QUAD_TARGET, epsrel=_QUAD_TARGET,
-                    limit=200)[:2]
+    in_log1p = np.array([lo >= 0.0 and 1.0 < hi < math.inf for lo, hi in pieces])
+    coords = [(math.log1p(lo), math.log1p(hi)) if m else (lo, hi)
+              for m, (lo, hi) in zip(in_log1p.tolist(), pieces)]
+
+    def nodes(ys: list, owners: list) -> tuple[list, Collection[int]]:
+        owner = np.array(owners)
+        x = np.array(ys)
+        m = in_log1p[owner]
+        mapped = m.any()
+        if mapped:
+            y = x[m]
+            x[m] = apply_math(math.expm1, y)
+        v, bad = values(x)
+        if mapped:
+            v[m] = v[m] * apply_math(math.exp, y)
+        return v.tolist(), () if bad is None else set(owner[bad].tolist())
+
+    return quadpack.integrate(nodes, coords, _QUAD_TARGET, _QUAD_TARGET, 200)
 
 
-PieceIntegrator = Callable[[float, float], tuple[float, float]]
-
-
-def _quad_pieces(piece: PieceIntegrator, pieces) -> float:
-    """Sum of ``piece(lo, hi)`` values in piece order, within the contract."""
+def _sum_pieces(outcomes: Sequence[tuple[float, float] | None]) -> float:
+    """Sum of piece values in piece order, within the contract."""
     total = 0.0
     err = 0.0
-    for lo, hi in pieces:
-        try:
-            v, e = piece(lo, hi)
-        except OverflowError:
+    for outcome in outcomes:
+        if outcome is None:
             raise QuadratureAccuracyError(
-                "integrand overflowed during refinement", math.inf, math.inf
-            ) from None
+                "integrand overflowed during refinement", math.inf, math.inf)
+        v, e = outcome
         total += v
         err += e
     if not math.isfinite(total) or err > max(_QUAD_ACCEPT_ABS,
@@ -248,6 +271,17 @@ def _quad_pieces(piece: PieceIntegrator, pieces) -> float:
             err,
         )
     return total
+
+
+def _integrate(f: Callable[[float], float], pieces: Sequence[Piece]) -> float:
+    """Sum of the integrals of the scalar integrand ``f``, called node by
+    node, over ``pieces``, within the contract; an ``OverflowError`` it
+    raises fails the sum as a node that overflowed does."""
+    try:
+        outcomes = _quad_run(lambda x: (apply_math(f, x), None), pieces)
+    except OverflowError:
+        outcomes = [None]
+    return _sum_pieces(outcomes)
 
 
 def quadrature_expectation(
@@ -262,18 +296,15 @@ def quadrature_expectation(
     Truncation is an explicit ``(lo, hi)`` clip (``None`` = unbounded),
     reported alongside values by callers probing improper integrals.
     """
-    pieces = _clipped_pieces(dist.support, truncation)
     density = dist.density
-    f = lambda x: integrand(x) * density(x)
-    return _quad_pieces(lambda lo, hi: _quad_piece(f, lo, hi), pieces)
+    return _integrate(lambda x: integrand(x) * density(x),
+                      _clipped_pieces(dist.support, truncation))
 
 
-def _exp_weighted_piece(
-    dist: InverseCdfDistribution,
-    log_integrand: Callable[[float], float],
-    weight: Callable[[float], float] | None = None,
-) -> PieceIntegrator:
-    """Piece integrator of ``exp(log_integrand(x) + log_density(x)) [weight(x)]``.
+def _exp_weighted(
+    dist: InverseCdfDistribution, log_integrand: Callable[[float], float],
+) -> Callable[[float], float]:
+    """``exp(log_integrand(x) + log_density(x))`` at one node.
 
     Combining the exponent with the log density before exponentiating keeps
     integrands finite where the mathematical product is bounded but the
@@ -286,10 +317,44 @@ def _exp_weighted_piece(
         if ld == -math.inf:
             # support boundary reached by adaptive subdivision
             return 0.0
-        value = math.exp(log_integrand(x) + ld)
-        return value if weight is None else value * weight(x)
+        return math.exp(log_integrand(x) + ld)
 
-    return lambda lo, hi: _quad_piece(f, lo, hi)
+    return f
+
+
+def _exp_weighted_rows(
+    dist: InverseCdfDistribution,
+    rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]],
+    weighted: bool,
+) -> NodeValues:
+    """Node values ``exp(g(x) + log_density(x)) [w(x)]`` from the factor
+    rows ``rows(x) = (g, w)``, with one ``log_density`` call.
+
+    Row for row this is :func:`_exp_weighted` (times the weight): ``0.0``
+    where the log density is ``-inf``, and ``exp`` through ``math``.  A
+    node whose finite exponent overflows, where ``math.exp`` raises, is
+    marked bad; an infinite one gives ``inf``.
+    """
+    log_density = dist.log_density
+
+    def values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        ld = log_density(x)
+        live = ld != -math.inf
+        out = np.zeros(len(x))
+        if not live.any():
+            return out, None
+        g, w = rows(x[live])
+        arg = g + ld[live]
+        v = exp_or_inf_array(arg)
+        out[live] = v * w if weighted else v
+        overflow = np.isinf(v) & np.isfinite(arg)
+        if not overflow.any():
+            return out, None
+        bad = np.zeros(len(x), dtype=bool)
+        bad[live] = overflow
+        return out, bad
+
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -577,17 +642,55 @@ def _value_at_time(
     its jump crosses ``t`` or one of the control ``breaks`` before ``t``,
     so each support piece of such a driver is split at those times (in
     driver coordinates, ``b - driver.start``) and the pieces are summed.
-    A cut far past the law's bulk is safe: :func:`_quad_piece` takes the
-    wide first piece it leaves in ``log1p`` coordinates.
+    A cut far past the law's bulk is safe: :func:`_quad_run` takes the
+    wide first piece it leaves in ``log1p`` coordinates.  The nodes go
+    through the scalar functional one path at a time.
     """
     kinks = (t, *(b for b in breaks if b < t))
     value = 1.0
     for driver, g in _split_factors(model, _on_drivers(model, timed, t)):
         cuts = [] if driver.start is None else sorted(
             {k - driver.start for k in kinks})
-        value *= _quad_pieces(_exp_weighted_piece(driver.dist, g),
-                              _split_pieces(driver.dist.support, cuts))
+        value *= _integrate(_exp_weighted(driver.dist, g),
+                            _split_pieces(driver.dist.support, cuts))
     return value
+
+
+# interior quantiles plus both tails, where the log functional is largest
+_PROBE_QUANTILES = (1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9)
+
+
+def _probe_points(drivers: Sequence[Driver]) -> list[tuple[float, float]]:
+    """The separability probe of a two-driver model: the anchors, each
+    driver's probe points with the other at its anchor, then every pair."""
+    (x0, y0) = anchors = tuple(d.anchor for d in drivers)
+    xs, ys = ([d.dist.inverse_cdf(q) for q in _PROBE_QUANTILES] for d in drivers)
+    return [anchors, *((x, y0) for x in xs), *((x0, y) for y in ys),
+            *((x, y) for x in xs for y in ys)]
+
+
+def _separable_base(values: Sequence[float]) -> float:
+    """The anchor value of a log functional from its values at
+    :func:`_probe_points`, once they show it separates over the drivers."""
+    base = values[0]
+    k = len(_PROBE_QUANTILES)
+    gxs = [v - base for v in values[1:k + 1]]
+    gys = values[k + 1:2 * k + 1]
+    wholes = iter(values[2 * k + 1:])
+    for gx in gxs:
+        for gy in gys:
+            whole = next(wholes)
+            if abs(whole - (gx + gy)) > 1e-9 * max(1.0, abs(whole)):
+                raise UnsupportedModelError(
+                    "log functional does not separate over the drivers"
+                )
+    return base
+
+
+def _check_drivers(model: ProcessModel) -> Sequence[Driver]:
+    if len(model.drivers) not in (1, 2):
+        raise UnsupportedModelError("factorization supports at most two drivers")
+    return model.drivers
 
 
 def _split_factors(
@@ -597,31 +700,54 @@ def _split_factors(
 
     Valid because the per-jump terms depend on one driver each and
     piecewise-constant controls keep the control integral separable; a
-    numeric probe guards against inputs breaking that structure.
+    numeric probe (:func:`_probe_points`, each point evaluated once)
+    guards against inputs breaking that structure.  Driver 0 of two takes
+    the functional less its value at the anchors.
     """
-    drivers = model.drivers
-    anchors = tuple(d.anchor for d in drivers)
+    drivers = _check_drivers(model)
     if len(drivers) == 1:
         return [(drivers[0], lambda x: f_vals((x,)))]
-    if len(drivers) != 2:
-        raise UnsupportedModelError("factorization supports at most two drivers")
+    (x0, y0) = (d.anchor for d in drivers)
+    base = _separable_base([f_vals(p) for p in _probe_points(drivers)])
+    return [(drivers[0], lambda x: f_vals((x, y0)) - base),
+            (drivers[1], lambda y: f_vals((x0, y)))]
 
-    base = f_vals(anchors)
-    g0 = lambda x: f_vals((x, anchors[1])) - base
-    g1 = lambda y: f_vals((anchors[0], y))
-    # interior quantiles plus both tails, where the log functional is largest;
-    # each probe point and its factor value is computed once, not per pair
-    qs = (1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9)
-    xs = [(x, g0(x)) for x in map(drivers[0].dist.inverse_cdf, qs)]
-    ys = [(y, g1(y)) for y in map(drivers[1].dist.inverse_cdf, qs)]
-    for x, gx in xs:
-        for y, gy in ys:
-            whole = f_vals((x, y))
-            if abs(whole - (gx + gy)) > 1e-9 * max(1.0, abs(whole)):
-                raise UnsupportedModelError(
-                    "log functional does not separate over the drivers"
-                )
-    return [(drivers[0], g0), (drivers[1], g1)]
+
+FactorRows = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]
+
+
+def _split_rows(model: ProcessModel, record: Integrand) -> list[tuple[Driver, FactorRows]]:
+    """:func:`_split_factors` of a kind's exponent, and of its weight if it
+    has one, through the batch kernel.
+
+    The probe points go through ``model.build_batch`` and the kernel as
+    one batch, and a factor's rows ``(g, w)`` at driver values ``x`` as
+    another, the other driver at its anchor.  Every row equals the scalar
+    functional, so the split and its factors are the scalar ones bit for
+    bit.
+    """
+    drivers = _check_drivers(model)
+    bases = (0.0, 0.0)
+    if len(drivers) == 2:
+        points = _probe_points(drivers)
+        g, w = record.rows(model.build_batch(*map(np.array, zip(*points))))
+        bases = tuple(_separable_base(r.tolist()) if r is not None else 0.0
+                      for r in (g, w))
+
+    def on_driver(j: int) -> FactorRows:
+        def rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+            columns = [x if i == j else np.full(len(x), d.anchor)
+                       for i, d in enumerate(drivers)]
+            g, w = record.rows(model.build_batch(*columns))
+            if j == 0 and len(drivers) == 2:
+                g = g - bases[0]
+                if w is not None:
+                    w = w - bases[1]
+            return g, w
+
+        return rows
+
+    return [(d, on_driver(j)) for j, d in enumerate(drivers)]
 
 
 @dataclass(frozen=True)
@@ -669,46 +795,46 @@ def _analyze_log_scale(driver: Driver, g: Callable[[float], float],
 
 
 def _analyze_factor(
-    driver: Driver,
-    g: Callable[[float], float],
-    levels: Sequence[float],
-    weight: Callable[[float], float] | None = None,
+    driver: Driver, values: NodeValues, levels: Sequence[float],
 ) -> _FactorAnalysis:
-    """Verdict on ``E exp(g) [weight]`` over one driver from its truncations.
+    """Verdict on the integral of ``values`` over one driver from its
+    truncations.
 
     A truncated family that already grows materially is ``diverging``
     without a full-support integral; otherwise the full integral decides
     between ``finite`` and ``inconclusive``.  The truncations telescope:
     every support piece is split at the cuts of all levels that fall
-    inside it, each interval between successive cuts is integrated once
-    per call, and a level's value is the sum of its intervals in support
-    order, so it does not depend on the order of ``levels``.  The
-    full-support integral takes each support piece whole, reusing a piece
-    that no cut splits.
+    inside it, each interval between successive cuts is integrated once,
+    all of them in one :func:`_quad_run`, and a level's value is the sum
+    of its intervals in support order, so it does not depend on the order
+    of ``levels``.  The full-support integral takes each support piece
+    whole: a piece no cut splits is an interval of the first run, and the
+    others go into a second run.
     """
-    quad_piece = _exp_weighted_piece(driver.dist, g, weight)
-    done: dict[tuple[float, float], tuple[float, float]] = {}
+    # float keys: a -0.0 and a 0.0 endpoint give the same quadrature nodes
+    done: dict[Piece, tuple[float, float] | None] = {}
 
-    def piece(lo: float, hi: float) -> tuple[float, float]:
-        # float keys: a -0.0 and a 0.0 endpoint give the same quadrature nodes
-        if (lo, hi) not in done:
-            done[lo, hi] = quad_piece(lo, hi)
-        return done[lo, hi]
+    def run(pieces: Sequence[Piece]) -> None:
+        todo = list(dict.fromkeys(p for p in pieces if p not in done))
+        if todo:
+            done.update(zip(todo, _quad_run(values, todo)))
 
     support = driver.dist.support
     cuts = sorted({c for l in levels for c in driver.truncate(l) if c is not None})
-
-    def truncated(level: float) -> float:
-        return _quad_pieces(piece, _split_pieces(
-            _clipped_pieces(support, driver.truncate(level)), cuts))
-
-    evidence = detect_divergence(truncated, levels, driver.growth)
+    family = {float(l): _split_pieces(_clipped_pieces(support, driver.truncate(l)), cuts)
+              for l in levels}
+    run([p for pieces in family.values() for p in pieces])
+    evidence = detect_divergence(
+        lambda level: _sum_pieces([done[p] for p in family[level]]),
+        levels, driver.growth)
     first, last = evidence.values[0], evidence.values[-1]
     if evidence.diverging and last - first > 0.01 * max(abs(last), 1e-300):
         return _FactorAnalysis("diverging", None, evidence)
+    full = _clipped_pieces(support, None)
+    run(full)
     try:
-        return _FactorAnalysis("finite", _quad_pieces(
-            piece, _clipped_pieces(support, None)), evidence)
+        return _FactorAnalysis("finite", _sum_pieces([done[p] for p in full]),
+                               evidence)
     except QuadratureAccuracyError:
         return _FactorAnalysis("inconclusive", None, evidence)
 
@@ -802,7 +928,8 @@ def evaluate_condition(
             raise ValueError(
                 f"explicit levels need a one-driver model; {model.name} has "
                 f"{len(model.drivers)} drivers, each probed on its own grid")
-    exponent, weight, f_batch = pathwise_functional(spec, model)
+    record = pathwise_functional(spec, model)
+    exponent, weight, f_batch = record
     if weight is not None and times:
         raise ValueError(f"{spec.kind} is evaluated at the path horizon only; "
                          "it takes no family times")
@@ -827,21 +954,21 @@ def evaluate_condition(
         "estimator": estimator,
     }
 
-    factors = _split_factors(model, _on_drivers(model, exponent))
-    # both the exponent and the weight must pass the separability probe
-    weights = ([None] if weight is None
-               else [w for _, w in _split_factors(model, _on_drivers(model, weight))])
+    def grid(d: Driver) -> tuple[float, ...]:
+        return tuple(levels) if levels is not None else d.levels
 
-    def analyze(d: Driver, g, w) -> _FactorAnalysis:
-        lv = tuple(levels) if levels is not None else d.levels
-        if f_batch is None:
-            return _analyze_log_scale(d, g, lv)
-        return _analyze_factor(d, g, lv, w)
-
-    # term j weights driver j's factor; a weightless kind has one term
-    terms = [_combine_factors([analyze(d, g, w if i == j else None)
-                               for i, (d, g) in enumerate(factors)])
-             for j, w in enumerate(weights)]
+    if f_batch is None:
+        terms = [_combine_factors([
+            _analyze_log_scale(d, g, grid(d))
+            for d, g in _split_factors(model, _on_drivers(model, exponent))])]
+    else:
+        # the exponent and the weight both pass the separability probe;
+        # term j weights driver j's factor, a weightless kind has one term
+        factors = _split_rows(model, record)
+        weighted = [None] if weight is None else range(len(factors))
+        terms = [_combine_factors([
+            _analyze_factor(d, _exp_weighted_rows(d.dist, rows, i == j), grid(d))
+            for i, (d, rows) in enumerate(factors)]) for j in weighted]
     lead = _lead(terms)
     if lead is None:
         verdict, value, evidence = "finite", sum(t.value for t in terms), None

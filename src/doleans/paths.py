@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import spence
 
 from .distributions import (
     InverseCdfDistribution,
@@ -491,9 +490,62 @@ def _ps_disc_qv(path: JumpPath, t: float) -> float:
     return 0.5 * math.expm1(2.0 * min(t, path.horizon))
 
 
+# Cephes ``spence`` rational approximation of the dilogarithm on [0.5, 1.5]
+_SPENCE_A = (
+    4.65128586073990045278e-5, 7.31589045238094711071e-3,
+    1.33847639578309018650e-1, 8.79691311754530315341e-1,
+    2.71149851196553469920e0, 4.25697156008121755724e0,
+    3.29771340985225106936e0, 1.00000000000000000126e0,
+)
+_SPENCE_B = (
+    6.90990488912553276999e-4, 2.54043763932544379113e-2,
+    2.82974860602568089943e-1, 1.41172597751831069617e0,
+    3.63800533345137075418e0, 5.03278880143316990390e0,
+    3.54771340985225096217e0, 9.99999999999999998740e-1,
+)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def spence(x: float) -> float:
+    """Spence's function ``int_1^x log(t) / (1 - t) dt = Li2(1 - x)`` for
+    ``x >= 0`` (``nan`` below): the Cephes algorithm, operation for
+    operation, so it equals ``scipy.special.spence`` bit for bit."""
+    if x < 0.0:
+        return math.nan
+    if x == 1.0:
+        return 0.0
+    if x == 0.0:
+        return math.pi * math.pi / 6.0
+    flag = 0
+    if x > 2.0:
+        x = 1.0 / x
+        flag |= 2
+    if x > 1.5:
+        w = (1.0 / x) - 1.0
+        flag |= 2
+    elif x < 0.5:
+        w = -x
+        flag |= 1
+    else:
+        w = x - 1.0
+    y = -w * _polevl(w, _SPENCE_A) / _polevl(w, _SPENCE_B)
+    if flag & 1:
+        y = (math.pi * math.pi) / 6.0 - math.log(x) * math.log(1.0 - x) - y
+    if flag & 2:
+        z = math.log(x)
+        y = -0.5 * z * z - y
+    return y
+
+
 def _lm_primitive(u: float) -> float:
     # antiderivative of (1+u) ln(1+u) / u in u: -Li2(-u) + (1+u) ln(1+u) - u
-    return -float(spence(1.0 + u)) + (1.0 + u) * math.log1p(u) - u
+    return -spence(1.0 + u) + (1.0 + u) * math.log1p(u) - u
 
 
 _LM_AT_ONE = _lm_primitive(1.0)

@@ -27,8 +27,10 @@ row is bit-identical to the scalar value.  Each ``math`` pass runs once
 per distinct value: ``log1p(dM)`` is shared by every term that needs it.
 :func:`pathwise_functional` gives each condition kind's integrand as an
 :class:`Integrand` record of an exponent, an optional weight and its
-batch kernel.  Quadrature calls an exponent at every node, so the table
-reads the float cores ``_jacod_log`` and ``_theorem1_log`` that
+batch kernel, whose :meth:`Integrand.rows` give the exponent and the
+weight row by row for the quadrature nodes.  Family times and the
+log-scale kinds call an exponent on single paths, so the table reads the
+float cores ``_jacod_log`` and ``_theorem1_log`` that
 :func:`jacod_functional` and :func:`theorem1_functional` wrap, without
 their range checks and the :class:`FunctionalValue` around the result.
 """
@@ -41,8 +43,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
+from . import quadpack
 from .paths import (
     JumpPath,
     PathBatch,
@@ -72,6 +74,7 @@ __all__ = [
     "jacod_batch",
     "theorem1_batch",
     "lemma1_batch",
+    "WeightedBatch",
     "Integrand",
     "pathwise_functional",
 ]
@@ -193,7 +196,8 @@ def sde_residual(path: JumpPath, t: float) -> float:
     """Defect of the defining equation: ``E_t - 1 - int_0^t E_{s-} dM_s``.
 
     The jump part of the integral is exact; the drift part is adaptive
-    quadrature between jumps, so the residual is bounded by
+    quadrature between jumps (:func:`doleans.quadpack.quad`, one piece per
+    gap, to 1e-12 absolute or relative), so the residual is bounded by
     ``1e-9 * max(1, E_t)`` for well-scaled paths.
     """
     path._check_time(t)
@@ -205,14 +209,15 @@ def sde_residual(path: JumpPath, t: float) -> float:
     cum_jump_log = 0.0
     prev = 0.0
     events = [(ti, dm) for ti, dm in path.jumps if ti <= t]
+    exp, at, derivative = math.exp, drift.__call__, drift.derivative
     for ti, dm in events + [(t, None)]:
         if has_drift and ti > prev:
             c = cum_jump_log
 
-            def integrand(s, _c=c):
-                return math.exp(drift(s) + _c) * drift.derivative(s)
+            def integrand(nodes, _c=c):
+                return [exp(at(s) + _c) * derivative(s) for s in nodes]
 
-            val, _err = quad(integrand, prev, ti, epsabs=1e-12, epsrel=1e-12, limit=200)
+            val, _err = quadpack.quad(integrand, prev, ti, 1e-12, 1e-12, 200)
             integral += val
         if dm is not None:
             e_left = math.exp(drift(ti) + cum_jump_log)
@@ -399,11 +404,36 @@ def theorem1_batch(batch: PathBatch, a: PredictableControl) -> np.ndarray:
     return drift_part + s
 
 
+def _lemma1_rows(batch: PathBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The two factors of :func:`lemma1_functional` at every row's horizon,
+    :func:`log_stoch_exponential` and the :func:`jacod_functional` log
+    value, from one ``log1p`` pass."""
+    log1p_dm = list(_log1p_columns(batch))
+    return (_log_stoch_exponential_rows(batch, log1p_dm),
+            _jacod_rows(batch, log1p_dm))
+
+
+@dataclass(frozen=True)
+class WeightedBatch:
+    """Batch kernel of a weighted integrand ``exp(exponent) weight``.
+
+    ``rows(batch)`` gives the exponent's and the weight's rows; calling the
+    kernel gives ``exp_or_inf(exponent) * weight``.
+    """
+
+    rows: Callable[[PathBatch], tuple[np.ndarray, np.ndarray]]
+
+    def __call__(self, batch: PathBatch) -> np.ndarray:
+        exponent, weight = self.rows(batch)
+        return exp_or_inf_array(exponent) * weight
+
+
+_LEMMA1_BATCH = WeightedBatch(_lemma1_rows)
+
+
 def lemma1_batch(batch: PathBatch) -> np.ndarray:
     """:func:`lemma1_functional` values at every row's horizon."""
-    log1p_dm = list(_log1p_columns(batch))
-    return (exp_or_inf_array(_log_stoch_exponential_rows(batch, log1p_dm))
-            * _jacod_rows(batch, log1p_dm))
+    return _LEMMA1_BATCH(batch)
 
 
 class Integrand(NamedTuple):
@@ -412,6 +442,13 @@ class Integrand(NamedTuple):
     exponent: Callable[[JumpPath, float], float]
     weight: Callable[[JumpPath, float], float] | None
     batch: Callable[[PathBatch], np.ndarray] | None
+
+    def rows(self, batch: PathBatch) -> tuple[np.ndarray, np.ndarray | None]:
+        """``exponent`` and ``weight`` (``None`` without one) at every row's
+        horizon, bit for bit, from one call of the batch kernel."""
+        if self.weight is None:
+            return self.batch(batch), None
+        return self.batch.rows(batch)
 
 
 def _theorem1_entry(spec: ConditionSpec, model: ProcessModel) -> Integrand:
@@ -428,7 +465,7 @@ _FUNCTIONALS = {
         _closed_form(model, model.lm_compensator, "compensator"), None, None),
     "theorem1": _theorem1_entry,
     "lemma1": lambda spec, model: Integrand(log_stoch_exponential, _jacod_log,
-                                            lemma1_batch),
+                                            _LEMMA1_BATCH),
 }
 
 CONDITION_KINDS = tuple(_FUNCTIONALS)
@@ -446,10 +483,11 @@ def pathwise_functional(spec: ConditionSpec, model: ProcessModel) -> Integrand:
     check it, and give the public functional's ``log_value`` bit for bit.
     ``batch(path_batch)`` gives at every row's horizon, bit for bit,
     ``exponent`` without a weight and ``exp_or_inf(exponent) * weight``
-    with one.  It is ``None`` exactly for ``protter_shimbo`` and
-    ``lepingle_memin``, whose exponents exceed float range.  Raises
-    :class:`UnsupportedModelError` at once when the model lacks the closed
-    form the kind needs.
+    with one, where it is a :class:`WeightedBatch`; :meth:`Integrand.rows`
+    gives the exponent and the weight apart.  ``batch`` is ``None``
+    exactly for ``protter_shimbo`` and ``lepingle_memin``, whose exponents
+    exceed float range.  Raises :class:`UnsupportedModelError` at once
+    when the model lacks the closed form the kind needs.
     """
     return _FUNCTIONALS[spec.kind](spec, model)
 

@@ -207,9 +207,10 @@ class TestConditionCommand:
         assert f"got {n}" in lines[0]
 
     def test_nonfinite_cross_check_is_an_error(self, capsys, monkeypatch):
-        real = mc.pathwise_functional
-        monkeypatch.setattr(mc, "pathwise_functional", lambda spec, model: real(
-            spec, model)._replace(batch=lambda b: np.full(len(b), math.nan)))
+        # every Monte Carlo value NaN; the quadrature stays clean
+        real = mc._run_streams
+        monkeypatch.setattr(mc, "_run_streams", lambda n, seeds, kernel, *what: real(
+            n, seeds, lambda rng, m: np.full(m, math.nan), *what))
         code, out, err = run_cli(capsys, "condition", "--model", "example1",
                                  "--kind", "lemma1", "--n", "1000")
         assert code == 1 and out == ""
@@ -379,7 +380,7 @@ class TestReproducePathCount:
         def no_quadrature(*args):
             raise AssertionError("quadrature ran")
 
-        monkeypatch.setattr(mc, "_quad_piece", no_quadrature)
+        monkeypatch.setattr(mc, "_quad_run", no_quadrature)
         for n in (1, 0, -5):
             with pytest.raises(ValueError, match=f"n must be .*got {n}"):
                 run_reproduction(1, 0, n)

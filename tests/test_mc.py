@@ -38,6 +38,7 @@ from doleans.cli import (
     example3_tau_factor,
 )
 from doleans.mc import EstimationError
+from doleans.paths import apply_math
 from doleans.stochexp import pathwise_functional
 
 from conftest import example1_full_control_integrand, example2_closed_form
@@ -104,10 +105,10 @@ class TestEstimateBatch:
     @pytest.mark.parametrize("n", [2.5, 1000.0])
     def test_non_integer_counts_rejected_before_quadrature(self, n, model1,
                                                            monkeypatch):
-        def no_quadrature(f, lo, hi):
+        def no_quadrature(values, pieces):
             raise AssertionError("quadrature ran before n was checked")
 
-        monkeypatch.setattr(mc, "_quad_piece", no_quadrature)
+        monkeypatch.setattr(mc, "_quad_run", no_quadrature)
         with pytest.raises(TypeError):
             SeedSpec(0, n)
         with pytest.raises(TypeError):
@@ -295,10 +296,10 @@ class TestEvaluateCondition:
     def test_every_kind_checks_times(self, name, spec, times, all_models,
                                      monkeypatch):
         # rejected before any quadrature, whatever the verdict would be
-        def no_quadrature(f, lo, hi):
+        def no_quadrature(values, pieces):
             raise AssertionError("quadrature ran before the times were checked")
 
-        monkeypatch.setattr(mc, "_quad_piece", no_quadrature)
+        monkeypatch.setattr(mc, "_quad_run", no_quadrature)
         model = {m.name: m for m in all_models}[name]
         with pytest.raises(ValueError, match="finite and nonnegative"):
             evaluate_condition(model, spec, times=times)
@@ -313,10 +314,10 @@ class TestEvaluateCondition:
     def test_every_kind_checks_n(self, name, spec, n, all_models, monkeypatch):
         # one path gives no standard error and a negative count no paths:
         # rejected before any quadrature instead of reporting no estimate
-        def no_quadrature(f, lo, hi):
+        def no_quadrature(values, pieces):
             raise AssertionError("quadrature ran before n was checked")
 
-        monkeypatch.setattr(mc, "_quad_piece", no_quadrature)
+        monkeypatch.setattr(mc, "_quad_run", no_quadrature)
         model = {m.name: m for m in all_models}[name]
         with pytest.raises(ValueError, match=rf"\bn\b.*got {n}"):
             evaluate_condition(model, spec, SeedSpec(3), n)
@@ -349,10 +350,10 @@ class TestEvaluateCondition:
                                              monkeypatch):
         # one grid would cut both drivers: at 1e-2..1e-5 the waiting time
         # is cut inside its bulk, and indicator:1.0 read diverging
-        def no_quadrature(f, lo, hi):
+        def no_quadrature(values, pieces):
             raise AssertionError("quadrature ran before the levels were checked")
 
-        monkeypatch.setattr(mc, "_quad_piece", no_quadrature)
+        monkeypatch.setattr(mc, "_quad_run", no_quadrature)
         with pytest.raises(ValueError, match="one-driver model"):
             evaluate_condition(model3, spec, levels=levels)
 
@@ -437,7 +438,14 @@ class TestEvaluateCondition:
             scale = 1.5 if x > 0.5 else 1.0
             return dataclasses.replace(path, jumps=((t1, dm1), (t2, dm2 * scale)))
 
-        coupled = dataclasses.replace(model3, build=build)
+        def build_batch(x, e):
+            # row for row the coupled build, as the batch contract asks
+            batch = model3.build_batch(x, e)
+            dm = batch.jump_dm.copy()
+            dm[:, 1] = dm[:, 1] * np.where(x > 0.5, 1.5, 1.0)
+            return dataclasses.replace(batch, jump_dm=dm)
+
+        coupled = dataclasses.replace(model3, build=build, build_batch=build_batch)
         with pytest.raises(UnsupportedModelError):
             evaluate_condition(coupled, ConditionSpec("lemma1"))
         with pytest.raises(UnsupportedModelError):
@@ -537,7 +545,9 @@ class TestEvaluateCondition:
 
         def log_density(x):
             value = law.log_density(x)
-            return value + k * math.log(x) if x >= 1.0 else value
+            tail = x >= 1.0
+            value[tail] = value[tail] + k * np.log(x[tail])
+            return value
 
         heavy = dataclasses.replace(eta, dist=dataclasses.replace(
             law, log_density=log_density))
@@ -582,20 +592,19 @@ class TestEvaluateCondition:
 
     @pytest.mark.parametrize("kind", ["jacod", "lemma1"])
     def test_nonfinite_cross_check_raises(self, kind, model1, monkeypatch):
-        # half the values NaN: more than the 0.1% an estimate tolerates
-        real = mc.pathwise_functional
+        # half the values NaN: more than the 0.1% an estimate tolerates;
+        # they enter the Monte Carlo values only, the quadrature stays clean
+        real = mc._run_streams
 
-        def nan_batch(spec, model):
-            record = real(spec, model)
-
-            def batch(b):
-                values = record.batch(b)
+        def nan_streams(n, seeds, kernel, what="functional values"):
+            def nan_kernel(rng, m):
+                values = kernel(rng, m)
                 values[::2] = math.nan
                 return values
 
-            return record._replace(batch=batch)
+            return real(n, seeds, nan_kernel, what)
 
-        monkeypatch.setattr(mc, "pathwise_functional", nan_batch)
+        monkeypatch.setattr(mc, "_run_streams", nan_streams)
         with pytest.raises(EstimationError, match="non-finite"):
             evaluate_condition(model1, ConditionSpec(kind), SeedSpec(3, 4), 1000)
 
@@ -684,6 +693,42 @@ class TestExample2MartingaleOracle:
         assert abs(v - 1.0) < 1e-10
 
 
+class TestQuadRun:
+    """The batched node route against the scalar one, piece by piece."""
+
+    PIECES = [(0.0, 1.0), (4.0, 6.0), (1.0, 2.5), (6.0, math.inf)]
+
+    @staticmethod
+    def routes(g_scalar):
+        def rows(x):
+            return apply_math(g_scalar, x), None
+
+        f = mc._exp_weighted(EXP_LAW, g_scalar)
+        return (mc._exp_weighted_rows(EXP_LAW, rows, False),
+                lambda x: (apply_math(f, x), None))
+
+    def test_overflow_fails_only_its_piece(self):
+        # exp(800 - x) overflows near x = 5, in piece 1 only
+        g = lambda x: 800.0 if 4.9 < x < 5.1 else x / 3.0
+        batched, scalar = self.routes(g)
+        out = mc._quad_run(batched, self.PIECES)
+        assert out[1] is None
+        for k in (0, 2, 3):
+            assert out[k] == mc._quad_run(scalar, [self.PIECES[k]])[0]
+        with pytest.raises(OverflowError):
+            mc._quad_run(scalar, [self.PIECES[1]])
+        with pytest.raises(QuadratureAccuracyError, match="overflowed") as exc:
+            mc._sum_pieces(out)
+        assert (exc.value.value, exc.value.achieved) == (math.inf, math.inf)
+
+    def test_infinite_exponent_is_not_a_failure(self):
+        # math.exp(inf) is inf, without the OverflowError of a finite argument
+        batched, scalar = self.routes(lambda x: math.inf)
+        out = mc._quad_run(batched, self.PIECES[:1])
+        assert out[0] is not None
+        assert repr(out) == repr(mc._quad_run(scalar, self.PIECES[:1]))
+
+
 class TestIntegrationWork:
     """Each support piece is integrated once per factor, and a diverging
     factor never asks for its full-support integral."""
@@ -702,17 +747,17 @@ class TestIntegrationWork:
                                      all_models, monkeypatch):
         model = {m.name: m for m in all_models}[name]
         integrated, clips = [], []
-        quad_piece, clipped_pieces = mc._quad_piece, mc._clipped_pieces
+        quad_run, clipped_pieces = mc._quad_run, mc._clipped_pieces
 
-        def counting_piece(f, lo, hi):
-            integrated.append((lo, hi))
-            return quad_piece(f, lo, hi)
+        def counting_run(values, pieces):
+            integrated.extend(pieces)
+            return quad_run(values, pieces)
 
         def recording_clip(support, truncation):
             clips.append((support, truncation))
             return clipped_pieces(support, truncation)
 
-        monkeypatch.setattr(mc, "_quad_piece", counting_piece)
+        monkeypatch.setattr(mc, "_quad_run", counting_run)
         monkeypatch.setattr(mc, "_clipped_pieces", recording_clip)
         report = evaluate_condition(model, spec)
 
@@ -725,13 +770,13 @@ class TestIntegrationWork:
     @pytest.mark.parametrize("kind", ["protter_shimbo", "lepingle_memin"])
     def test_log_scale_kinds_integrate_nothing(self, kind, model2, monkeypatch):
         integrated = []
-        quad_piece = mc._quad_piece
+        quad_run = mc._quad_run
 
-        def counting_piece(f, lo, hi):
-            integrated.append((lo, hi))
-            return quad_piece(f, lo, hi)
+        def counting_run(values, pieces):
+            integrated.extend(pieces)
+            return quad_run(values, pieces)
 
-        monkeypatch.setattr(mc, "_quad_piece", counting_piece)
+        monkeypatch.setattr(mc, "_quad_run", counting_run)
         spec = ConditionSpec(kind)
         report = evaluate_condition(model2, spec)
 
@@ -758,22 +803,22 @@ class TestIntegrationWork:
         model = {m.name: m for m in all_models}[name]
         family: dict[int, list[tuple[float, float]]] = {}
         integrands, full = [], set()
-        quad_piece, clipped_pieces = mc._quad_piece, mc._clipped_pieces
+        quad_run, clipped_pieces = mc._quad_run, mc._clipped_pieces
 
-        def recording_piece(f, lo, hi):
-            if f not in integrands:
-                integrands.append(f)
-            k = integrands.index(f)
+        def recording_run(values, pieces):
+            if values not in integrands:
+                integrands.append(values)
+            k = integrands.index(values)
             if k not in full:
-                family.setdefault(k, []).append((lo, hi))
-            return quad_piece(f, lo, hi)
+                family.setdefault(k, []).extend(pieces)
+            return quad_run(values, pieces)
 
         def recording_clip(support, truncation):
             if truncation is None:
                 full.add(len(integrands) - 1)
             return clipped_pieces(support, truncation)
 
-        monkeypatch.setattr(mc, "_quad_piece", recording_piece)
+        monkeypatch.setattr(mc, "_quad_run", recording_run)
         monkeypatch.setattr(mc, "_clipped_pieces", recording_clip)
         evaluate_condition(model, spec)
 
@@ -915,12 +960,12 @@ class TestKindTable:
         # a kind without a batch rejects n >= 2 and is decided from its log
         # integrand L(T) = g(T) + log_density(T) at each cut, with no
         # quadrature; every other kind integrates
-        def no_quadrature(f, lo, hi):
+        def no_quadrature(values, pieces):
             raise AssertionError("quadrature ran")
 
         spec = _kind_spec(kind)
         exponent, weight, f_batch = pathwise_functional(spec, model2)
-        monkeypatch.setattr(mc, "_quad_piece", no_quadrature)
+        monkeypatch.setattr(mc, "_quad_run", no_quadrature)
         if f_batch is None:
             with pytest.raises(ValueError, match="no Monte Carlo cross-check"):
                 evaluate_condition(model2, spec, SeedSpec(0), 100)
