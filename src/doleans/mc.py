@@ -14,12 +14,13 @@ cross-check (~1e-3 at 1e6 paths).
 
 The quadrature is :mod:`doleans.quadpack`, which gives
 ``scipy.integrate.quad``'s bits.  A factor's pieces run together, one
-round at a time, and every node of a round goes through
-``model.build_batch``, the kind's batch kernel and one ``log_density``
-call, the other driver at its anchor; the separability probe is one such
-batch too.  Every row equals the scalar functional bit for bit, so each
-piece gets the value a node-by-node scalar loop would.  Family times and
-:func:`quadrature_expectation` evaluate their nodes one at a time.
+round at a time, and every node of a round is one row of a single call:
+the kind's batch kernel over ``model.build_batch``, or, for family times,
+the scalar exponent over paths built one at a time, the other driver at
+its anchor, with one ``log_density`` call; the separability probe is one
+such call too.  Every row equals the scalar functional bit for bit, so
+each piece gets the value a node-by-node scalar loop would.
+:func:`quadrature_expectation` evaluates its nodes one at a time.
 
 Divergence is a first-class result: truncated expectations are evaluated
 on an explicit level grid and fitted against ``ln(1/level)`` (log model)
@@ -62,7 +63,6 @@ from .paths import (
 )
 from .stochexp import (
     ConditionSpec,
-    Integrand,
     UnsupportedModelError,
     exp_or_inf_array,
     pathwise_functional,
@@ -218,6 +218,9 @@ Piece = tuple[float, float]
 #: ``values(x) -> (v, bad)``: an integrand at the driver values ``x``, and
 #: ``None`` or a mask of the nodes whose value overflowed.
 NodeValues = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]
+#: ``rows(x) -> (g, w)``: a factor's log functional and weight (``None``
+#: without one) at the driver values ``x``; see :func:`_split_rows`.
+FactorRows = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]
 
 
 def _quad_run(values: NodeValues, pieces: Sequence[Piece]) -> list[tuple[float, float] | None]:
@@ -273,12 +276,12 @@ def _sum_pieces(outcomes: Sequence[tuple[float, float] | None]) -> float:
     return total
 
 
-def _integrate(f: Callable[[float], float], pieces: Sequence[Piece]) -> float:
-    """Sum of the integrals of the scalar integrand ``f``, called node by
-    node, over ``pieces``, within the contract; an ``OverflowError`` it
-    raises fails the sum as a node that overflowed does."""
+def _integrate(values: NodeValues, pieces: Sequence[Piece]) -> float:
+    """Sum of the integrals of ``values`` over ``pieces``, within the
+    contract; an ``OverflowError`` it raises fails the sum as a node that
+    overflowed does."""
     try:
-        outcomes = _quad_run(lambda x: (apply_math(f, x), None), pieces)
+        outcomes = _quad_run(values, pieces)
     except OverflowError:
         outcomes = [None]
     return _sum_pieces(outcomes)
@@ -297,43 +300,22 @@ def quadrature_expectation(
     reported alongside values by callers probing improper integrals.
     """
     density = dist.density
-    return _integrate(lambda x: integrand(x) * density(x),
-                      _clipped_pieces(dist.support, truncation))
-
-
-def _exp_weighted(
-    dist: InverseCdfDistribution, log_integrand: Callable[[float], float],
-) -> Callable[[float], float]:
-    """``exp(log_integrand(x) + log_density(x))`` at one node.
-
-    Combining the exponent with the log density before exponentiating keeps
-    integrands finite where the mathematical product is bounded but the
-    factors are not.
-    """
-    log_density = dist.log_density
-
-    def f(x: float) -> float:
-        ld = log_density(x)
-        if ld == -math.inf:
-            # support boundary reached by adaptive subdivision
-            return 0.0
-        return math.exp(log_integrand(x) + ld)
-
-    return f
+    return _integrate(
+        lambda x: (apply_math(lambda v: integrand(v) * density(v), x), None),
+        _clipped_pieces(dist.support, truncation))
 
 
 def _exp_weighted_rows(
-    dist: InverseCdfDistribution,
-    rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]],
-    weighted: bool,
+    dist: InverseCdfDistribution, rows: FactorRows, weighted: bool,
 ) -> NodeValues:
     """Node values ``exp(g(x) + log_density(x)) [w(x)]`` from the factor
     rows ``rows(x) = (g, w)``, with one ``log_density`` call.
 
-    Row for row this is :func:`_exp_weighted` (times the weight): ``0.0``
-    where the log density is ``-inf``, and ``exp`` through ``math``.  A
-    node whose finite exponent overflows, where ``math.exp`` raises, is
-    marked bad; an infinite one gives ``inf``.
+    Adding the log density before exponentiating keeps integrands finite
+    where the product is bounded but the factors are not.  A node where
+    the log density is ``-inf`` (a support end) is ``0.0`` unevaluated,
+    and ``exp`` goes through ``math``: a finite exponent that overflows
+    marks its node bad, an infinite one gives ``inf``.
     """
     log_density = dist.log_density
 
@@ -508,11 +490,11 @@ class ConditionReport:
 # non-negligible mass, so the importance weights are effectively bounded
 # and the estimator's standard error is a valid uncertainty.
 #
-# A driver's probes (three per bin, the other driver at its anchor) are
-# evaluated as one PathBatch by the kind's batch kernel, with one
-# log_density call; each probe equals the scalar functional bit for bit,
-# so the proposal equals a probe-by-probe scalar loop (tests/test_batch.py
-# keeps that loop as its reference).
+# A driver's probes (three per bin) are one call of its factor rows, the
+# split the quadrature integrates, with one log_density call; each probe
+# equals the scalar functional bit for bit, so the proposal equals a
+# probe-by-probe scalar loop (tests/test_batch.py keeps that loop as its
+# reference).
 # ----------------------------------------------------------------------
 
 _GEOM_DEPTH = 60
@@ -537,21 +519,16 @@ def _piece_edges(lo: float, hi: float) -> np.ndarray:
     return np.concatenate(([lo], left, right, [hi]))
 
 
-def _driver_proposal(
-    model: ProcessModel, j: int, f_batch: Callable[[PathBatch], np.ndarray]
-) -> _DriverProposal:
-    """Piecewise-uniform proposal for driver ``j`` matched to
-    ``exp(g) * density``.
+def _driver_proposal(driver: Driver, rows: FactorRows) -> _DriverProposal:
+    """Piecewise-uniform proposal for ``driver`` matched to
+    ``exp(g) * density``, ``g`` the driver's factor ``rows`` from
+    :func:`_split_rows`.
 
-    ``g`` is the log functional ``f_batch`` with every other driver at its
-    anchor, less its value at the anchors for driver 0 of a two-driver
-    model: the factor :func:`_split_factors` gives that driver.  Each bin
-    is probed at its quarter points, all in one batch, and its weight is
-    the largest probe that is not NaN (as Python's ``max`` from ``-inf``
-    keeps it); probes off the support are not built.
+    Each bin is probed at its quarter points, all in one call of ``rows``,
+    and its weight is the largest probe that is not NaN (as Python's
+    ``max`` from ``-inf`` keeps it); probes off the support are not
+    evaluated.
     """
-    drivers = model.drivers
-    driver = drivers[j]
     edges = [_piece_edges(a, b) for a, b in driver.dist.support]
     lo = np.concatenate([e[:-1] for e in edges])
     width = np.concatenate([e[1:] for e in edges]) - lo
@@ -561,17 +538,8 @@ def _driver_proposal(
     x = (lo[:, None] + width[:, None] * np.array([0.25, 0.5, 0.75])).ravel()
     ld = driver.dist.log_density(x)
     live = ld != -math.inf
-    probes = x[live]
-    subtract = j == 0 and len(drivers) > 1
-    if subtract:
-        probes = np.append(probes, driver.anchor)
-    columns = [probes if i == j else np.full(len(probes), d.anchor)
-               for i, d in enumerate(drivers)]
-    g = f_batch(model.build_batch(*columns))
-    if subtract:
-        g = g[:-1] - g[-1]
     v = np.full(len(x), -math.inf)
-    v[live] = g + ld[live]
+    v[live] = rows(x[live])[0] + ld[live]
 
     m = np.full(len(lo), -math.inf)
     for probe in v.reshape(len(lo), 3).T:
@@ -586,13 +554,14 @@ def _driver_proposal(
 
 def _importance_estimate(
     model: ProcessModel,
+    factors: Sequence[tuple[Driver, FactorRows]],
     f_batch: Callable[[PathBatch], np.ndarray],
     n: int,
     seeds: SeedSpec,
 ) -> Estimate:
-    """IS estimate of ``E exp(F)``; ``f_batch`` evaluates ``F`` on whole
-    batches, the proposal probes included."""
-    proposals = [_driver_proposal(model, j, f_batch) for j in range(len(model.drivers))]
+    """IS estimate of ``E exp(F)``: ``f_batch`` evaluates ``F`` on whole
+    batches, and each driver's proposal probes its factor of ``factors``."""
+    proposals = [_driver_proposal(d, rows) for d, rows in factors]
     log_densities = [driver.dist.log_density for driver in model.drivers]
 
     def kernel(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -616,18 +585,25 @@ def _importance_estimate(
     return _run_streams(n, seeds, kernel, "importance-sampled values")
 
 
-def _on_drivers(
+#: ``path_rows(columns) -> (g, w)``: a log functional and its weight
+#: (``None`` without one) at the paths built from the driver-value columns.
+PathRows = Callable[[Sequence[np.ndarray]], tuple[np.ndarray, np.ndarray | None]]
+
+
+def _path_rows(
     model: ProcessModel,
-    functional: Callable[[JumpPath, float], float],
+    exponent: Callable[[JumpPath, float], float],
     t: float = math.inf,
-) -> Callable[[tuple], float]:
-    """``functional(path, t ^ horizon)`` of the path built from driver values."""
+) -> PathRows:
+    """``exponent(path, t ^ horizon)`` of each path ``model.build`` makes
+    from the driver values, one path at a time."""
 
-    def f_vals(vals):
-        p = model.build(*vals)
-        return functional(p, min(t, p.horizon))
+    def rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, None]:
+        paths = map(model.build, *(c.tolist() for c in columns))
+        return np.array([exponent(p, min(t, p.horizon)) for p in paths],
+                        dtype=float), None
 
-    return f_vals
+    return rows
 
 
 def _value_at_time(
@@ -644,14 +620,14 @@ def _value_at_time(
     driver coordinates, ``b - driver.start``) and the pieces are summed.
     A cut far past the law's bulk is safe: :func:`_quad_run` takes the
     wide first piece it leaves in ``log1p`` coordinates.  The nodes go
-    through the scalar functional one path at a time.
+    through :func:`_path_rows`, the scalar functional one path at a time.
     """
     kinks = (t, *(b for b in breaks if b < t))
     value = 1.0
-    for driver, g in _split_factors(model, _on_drivers(model, timed, t)):
+    for driver, rows in _split_rows(model, _path_rows(model, timed, t)):
         cuts = [] if driver.start is None else sorted(
             {k - driver.start for k in kinks})
-        value *= _integrate(_exp_weighted(driver.dist, g),
+        value *= _integrate(_exp_weighted_rows(driver.dist, rows, False),
                             _split_pieces(driver.dist.support, cuts))
     return value
 
@@ -660,18 +636,10 @@ def _value_at_time(
 _PROBE_QUANTILES = (1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9)
 
 
-def _probe_points(drivers: Sequence[Driver]) -> list[tuple[float, float]]:
-    """The separability probe of a two-driver model: the anchors, each
-    driver's probe points with the other at its anchor, then every pair."""
-    (x0, y0) = anchors = tuple(d.anchor for d in drivers)
-    xs, ys = ([d.dist.inverse_cdf(q) for q in _PROBE_QUANTILES] for d in drivers)
-    return [anchors, *((x, y0) for x in xs), *((x0, y) for y in ys),
-            *((x, y) for x in xs for y in ys)]
-
-
 def _separable_base(values: Sequence[float]) -> float:
-    """The anchor value of a log functional from its values at
-    :func:`_probe_points`, once they show it separates over the drivers."""
+    """The anchor value of a log functional from its values at the probe
+    points of :func:`_split_rows`, once they show it separates over the
+    drivers."""
     base = values[0]
     k = len(_PROBE_QUANTILES)
     gxs = [v - base for v in values[1:k + 1]]
@@ -687,58 +655,40 @@ def _separable_base(values: Sequence[float]) -> float:
     return base
 
 
-def _check_drivers(model: ProcessModel) -> Sequence[Driver]:
-    if len(model.drivers) not in (1, 2):
-        raise UnsupportedModelError("factorization supports at most two drivers")
-    return model.drivers
-
-
-def _split_factors(
-    model: ProcessModel, f_vals: Callable[[tuple], float]
-) -> list[tuple[Driver, Callable[[float], float]]]:
-    """Additive split of a log functional over independent drivers.
+def _split_rows(model: ProcessModel, path_rows: PathRows) -> list[tuple[Driver, FactorRows]]:
+    """Additive split of a log functional, and of its weight if it has
+    one, over independent drivers: one factor ``rows(x) = (g, w)`` per
+    driver.
 
     Valid because the per-jump terms depend on one driver each and
     piecewise-constant controls keep the control integral separable; a
-    numeric probe (:func:`_probe_points`, each point evaluated once)
-    guards against inputs breaking that structure.  Driver 0 of two takes
-    the functional less its value at the anchors.
+    numeric probe guards against inputs breaking that structure.  Its
+    points are the anchors, each driver's probe quantiles with the other
+    driver at its anchor, then every pair, all in one call of
+    ``path_rows``.  A factor's rows at driver values ``x`` are another
+    call, the other driver at its anchor; driver 0 of two takes the
+    functional less its value at the anchors.  ``path_rows`` is the
+    kind's batch kernel over ``model.build_batch`` or :func:`_path_rows`;
+    either gives the scalar functional row for row, so the split and its
+    factors are the scalar ones bit for bit.
     """
-    drivers = _check_drivers(model)
-    if len(drivers) == 1:
-        return [(drivers[0], lambda x: f_vals((x,)))]
-    (x0, y0) = (d.anchor for d in drivers)
-    base = _separable_base([f_vals(p) for p in _probe_points(drivers)])
-    return [(drivers[0], lambda x: f_vals((x, y0)) - base),
-            (drivers[1], lambda y: f_vals((x0, y)))]
-
-
-FactorRows = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]
-
-
-def _split_rows(model: ProcessModel, record: Integrand) -> list[tuple[Driver, FactorRows]]:
-    """:func:`_split_factors` of a kind's exponent, and of its weight if it
-    has one, through the batch kernel.
-
-    The probe points go through ``model.build_batch`` and the kernel as
-    one batch, and a factor's rows ``(g, w)`` at driver values ``x`` as
-    another, the other driver at its anchor.  Every row equals the scalar
-    functional, so the split and its factors are the scalar ones bit for
-    bit.
-    """
-    drivers = _check_drivers(model)
+    drivers = model.drivers
+    if len(drivers) not in (1, 2):
+        raise UnsupportedModelError("factorization supports at most two drivers")
     bases = (0.0, 0.0)
     if len(drivers) == 2:
-        points = _probe_points(drivers)
-        g, w = record.rows(model.build_batch(*map(np.array, zip(*points))))
+        (x0, y0) = anchors = tuple(d.anchor for d in drivers)
+        xs, ys = ([d.dist.inverse_cdf(q) for q in _PROBE_QUANTILES] for d in drivers)
+        points = [anchors, *((x, y0) for x in xs), *((x0, y) for y in ys),
+                  *((x, y) for x in xs for y in ys)]
         bases = tuple(_separable_base(r.tolist()) if r is not None else 0.0
-                      for r in (g, w))
+                      for r in path_rows([np.array(c) for c in zip(*points)]))
 
     def on_driver(j: int) -> FactorRows:
         def rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
             columns = [x if i == j else np.full(len(x), d.anchor)
                        for i, d in enumerate(drivers)]
-            g, w = record.rows(model.build_batch(*columns))
+            g, w = path_rows(columns)
             if j == 0 and len(drivers) == 2:
                 g = g - bases[0]
                 if w is not None:
@@ -764,9 +714,10 @@ def _lead(analyses: Sequence[_FactorAnalysis]) -> _FactorAnalysis | None:
                  for a in analyses if a.verdict == verdict), None)
 
 
-def _analyze_log_scale(driver: Driver, g: Callable[[float], float],
+def _analyze_log_scale(driver: Driver, rows: FactorRows,
                        levels: Sequence[float]) -> _FactorAnalysis:
-    """Verdict on ``E exp(g)`` over one driver for an exponent beyond float range.
+    """Verdict on ``E exp(g)`` over one driver for an exponent beyond float
+    range, ``g`` the driver's factor ``rows``.
 
     These kinds cut an infinite support end only.  The log integrand
     ``L(T) = g(T) + log_density(T)`` at each cut ``T`` is fitted against
@@ -779,7 +730,7 @@ def _analyze_log_scale(driver: Driver, g: Callable[[float], float],
         lo, hi = driver.truncate(level)
         cut = hi if hi is not None else lo
         try:
-            threshold = g(cut)
+            threshold = float(rows(np.array([cut]))[0][0])
         except OverflowError:
             threshold = math.inf
         # the fit sums squares of the thresholds over the levels
@@ -922,6 +873,8 @@ def evaluate_condition(
     if not all(math.isfinite(t) and t >= 0.0 for t in times):
         raise ValueError(f"family times must be finite and nonnegative, got {times}")
     if levels is not None:
+        # read an iterator once; the report and the grids keep the values given
+        levels = tuple(levels)
         _check_levels(levels)
         if len(model.drivers) > 1:
             # one grid would cut a waiting time inside its bulk
@@ -955,16 +908,17 @@ def evaluate_condition(
     }
 
     def grid(d: Driver) -> tuple[float, ...]:
-        return tuple(levels) if levels is not None else d.levels
+        return levels if levels is not None else d.levels
 
     if f_batch is None:
         terms = [_combine_factors([
-            _analyze_log_scale(d, g, grid(d))
-            for d, g in _split_factors(model, _on_drivers(model, exponent))])]
+            _analyze_log_scale(d, rows, grid(d))
+            for d, rows in _split_rows(model, _path_rows(model, exponent))])]
     else:
         # the exponent and the weight both pass the separability probe;
         # term j weights driver j's factor, a weightless kind has one term
-        factors = _split_rows(model, record)
+        factors = _split_rows(
+            model, lambda columns: record.rows(model.build_batch(*columns)))
         weighted = [None] if weight is None else range(len(factors))
         terms = [_combine_factors([
             _analyze_factor(d, _exp_weighted_rows(d.dist, rows, i == j), grid(d))
@@ -989,7 +943,7 @@ def evaluate_condition(
         if weight is not None:
             estimate = estimate_batch(model, f_batch, n, seeds)
         else:
-            estimate = _importance_estimate(model, f_batch, n, seeds)
+            estimate = _importance_estimate(model, factors, f_batch, n, seeds)
 
     return ConditionReport(
         condition=condition_doc,

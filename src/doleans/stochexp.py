@@ -29,10 +29,11 @@ per distinct value: ``log1p(dM)`` is shared by every term that needs it.
 :class:`Integrand` record of an exponent, an optional weight and its
 batch kernel, whose :meth:`Integrand.rows` give the exponent and the
 weight row by row for the quadrature nodes.  Family times and the
-log-scale kinds call an exponent on single paths, so the table reads the
-float cores ``_jacod_log`` and ``_theorem1_log`` that
-:func:`jacod_functional` and :func:`theorem1_functional` wrap, without
-their range checks and the :class:`FunctionalValue` around the result.
+log-scale kinds build their rows from the exponent on one path at a time,
+so the table reads the float cores ``_jacod_log`` and ``_theorem1_log``
+that :func:`jacod_functional` and :func:`theorem1_functional` wrap,
+without their range checks and the :class:`FunctionalValue` around the
+result.
 """
 
 from __future__ import annotations

@@ -432,9 +432,35 @@ def scalar_log_functional(spec: ConditionSpec):
 
 
 def reference_factors(model, f_path):
-    """``(driver, log integrand)`` of every driver, split as the engine's
-    quadrature splits them."""
-    return mc._split_factors(model, lambda vals: f_path(model.build(*vals)))
+    """``(driver, log integrand)`` of every driver, split node by node as
+    the engine's quadrature splits them.
+
+    One driver is its own factor.  Of two, driver 0 takes the functional
+    less its value at the anchors, driver 1 the functional with driver 0
+    at its anchor, once the probe (each driver's quantiles with the other
+    at its anchor, then every pair) shows the functional separates.
+    """
+    drivers = model.drivers
+    f_vals = lambda vals: f_path(model.build(*vals))
+    if len(drivers) == 1:
+        return [(drivers[0], lambda x: f_vals((x,)))]
+    x0, y0 = (d.anchor for d in drivers)
+    base = f_vals((x0, y0))
+    xs, ys = ([float(d.dist.inverse_cdf(q)) for q in mc._PROBE_QUANTILES]
+              for d in drivers)
+    for x in xs:
+        for y in ys:
+            whole = f_vals((x, y))
+            parts = (f_vals((x, y0)) - base) + f_vals((x0, y))
+            assert abs(whole - parts) <= 1e-9 * max(1.0, abs(whole)), (x, y)
+    return [(drivers[0], lambda x: f_vals((x, y0)) - base),
+            (drivers[1], lambda y: f_vals((x0, y)))]
+
+
+def engine_factors(model, f_batch):
+    """The factors the engine splits ``f_batch`` into, one batch per call."""
+    return mc._split_rows(
+        model, lambda columns: (f_batch(model.build_batch(*columns)), None))
 
 
 def reference_estimate(model, spec: ConditionSpec, seeds: SeedSpec, n: int) -> Estimate:
@@ -518,8 +544,8 @@ def test_proposal_equals_scalar_reference(name, spec):
     f_batch = pathwise_functional(spec, model).batch
     factors = reference_factors(model, scalar_log_functional(spec))
     assert len(factors) == len(model.drivers)
-    for j, (driver, g) in enumerate(factors):
-        assert_same_proposal(mc._driver_proposal(model, j, f_batch),
+    for (driver, rows), (_, g) in zip(engine_factors(model, f_batch), factors):
+        assert_same_proposal(mc._driver_proposal(driver, rows),
                              reference_proposal(driver, g))
 
 
@@ -543,11 +569,13 @@ def test_proposal_skips_nan_probes_as_scalar_max(name):
         calls.append(x)
         return math.nan if len(calls) % 2 == 0 else f_path(model.build(x))
 
-    engine = mc._driver_proposal(model, 0, nan_batch)
+    [(driver, nan_rows)] = engine_factors(model, nan_batch)
+    engine = mc._driver_proposal(driver, nan_rows)
     reference = reference_proposal(model.drivers[0], nan_scalar)
     assert_same_proposal(engine, reference)
     # the NaN probes moved some bin weights: the test exercises the rule
-    plain = mc._driver_proposal(model, 0, f_batch)
+    [(_, rows)] = engine_factors(model, f_batch)
+    plain = mc._driver_proposal(driver, rows)
     assert bits(engine.prob) != bits(plain.prob)
 
 

@@ -42,6 +42,7 @@ from doleans.paths import apply_math
 from doleans.stochexp import pathwise_functional
 
 from conftest import example1_full_control_integrand, example2_closed_form
+from test_batch import reference_factors
 
 XI = make_xi_distribution()
 EXP_LAW = make_first_jump_time()
@@ -261,6 +262,10 @@ class TestEvaluateCondition:
         assert forward.verdict == backward.verdict == "diverging"
         assert backward.divergence.slope == forward.divergence.slope
         assert backward.divergence == forward.divergence
+        # an iterator is read once; a list reports as the tuple does
+        for given in ((x for x in levels), list(levels)):
+            r = evaluate_condition(model, spec, levels=given)
+            assert json.dumps(r.to_json()) == json.dumps(forward.to_json())
 
     @pytest.mark.parametrize("name, spec", [
         ("example1", ConditionSpec("lemma1")),
@@ -374,6 +379,23 @@ class TestEvaluateCondition:
             with pytest.raises(ValueError, match=f"at level {levels[-1]}$"):
                 evaluate_condition(model2, ConditionSpec(kind), levels=levels)
 
+    def test_log_scale_slow_growth_is_inconclusive(self, model2):
+        # <M^d> = log(1 + T) grows slower than the log density falls, so
+        # L(T) falls: the log integrand decides nothing
+        model = dataclasses.replace(
+            model2, disc_qv=lambda p, t: math.log1p(min(t, p.horizon)))
+        r = evaluate_condition(model, ConditionSpec("protter_shimbo"))
+        driver = model.drivers[0]
+        thresholds = tuple(math.log1p(T) for T in driver.levels)
+        assert r.verdict == "inconclusive"
+        assert r.quadrature is None
+        assert r.divergence.levels == thresholds
+        assert r.divergence.values == tuple(
+            g + driver.dist.log_density(T)
+            for g, T in zip(thresholds, driver.levels))
+        assert not r.divergence.increasing
+        assert r.to_json()["divergence"]["levels"] == list(thresholds)
+
     def test_lone_inconclusive_factor_keeps_evidence(self, model1):
         r = evaluate_condition(
             model1, ConditionSpec("theorem1", PredictableControl.constant(0.999))
@@ -394,6 +416,11 @@ class TestEvaluateCondition:
         assert eta.name == "eta"
         assert r.to_json()["divergence"]["levels"] == list(eta.levels)
 
+    @staticmethod
+    def rows_of(f_vals):
+        """Path rows that evaluate ``f_vals`` at each point of the columns."""
+        return lambda columns: (np.array([f_vals(v) for v in zip(*columns)]), None)
+
     def test_split_rejects_tail_only_coupling(self, model3):
         # separable wherever eta < 1, i.e. at every interior eta quantile;
         # only the tail probes reach the coupled branch
@@ -401,13 +428,14 @@ class TestEvaluateCondition:
             x, y = vals
             return x + y + (1e-3 * x * y if x >= 1.0 else 0.0)
 
-        assert len(mc._split_factors(model3, lambda v: v[0] + v[1])) == 2
+        assert len(mc._split_rows(model3, self.rows_of(lambda v: v[0] + v[1]))) == 2
         with pytest.raises(UnsupportedModelError):
-            mc._split_factors(model3, f_vals)
+            mc._split_rows(model3, self.rows_of(f_vals))
 
     def test_split_probe_evaluates_each_point_once(self, model3):
         # one base value, each factor at its 5 probe points and the 25
-        # probe pairs: 36 calls, with 5 quantiles inverted per driver
+        # probe pairs: 36 rows in one call, with 5 quantiles inverted per
+        # driver
         inversions, calls = [], []
 
         def counted(dist):
@@ -418,16 +446,33 @@ class TestEvaluateCondition:
 
         model = dataclasses.replace(model3, drivers=tuple(
             dataclasses.replace(d, dist=counted(d.dist)) for d in model3.drivers))
-        inner = mc._on_drivers(model, stochexp._jacod_log)
+        inner = mc._path_rows(model, stochexp._jacod_log)
 
-        def f_vals(vals):
-            calls.append(vals)
-            return inner(vals)
+        def path_rows(columns):
+            calls.append(list(zip(*(c.tolist() for c in columns))))
+            return inner(columns)
 
-        assert len(mc._split_factors(model, f_vals)) == 2
-        assert len(calls) == 36
+        assert len(mc._split_rows(model, path_rows)) == 2
+        assert len(calls) == 1
+        assert len(calls[0]) == 36
         assert len(inversions) == 10
-        assert len(set(calls[11:])) == 25
+        assert len(set(calls[0][11:])) == 25
+
+    @pytest.mark.parametrize("spec", [
+        ConditionSpec("jacod"),
+        ConditionSpec("lemma1"),
+        ConditionSpec("theorem1", control_indicator_after(1.0)),
+    ], ids=lambda s: s.label())
+    def test_three_drivers_rejected_before_quadrature(self, spec, model3,
+                                                      monkeypatch):
+        def no_quadrature(values, pieces):
+            raise AssertionError("quadrature ran before the drivers were checked")
+
+        monkeypatch.setattr(mc, "_quad_run", no_quadrature)
+        model = dataclasses.replace(
+            model3, drivers=(*model3.drivers, model3.drivers[1]))
+        with pytest.raises(UnsupportedModelError, match="at most two drivers"):
+            evaluate_condition(model, spec)
 
     def test_lemma1_rejects_coupled_drivers(self, model3):
         # the second jump grows with eta above 0.5: neither the exponent
@@ -699,11 +744,23 @@ class TestQuadRun:
     PIECES = [(0.0, 1.0), (4.0, 6.0), (1.0, 2.5), (6.0, math.inf)]
 
     @staticmethod
-    def routes(g_scalar):
+    def scalar_exp_weighted(dist, g):
+        """``exp(g(x) + log_density(x))`` at one node, ``0.0`` off the
+        support; a finite argument that overflows raises."""
+        def f(x):
+            ld = dist.log_density(x)
+            if ld == -math.inf:
+                return 0.0
+            return math.exp(g(x) + ld)
+
+        return f
+
+    @classmethod
+    def routes(cls, g_scalar):
         def rows(x):
             return apply_math(g_scalar, x), None
 
-        f = mc._exp_weighted(EXP_LAW, g_scalar)
+        f = cls.scalar_exp_weighted(EXP_LAW, g_scalar)
         return (mc._exp_weighted_rows(EXP_LAW, rows, False),
                 lambda x: (apply_math(f, x), None))
 
@@ -882,6 +939,56 @@ class TestFamilyTimes:
             family = evaluate_condition(model2, spec, times=times)
         assert not [r for r in caplog.records if "skipped" in r.getMessage()]
         assert family.quadrature == evaluate_condition(model2, spec).quadrature
+
+    @staticmethod
+    def reference_value_at_time(model, timed, t, breaks):
+        """``mc._value_at_time`` node by node: the scalar split of
+        ``reference_factors`` and a scalar ``exp(g + log_density)`` per node,
+        each driver's support split at the kinks before ``t``."""
+        kinks = (t, *(b for b in breaks if b < t))
+        value = 1.0
+        for driver, g in reference_factors(
+                model, lambda p: timed(p, min(t, p.horizon))):
+            cuts = [] if driver.start is None else sorted(
+                {k - driver.start for k in kinks})
+            f = TestQuadRun.scalar_exp_weighted(driver.dist, g)
+            try:
+                outcomes = mc._quad_run(lambda x: (apply_math(f, x), None),
+                                        mc._split_pieces(driver.dist.support, cuts))
+            except OverflowError:
+                outcomes = [None]
+            value *= mc._sum_pieces(outcomes)
+        return value
+
+    @pytest.mark.parametrize("name, control", [
+        ("example1", PredictableControl.constant(1.0)),
+        *(("example2", PredictableControl.constant(a))
+          for a in (0.25, 0.5, 0.75, 1.0, 0.6180339887498949)),
+        ("example2", control_indicator_after(1.0)),
+        ("example3", control_indicator_after(1.0)),
+    ], ids=lambda v: v if isinstance(v, str) else v.label())
+    def test_value_at_time_equals_scalar_reference(self, name, control,
+                                                   all_models):
+        # the finite theorem1 controls, at times as the benchmark draws them
+        model = {m.name: m for m in all_models}[name]
+        timed = pathwise_functional(ConditionSpec("theorem1", control), model).exponent
+        for t in (0.0, 0.41674596973046985, 1.0, 1.9993936601883728,
+                  3.3486297013362023, 3.9):
+            expected = self.reference_value_at_time(model, timed, t, control.breaks)
+            value = mc._value_at_time(model, timed, t, control.breaks)
+            assert repr(value) == repr(expected), t
+
+    def test_family_time_overflow_is_an_accuracy_error(self, model2):
+        # an OverflowError the exponent raises at a node fails the sum as
+        # a node whose value overflowed does
+        def timed(path, t):
+            if path.jumps and path.jumps[0][0] > 5.0:
+                raise OverflowError("math range error")
+            return 0.0
+
+        with pytest.raises(QuadratureAccuracyError, match="overflowed") as exc:
+            mc._value_at_time(model2, timed, 2.0)
+        assert (exc.value.value, exc.value.achieved) == (math.inf, math.inf)
 
     def test_family_time_missing_the_contract_raises(self, model2, monkeypatch):
         # such a time is an error, not a value dropped from the family

@@ -1,5 +1,6 @@
 """Path model, controls, example processes, serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -60,6 +61,10 @@ def one_jump_values_at(batch, s):
 
 
 class TestExampleModels:
+    def test_driver_rejects_unknown_growth(self, model1):
+        with pytest.raises(ValueError, match="unknown growth model 'cubic'"):
+            dataclasses.replace(model1.drivers[0], growth="cubic")
+
     def test_example1_structure(self, model1):
         for i in range(50):
             p = model1.sampler(3, i)
