@@ -228,7 +228,7 @@ def _quad_run(values: NodeValues, pieces: Sequence[Piece]) -> list[tuple[float, 
     piece, or ``None`` for a piece where a node overflowed.
 
     All pieces run together through :func:`doleans.quadpack.integrate`
-    (``quad`` to 1e-11 absolute or relative, 200 subintervals), one call
+    (QUADPACK to 1e-11 absolute or relative, 200 subintervals), one call
     of ``values`` per round.  A finite piece with ``lo >= 0`` and
     ``hi > 1`` is integrated in ``y = log1p(x)``, which spreads the nodes
     over every scale it spans: in ``x``, a piece from 0 far past a law's
@@ -297,8 +297,12 @@ def quadrature_expectation(
     Adaptive quadrature to 1e-10 absolute or relative; raises
     :class:`QuadratureAccuracyError` with the achieved bound otherwise.
     Truncation is an explicit ``(lo, hi)`` clip (``None`` = unbounded),
-    reported alongside values by callers probing improper integrals.
+    reported alongside values by callers probing improper integrals; a
+    NaN bound raises :class:`ValueError`, and a clip that leaves no
+    support gives ``0.0``.
     """
+    if truncation is not None and any(v is not None and math.isnan(v) for v in truncation):
+        raise ValueError(f"truncation bounds must not be NaN, got {truncation!r}")
     density = dist.density
     return _integrate(
         lambda x: (apply_math(lambda v: integrand(v) * density(v), x), None),

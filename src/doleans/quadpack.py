@@ -9,12 +9,12 @@ Every operation is a Python float operation in QUADPACK's order, so a
 value and its error bound equal ``scipy.integrate.quad``'s bit for bit.
 
 The adaptive loop is written once, as a step machine per piece (a
-generator that yields the two halves it bisects next and receives their
-rule results).  :func:`integrate` advances many pieces round by round and
-hands every node of a round to one call of a vector node function, so a
-caller that evaluates nodes as a batch pays one call per round.  A piece
-whose first rule already meets QUADPACK's exit test never starts a
-machine.
+generator that yields the intervals it needs a rule on, first the whole
+piece and then the two halves it bisects, and receives their rule
+results).  :func:`integrate`, the only entry, advances any number of
+pieces round by round and hands every node of a round to one call of a
+vector node function, so a caller that evaluates nodes as a batch pays
+one call per round.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 import sys
 from typing import Callable, Collection, Generator, Sequence
 
-__all__ = ["NodeFunction", "integrate", "quad"]
+__all__ = ["NodeFunction", "integrate"]
 
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
@@ -336,20 +336,24 @@ def _dqelg(n: int, epstab: list, res3la: list, nres: int
     return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
 
 
-Step = Generator[tuple[float, float, float, float], tuple[tuple, tuple],
+Step = Generator[tuple[tuple[float, float], ...], Sequence[tuple],
                  tuple[float, float]]
 
 
-def _adapt(a: float, b: float, first: tuple, epsabs: float, epsrel: float,
+def _adapt(a: float, b: float, epsabs: float, epsrel: float,
            limit: int) -> Step:
-    """QUADPACK's loop after a first rule that did not exit.
+    """QUADPACK's loop on one piece, from its first rule.
 
-    Yields ``(a1, b1, a2, b2)``, the halves of the interval it bisects,
-    receives their two rule results and returns ``(result, abserr)``.
-    ``(a, b)`` is the piece in rule coordinates (``(0, 1)`` in ``t`` for
-    an infinite piece, where ``dqagie``'s ``small = 0.375`` is the same
-    ``|b - a| * 0.375``).
+    Yields the intervals it needs a rule on, ``((a, b),)`` first and then
+    the two halves it bisects, receives their rule results in that order
+    and returns ``(result, abserr)``.  ``(a, b)`` is the piece in rule
+    coordinates (``(0, 1)`` in ``t`` for an infinite piece, where
+    ``dqagie``'s ``small = 0.375`` is the same ``|b - a| * 0.375``).
     """
+    (first,) = yield ((a, b),)
+    done = _first_exit(first, epsabs, epsrel, limit)
+    if done is not None:
+        return done
     result, abserr, _, _ = first
     alist = [0.0, a]
     blist = [0.0, b]
@@ -385,7 +389,7 @@ def _adapt(a: float, b: float, first: tuple, epsabs: float, epsrel: float,
         b2 = blist[maxerr]
         erlast = errmax
         (area1, error1, _, defab1), (area2, error2, _, defab2) = \
-            yield a1, b1, a2, b2
+            yield (a1, b1), (a2, b2)
 
         area12 = area1 + area2
         erro12 = error1 + error2
@@ -527,77 +531,40 @@ def integrate(f: NodeFunction, pieces: Sequence[tuple[float, float]],
     limit=limit)[:2]`` gives it for the integrand ``g`` that ``f``
     evaluates; ``None`` for a piece that ``f`` reports failed.
 
-    Each round calls ``f`` once with the nodes of every open piece: first
-    the whole piece, then the two halves its machine bisects.  Pieces
-    share no arithmetic, so each one gets the bits of a run on its own.
-    An exception ``f`` raises propagates.
+    Each round calls ``f`` once with the nodes of every open piece: its
+    first rule, then the two halves its machine bisects; ``f`` is not
+    called once no piece is open.  Pieces share no arithmetic, so each
+    one gets the bits of a run on its own.  An exception ``f`` raises
+    propagates.
     """
-    rules = [_rule_of(a, b) for a, b in pieces]
-    firsts = _round(f, [(i, lo, hi) for i, (_, lo, hi) in enumerate(rules)], rules)
-    return _advance(f, rules, {i: first for i, (first,) in firsts.items()},
-                    epsabs, epsrel, limit)
-
-
-def _advance(f: NodeFunction, rules: list, firsts: dict[int, tuple],
-             epsabs: float, epsrel: float, limit: int
-             ) -> list[tuple[float, float] | None]:
-    """The runner: from each piece's first rule, exit or start its machine,
-    then advance every machine one round at a time until all have ended."""
-    out: list[tuple[float, float] | None] = [None] * len(rules)
-    running: dict[int, tuple[Step, tuple]] = {}
-    for i, first in firsts.items():
-        out[i] = _first_exit(first, epsabs, epsrel, limit)
-        if out[i] is None:
-            _, lo, hi = rules[i]
-            machine = _adapt(lo, hi, first, epsabs, epsrel, limit)
-            running[i] = machine, next(machine)
+    out: list[tuple[float, float] | None] = [None] * len(pieces)
+    running = []
+    for i, (a, b) in enumerate(pieces):
+        rule, lo, hi = _rule_of(a, b)
+        machine = _adapt(lo, hi, epsabs, epsrel, limit)
+        running.append((i, rule, machine, next(machine)))
     while running:
-        results = _round(f, [(i, *half) for i, (_, (a1, b1, a2, b2)) in running.items()
-                             for half in ((a1, b1), (a2, b2))], rules)
-        for i, (machine, _) in list(running.items()):
-            if i not in results:  # failed in this round
-                del running[i]
+        xs: list[float] = []
+        owners: list[int] = []
+        for i, rule, _, intervals in running:
+            for lo, hi in intervals:
+                xs += rule.nodes(lo, hi)
+                owners += [i] * rule.count
+        values, failed = f(xs, owners)
+        k = 0
+        still = []
+        for i, rule, machine, intervals in running:
+            n = rule.count
+            if i in failed:  # stops unfinished
+                k += n * len(intervals)
                 continue
+            results = []
+            for lo, hi in intervals:
+                results.append(rule.rule(lo, hi, values[k:k + n]))
+                k += n
             try:
-                running[i] = machine, machine.send(results[i])
+                still.append((i, rule, machine, machine.send(results)))
             except StopIteration as stop:
                 out[i] = stop.value
-                del running[i]
+        running = still
     return out
-
-
-def _round(f: NodeFunction, intervals: list, rules: list) -> dict[int, list]:
-    """Rule results of ``(piece, lo, hi)`` intervals, listed per piece in
-    interval order, from one call of ``f``; failed pieces are left out."""
-    xs: list[float] = []
-    owners: list[int] = []
-    for i, lo, hi in intervals:
-        rule = rules[i][0]
-        xs += rule.nodes(lo, hi)
-        owners += [i] * rule.count
-    values, failed = f(xs, owners)
-    results: dict[int, list] = {}
-    k = 0
-    for i, lo, hi in intervals:
-        rule = rules[i][0]
-        if i not in failed:
-            results.setdefault(i, []).append(rule.rule(lo, hi, values[k:k + rule.count]))
-        k += rule.count
-    return results
-
-
-def quad(f: Callable[[list], Sequence[float]], a: float, b: float,
-         epsabs: float, epsrel: float, limit: int) -> tuple[float, float]:
-    """:func:`integrate` on the one piece ``(a, b)``, where ``f`` maps a
-    list of nodes to their values.
-
-    The first rule and QUADPACK's exit test run before the runner's
-    bookkeeping; a piece that goes on hands that rule to the runner.
-    """
-    rule, lo, hi = rules = _rule_of(a, b)
-    first = rule.rule(lo, hi, f(rule.nodes(lo, hi)))
-    done = _first_exit(first, epsabs, epsrel, limit)
-    if done is not None:
-        return done
-    return _advance(lambda xs, owners: (f(xs), ()), [rules], {0: first},
-                    epsabs, epsrel, limit)[0]

@@ -149,6 +149,25 @@ class TestQuadratureExpectation:
         v = quadrature_expectation(EXP_LAW, lambda x: 1.0, truncation=(None, K))
         assert abs(v - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("truncation", [(None, -1.0), (5.0, 2.0)])
+    def test_clip_without_support_is_zero(self, truncation):
+        assert quadrature_expectation(EXP_LAW, lambda x: 1.0, truncation=truncation) == 0.0
+
+    @pytest.mark.parametrize("truncation", [(math.nan, None), (None, math.nan),
+                                            (0.5, math.nan)])
+    def test_nan_clip_bound_rejected(self, truncation):
+        def integrand(x):
+            raise AssertionError("no quadrature for a NaN clip")
+
+        with pytest.raises(ValueError, match="NaN"):
+            quadrature_expectation(EXP_LAW, integrand, truncation=truncation)
+
+    @pytest.mark.parametrize("truncation", [(-math.inf, None), (None, math.inf),
+                                            (-math.inf, math.inf)])
+    def test_infinite_clip_bound_is_unbounded(self, truncation):
+        full = quadrature_expectation(EXP_LAW, lambda x: 1.0)
+        assert quadrature_expectation(EXP_LAW, lambda x: 1.0, truncation=truncation) == full
+
     def test_wide_positive_piece(self):
         # eta density 1 / (4 x^3) on (2, 1e6): 0.125 (1/4 - 1e-12)
         v = quadrature_expectation(make_eta_distribution(), lambda x: 1.0,

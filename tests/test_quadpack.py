@@ -79,8 +79,10 @@ BATTERY = (
 )
 
 
-def nodewise(g):
-    return lambda xs: [g(x) for x in xs]
+def one_piece(g, a, b, eps, limit):
+    """``(value, error bound)`` of ``g`` on ``(a, b)``, run as the only piece."""
+    return quadpack.integrate(lambda xs, owners: ([g(x) for x in xs], ()),
+                              [(a, b)], eps, eps, limit)[0]
 
 
 def reference(g, a, b, eps, limit):
@@ -100,7 +102,7 @@ class TestAgainstScipy:
     @pytest.mark.parametrize("name, g, a, b", BATTERY, ids=[c[0] for c in BATTERY])
     def test_value_and_error_bound(self, name, g, a, b, eps, limit):
         expected, _ = reference(g, a, b, eps, limit)
-        assert bits(quadpack.quad(nodewise(g), a, b, eps, eps, limit)) == bits(expected)
+        assert bits(one_piece(g, a, b, eps, limit)) == bits(expected)
 
     def test_battery_reaches_the_limit_and_extrapolates(self, monkeypatch):
         # the battery exercises the whole loop: runs that end at the
@@ -117,7 +119,7 @@ class TestAgainstScipy:
         for _, g, a, b in BATTERY:
             for eps, limit in TOLERANCES:
                 before = len(extrapolations)
-                quadpack.quad(nodewise(g), a, b, eps, eps, limit)
+                one_piece(g, a, b, eps, limit)
                 lasts.append((reference(g, a, b, eps, limit)[1], limit,
                               len(extrapolations) > before))
         assert any(last == limit for last, limit, _ in lasts)
@@ -139,7 +141,7 @@ class TestAgainstScipy:
         with pytest.raises(error):
             scipy_quad(g, 0.0, 1.0)
         with pytest.raises(error):
-            quadpack.quad(nodewise(g), 0.0, 1.0, 1.49e-8, 1.49e-8, 50)
+            one_piece(g, 0.0, 1.0, 1.49e-8, 50)
 
 
 class TestRunner:
@@ -160,12 +162,34 @@ class TestRunner:
             return [self.integrand(x) for x in xs], ()
 
         together = quadpack.integrate(f, self.PIECES, eps, eps, limit)
-        serial = [quadpack.quad(nodewise(self.integrand), a, b, eps, eps, limit)
-                  for a, b in self.PIECES]
+        serial = [one_piece(self.integrand, a, b, eps, limit) for a, b in self.PIECES]
         assert [bits(v) for v in together] == [bits(v) for v in serial]
         # one call per round, the first with every piece
         assert rounds[0] == list(range(len(self.PIECES)))
         assert len(rounds) > 2
+
+    def test_pieces_that_exit_at_their_first_rule_take_one_call(self):
+        # a cubic is exact under both Kronrod rules' Gauss partners, so
+        # every piece meets QUADPACK's exit test after its first rule
+        pieces = [(0.0, 1.0), (-3.0, -2.0), (2.0, 2.5)]
+        g = lambda x: x * x * x - x
+        calls = []
+
+        def f(xs, owners):
+            calls.append(sorted(set(owners)))
+            return [g(x) for x in xs], ()
+
+        out = quadpack.integrate(f, pieces, 1e-11, 1e-11, 200)
+        assert calls == [[0, 1, 2]]
+        for (a, b), got in zip(pieces, out):
+            expected, last = reference(g, a, b, 1e-11, 200)
+            assert last == 1 and bits(got) == bits(expected)
+
+    def test_no_piece_no_call(self):
+        def f(xs, owners):
+            raise AssertionError("f called without a piece")
+
+        assert quadpack.integrate(f, [], 1e-11, 1e-11, 200) == []
 
     def test_failed_piece_stops_alone(self):
         # piece 1 fails in its second round; the others keep their bits

@@ -29,9 +29,11 @@ from doleans import (
     theorem1_functional,
 )
 
+from doleans import quadpack
+from doleans.paths import ExpCompensatorDrift, ScaledDrift, ZeroDrift
 from doleans.stochexp import pathwise_functional
 
-from conftest import random_two_jump_path
+from conftest import WitnessDrift, random_two_jump_path, witness_model
 
 A_HALF = PredictableControl.constant(0.5)
 
@@ -70,6 +72,37 @@ class TestStochExponential:
             stoch_exponential(JumpPath(horizon=1.0), 2.0)
 
 
+def per_gap_residual(path, t):
+    """The SDE residual with one one-piece quadrature per gap between
+    jumps and none for a ``ZeroDrift``: the reference for the bits of
+    :func:`sde_residual`, which integrates its gaps in one run."""
+    drift = path.drift
+    has_drift = not isinstance(drift, ZeroDrift)
+    integral = 0.0
+    cum_jump_log = 0.0
+    prev = 0.0
+    for ti, dm in [(ti, dm) for ti, dm in path.jumps if ti <= t] + [(t, None)]:
+        if has_drift and ti > prev:
+            def f(xs, owners, c=cum_jump_log):
+                return [math.exp(drift(s) + c) * drift.derivative(s) for s in xs], ()
+
+            integral += quadpack.integrate(f, [(prev, ti)], 1e-12, 1e-12, 200)[0][0]
+        if dm is not None:
+            integral += math.exp(drift(ti) + cum_jump_log) * dm
+            cum_jump_log += math.log1p(dm)
+            prev = ti
+    return stoch_exponential(path, t) - 1.0 - integral
+
+
+def residual_cases(model, seed, count):
+    """``(path, t)`` at the horizon, at a jump and at interior times."""
+    for i in range(count):
+        p = model.sampler(seed, i)
+        T = p.horizon
+        for t in (T, p.jumps[0][0], 0.5 * T, 0.25 * T, 0.9 * T):
+            yield p, t
+
+
 class TestSdeResidual:
     def test_no_jump_no_drift(self):
         assert sde_residual(JumpPath(horizon=1.0), 1.0) == 0.0
@@ -95,6 +128,70 @@ class TestSdeResidual:
             p = random_two_jump_path(rng)
             e = stoch_exponential(p, p.horizon)
             assert abs(sde_residual(p, p.horizon)) <= 1e-9 * max(1.0, e)
+
+    @pytest.mark.parametrize("model_name", ["model1", "model2", "model3"])
+    def test_equals_the_per_gap_loop(self, model_name, request):
+        model = request.getfixturevalue(model_name)
+        for p, t in residual_cases(model, 12, 200):
+            assert repr(sde_residual(p, t)) == repr(per_gap_residual(p, t))
+
+    def test_equals_the_per_gap_loop_on_scaled_drifts(self):
+        rng = np.random.Generator(np.random.Philox(key=21))
+        for _ in range(200):
+            p = random_two_jump_path(rng)
+            (t1, _), (t2, _) = p.jumps
+            for t in (t2, t1, 0.5 * t1, 0.5 * (t1 + t2)):
+                assert repr(sde_residual(p, t)) == repr(per_gap_residual(p, t))
+
+    def test_equals_the_per_gap_loop_on_witness_paths(self):
+        for p, t in residual_cases(witness_model(), 5, 200):
+            assert repr(sde_residual(p, t)) == repr(per_gap_residual(p, t))
+
+    @pytest.mark.parametrize("model_name", ["model1", "model2", "model3"])
+    def test_one_run_over_the_gaps_where_the_drift_moves(self, model_name, request,
+                                                         monkeypatch):
+        model = request.getfixturevalue(model_name)
+        runs = []
+        integrate = quadpack.integrate
+
+        def spy(f, pieces, *args):
+            runs[-1].append(list(pieces))
+            return integrate(f, pieces, *args)
+
+        monkeypatch.setattr(quadpack, "integrate", spy)
+        for p, t in residual_cases(model, 12, 100):
+            runs.append([])
+            sde_residual(p, t)
+        assert all(len(calls) <= 1 for calls in runs)
+        calls = [pieces for calls in runs for pieces in calls]
+        if model_name == "model1":
+            assert calls == []
+        else:
+            assert calls
+        if model_name == "model3":
+            assert not any((0.0, 1.0) in pieces for pieces in calls)
+
+    @pytest.mark.parametrize("drift", [
+        ZeroDrift(),
+        ExpCompensatorDrift(0.0),
+        ExpCompensatorDrift(1.0),
+        ScaledDrift(ExpCompensatorDrift(0.0), -0.7),
+        WitnessDrift(),
+    ], ids=["zero", "exp-compensator-0", "exp-compensator-1", "scaled-negative", "witness"])
+    def test_drift_derivative_and_monotone(self, drift):
+        # the gap rule of sde_residual needs a monotone drift: equal drift
+        # at both ends of a gap means no drift in between.  Times run on
+        # both sides of the compensator start 1
+        h = 1e-6
+        for t in (0.25, 0.5, 0.8, 1.2, 1.5, 2.5, 3.5):
+            centred = (drift(t + h) - drift(t - h)) / (2.0 * h)
+            assert abs(drift.derivative(t) - centred) <= 1e-6 * max(1.0, abs(centred))
+        grid = np.linspace(0.0, 4.0, 401).tolist()
+        values = [drift(t) for t in grid]
+        slopes = [drift.derivative(t) for t in grid]
+        steps = [b - a for a, b in zip(values, values[1:])]
+        assert all(d >= 0.0 for d in steps) or all(d <= 0.0 for d in steps)
+        assert all(d >= 0.0 for d in slopes) or all(d <= 0.0 for d in slopes)
 
 
 class TestJacodFunctional:
