@@ -159,6 +159,11 @@ def _cmd_condition(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------------
 # reproduce: the paper's claims and their closed-form oracles
+#
+# The oracles take their transcendentals from ``math`` (the C library),
+# not from the NumPy ufuncs of ``doleans.transcendental`` that the
+# functionals and kernels use, so that an oracle shares no code with what
+# it checks.
 # ----------------------------------------------------------------------
 
 def example1_exponential(x: float) -> float:

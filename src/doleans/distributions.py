@@ -17,9 +17,11 @@ engine call ``inverse_cdf`` one uniform at a time.  Arrays run each
 formula on the elements its mask selects; the verdict and family-time
 quadrature call ``log_density`` once per round on every node of the
 round.  Formulas use NumPy ufuncs for
-every operation except ``+ - * /``: a ufunc runs the same inner loop on a
-float as on an array, and the four IEEE operations round alike on both, so
-the two routes agree bit for bit.  The ``**`` operator is never used: on an
+every operation except ``+ - * /``, as every functional of the package
+does: a ufunc called on a float gives the bits of its array loop (see
+:mod:`doleans.transcendental`), and the four IEEE operations round alike
+on both, so the two routes agree bit for bit, on every CPU NumPy
+dispatches to.  The ``**`` operator is never used: on an
 ``np.float64`` it takes NumPy's scalar power, which is not always the
 array ``**`` in the last bit.
 """

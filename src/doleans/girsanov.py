@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import JumpPath, PredictableControl
+from .transcendental import expm1, log1p
 
 __all__ = [
     "MeasureChangeDecomposition",
@@ -53,7 +54,7 @@ class MeasureChangeDecomposition:
 
     def identity_relative_error(self) -> float:
         """Signed relative defect of ``density * transformed == E_T(M)``."""
-        return math.expm1(self.identity_log_gap)
+        return expm1(self.identity_log_gap)
 
 
 def decompose(path: JumpPath, a: PredictableControl) -> MeasureChangeDecomposition:
@@ -79,9 +80,9 @@ def decompose(path: JumpPath, a: PredictableControl) -> MeasureChangeDecompositi
         av = a.value_at(ti)
         dn = (1.0 - av) * dm / (1.0 + av * dm)
         transformed_jumps.append((ti, dn))
-        dens.append(math.log1p(av * dm))
-        trans.append(math.log1p(dn))
-        ref.append(math.log1p(dm))
+        dens.append(log1p(av * dm))
+        trans.append(log1p(dn))
+        ref.append(log1p(dm))
 
     gap = math.fsum(dens + trans + [-x for x in ref])
     return MeasureChangeDecomposition(
@@ -109,7 +110,7 @@ def transformed_jacod_integrand(
         if ti > t:
             break
         av = a.value_at(ti)
-        s += (math.log1p(dm) - math.log1p(av * dm)) - (1.0 - av) * (
+        s += (log1p(dm) - log1p(av * dm)) - (1.0 - av) * (
             dm / (1.0 + dm)
         )
     return s

@@ -57,7 +57,6 @@ from .paths import (
     JumpPath,
     PathBatch,
     ProcessModel,
-    apply_math,
     check_seed,
     stream_generator,
 )
@@ -235,9 +234,9 @@ def _quad_run(values: NodeValues, pieces: Sequence[Piece]) -> list[tuple[float, 
     bulk leaves that bulk between the nodes and reads 0.0.  Every other
     piece is integrated in ``x``.
     """
-    in_log1p = np.array([lo >= 0.0 and 1.0 < hi < math.inf for lo, hi in pieces])
-    coords = [(math.log1p(lo), math.log1p(hi)) if m else (lo, hi)
-              for m, (lo, hi) in zip(in_log1p.tolist(), pieces)]
+    coords = np.array(pieces, dtype=float).reshape(-1, 2)
+    in_log1p = (coords[:, 0] >= 0.0) & (1.0 < coords[:, 1]) & (coords[:, 1] < math.inf)
+    coords[in_log1p] = np.log1p(coords[in_log1p])
 
     def nodes(ys: list, owners: list) -> tuple[list, Collection[int]]:
         owner = np.array(owners)
@@ -246,13 +245,13 @@ def _quad_run(values: NodeValues, pieces: Sequence[Piece]) -> list[tuple[float, 
         mapped = m.any()
         if mapped:
             y = x[m]
-            x[m] = apply_math(math.expm1, y)
+            x[m] = np.expm1(y)
         v, bad = values(x)
         if mapped:
-            v[m] = v[m] * apply_math(math.exp, y)
+            v[m] = v[m] * np.exp(y)
         return v.tolist(), () if bad is None else set(owner[bad].tolist())
 
-    return quadpack.integrate(nodes, coords, _QUAD_TARGET, _QUAD_TARGET, 200)
+    return quadpack.integrate(nodes, coords.tolist(), _QUAD_TARGET, _QUAD_TARGET, 200)
 
 
 def _sum_pieces(outcomes: Sequence[tuple[float, float] | None]) -> float:
@@ -304,9 +303,13 @@ def quadrature_expectation(
     if truncation is not None and any(v is not None and math.isnan(v) for v in truncation):
         raise ValueError(f"truncation bounds must not be NaN, got {truncation!r}")
     density = dist.density
-    return _integrate(
-        lambda x: (apply_math(lambda v: integrand(v) * density(v), x), None),
-        _clipped_pieces(dist.support, truncation))
+
+    def values(x: np.ndarray) -> tuple[np.ndarray, None]:
+        # an arbitrary Python integrand: one call per node
+        return np.fromiter(map(lambda v: integrand(v) * density(v), x.tolist()),
+                           dtype=float, count=len(x)), None
+
+    return _integrate(values, _clipped_pieces(dist.support, truncation))
 
 
 def _exp_weighted_rows(
@@ -318,8 +321,8 @@ def _exp_weighted_rows(
     Adding the log density before exponentiating keeps integrands finite
     where the product is bounded but the factors are not.  A node where
     the log density is ``-inf`` (a support end) is ``0.0`` unevaluated,
-    and ``exp`` goes through ``math``: a finite exponent that overflows
-    marks its node bad, an infinite one gives ``inf``.
+    and a finite exponent whose ``exp`` overflows marks its node bad; an
+    infinite one gives ``inf``.
     """
     log_density = dist.log_density
 
@@ -549,7 +552,7 @@ def _driver_proposal(driver: Driver, rows: FactorRows) -> _DriverProposal:
     for probe in v.reshape(len(lo), 3).T:
         m = np.where(probe > m, probe, m)
     keep = m != -math.inf
-    logw = m[keep] + apply_math(math.log, width[keep])
+    logw = m[keep] + np.log(width[keep])
     p = np.exp(logw - logw.max())
     p = np.maximum(p, 1e-12)
     p /= p.sum()

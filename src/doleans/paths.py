@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -28,6 +29,7 @@ from .distributions import (
     make_first_jump_time,
     make_xi_distribution,
 )
+from .transcendental import exp, expm1, log1p
 
 __all__ = [
     "ZeroDrift",
@@ -69,31 +71,56 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def stream_generator(seed: int, stream: int) -> np.random.Generator:
-    """Generator of stream ``stream`` of ``seed``: Philox key ``seed`` at
-    counter ``stream * 2^128`` (mod 2^256).
+def _philox_key_counter(seed: int, stream: int) -> tuple[int, int]:
+    """Philox key and counter of stream ``stream`` of ``seed``.
 
-    This is the state ``Philox(key=seed).jumped(stream)`` reaches, built
-    directly.  Both arguments go through ``operator.index`` first, so a
-    NumPy integer index cannot overflow the shift.
+    Both arguments go through ``operator.index`` first, so a NumPy integer
+    index cannot overflow the shift.
     """
     seed = check_seed(seed)
     stream = operator.index(stream)
     if stream < 0:
         raise ValueError(f"stream index must be non-negative, got {stream}")
-    return np.random.Generator(
-        np.random.Philox(key=seed, counter=(stream << 128) % 2**256))
+    return seed, (stream << 128) % 2**256
 
 
-def apply_math(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """``fn`` (a scalar ``math`` function) applied to every element of ``x``.
+def stream_generator(seed: int, stream: int) -> np.random.Generator:
+    """Generator of stream ``stream`` of ``seed``: Philox key ``seed`` at
+    counter ``stream * 2^128`` (mod 2^256).
 
-    NumPy's vectorized transcendentals may differ from ``math`` in the last
-    bit, so batch kernels use this to stay bit-identical to the scalar path.
+    This is the state ``Philox(key=seed).jumped(stream)`` reaches, built
+    directly.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size)
-    return out.reshape(x.shape)
+    key, counter = _philox_key_counter(seed, stream)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+_U64 = 2**64 - 1
+_THREAD = threading.local()
+
+
+def _stream_uniforms(seed: int, stream: int, count: int) -> list[float]:
+    """The first ``count`` uniforms of ``stream_generator(seed, stream)``.
+
+    Each thread keeps one Philox generator and re-keys it by assigning the
+    state that generator would start from.  Building a new one per call
+    costs several times more: the constructor also draws OS entropy for a
+    seed sequence that the explicit key then overrides.
+    """
+    key, counter = _philox_key_counter(seed, stream)
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, counter >> 128 & _U64, counter >> 192],
+                  "key": [key, 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng.random(count).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -137,19 +164,19 @@ class ExpCompensatorDrift:
     def __call__(self, t: float) -> float:
         if t <= self.start:
             return 0.0
-        return -math.expm1(t - self.start)
+        return -expm1(t - self.start)
 
     def array(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape)
         live = ~(t <= self.start)
-        out[live] = -apply_math(math.expm1, t[live] - self.start)
+        out[live] = -np.expm1(t[live] - self.start)
         return out
 
     def derivative(self, t: float) -> float:
         if t <= self.start:
             return 0.0
-        return -math.exp(t - self.start)
+        return -exp(t - self.start)
 
 
 class ScaledDrift:
@@ -413,9 +440,9 @@ class ProcessModel:
         :mod:`doleans.distributions`) and gives the bits of
         :meth:`driver_columns`.
         """
-        u = stream_generator(seed, stream_index).random(len(self.drivers))
+        u = _stream_uniforms(seed, stream_index, len(self.drivers))
         return self.build(*(d.dist.inverse_cdf(max(v, _MIN_UNIFORM))
-                            for d, v in zip(self.drivers, u.tolist())))
+                            for d, v in zip(self.drivers, u)))
 
     def driver_columns(self, rng: np.random.Generator, count: int) -> list[np.ndarray]:
         """Inverse-transform draws of every driver for ``count`` paths.
@@ -487,7 +514,7 @@ def _waiting_time(name: str, start: float) -> tuple[Driver, ExpCompensatorDrift]
 
 def _ps_disc_qv(path: JumpPath, t: float) -> float:
     # int_0^{t ^ horizon} e^{2s} ds
-    return 0.5 * math.expm1(2.0 * min(t, path.horizon))
+    return 0.5 * expm1(2.0 * min(t, path.horizon))
 
 
 # Cephes ``spence`` rational approximation of the dilogarithm on [0.5, 1.5]
@@ -515,7 +542,9 @@ def _polevl(x: float, coef: tuple[float, ...]) -> float:
 def spence(x: float) -> float:
     """Spence's function ``int_1^x log(t) / (1 - t) dt = Li2(1 - x)`` for
     ``x >= 0`` (``nan`` below): the Cephes algorithm, operation for
-    operation, so it equals ``scipy.special.spence`` bit for bit."""
+    operation, so it equals ``scipy.special.spence`` bit for bit.  Its
+    logarithms are ``math.log``, the C library's, as in Cephes: NumPy's
+    dispatched ``log`` would move those bits on some CPUs."""
     if x < 0.0:
         return math.nan
     if x == 1.0:
@@ -545,7 +574,7 @@ def spence(x: float) -> float:
 
 def _lm_primitive(u: float) -> float:
     # antiderivative of (1+u) ln(1+u) / u in u: -Li2(-u) + (1+u) ln(1+u) - u
-    return -spence(1.0 + u) + (1.0 + u) * math.log1p(u) - u
+    return -spence(1.0 + u) + (1.0 + u) * log1p(u) - u
 
 
 _LM_AT_ONE = _lm_primitive(1.0)
@@ -555,7 +584,7 @@ def _lm_profile(T: float) -> float:
     # int_0^T ((1+e^s) ln(1+e^s) - e^s) ds, elementary up to a dilogarithm
     if T <= 0.0:
         return 0.0
-    u = math.exp(T)
+    u = exp(T)
     return (_lm_primitive(u) - _LM_AT_ONE) - (u - 1.0)
 
 
@@ -580,7 +609,7 @@ def example2_model() -> ProcessModel:
         tau = min(max(e, 1e-300), _JUMP_TIME_CAP)
         return JumpPath(
             horizon=tau,
-            jumps=((tau, math.exp(tau)),),
+            jumps=((tau, exp(tau)),),
             drift=drift,
         )
 
@@ -589,7 +618,7 @@ def example2_model() -> ProcessModel:
         return PathBatch(
             horizon=tau,
             jump_t=tau[:, None],
-            jump_dm=apply_math(math.exp, tau)[:, None],
+            jump_dm=np.exp(tau)[:, None],
             drift=drift,
         )
 
@@ -627,7 +656,7 @@ def example3_model() -> ProcessModel:
         tau_hat = start + min(max(e, 1e-15), _JUMP_TIME_CAP)
         return JumpPath(
             horizon=tau_hat,
-            jumps=((start, x), (tau_hat, math.exp(tau_hat - start))),
+            jumps=((start, x), (tau_hat, exp(tau_hat - start))),
             drift=drift,
         )
 
@@ -636,7 +665,7 @@ def example3_model() -> ProcessModel:
         return PathBatch(
             horizon=tau_hat,
             jump_t=np.column_stack((np.full(len(tau_hat), start), tau_hat)),
-            jump_dm=np.column_stack((x, apply_math(math.exp, tau_hat - start))),
+            jump_dm=np.column_stack((x, np.exp(tau_hat - start))),
             drift=drift,
         )
 

@@ -21,10 +21,12 @@ functional bit for bit.
 
 Next to the scalar functionals sit batch kernels over a
 :class:`~doleans.paths.PathBatch`, evaluated at each row's horizon.  They
-repeat the scalar arithmetic operation for operation (transcendentals
-through ``math``, control segments summed in segment order), so every
-row is bit-identical to the scalar value.  Each ``math`` pass runs once
-per distinct value: ``log1p(dM)`` is shared by every term that needs it.
+repeat the scalar arithmetic operation for operation (control segments
+summed in segment order), and both routes take their transcendentals
+from NumPy's ufuncs (:mod:`doleans.transcendental`: a ufunc pass on a
+column here, the same ufunc on one float there), so every row is
+bit-identical to the scalar value.  Each ufunc pass runs once per
+distinct value: ``log1p(dM)`` is shared by every term that needs it.
 :func:`pathwise_functional` gives each condition kind's integrand as an
 :class:`Integrand` record of an exponent, an optional weight and its
 batch kernel, whose :meth:`Integrand.rows` give the exponent and the
@@ -39,7 +41,6 @@ result.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -51,8 +52,8 @@ from .paths import (
     PathBatch,
     PredictableControl,
     ProcessModel,
-    apply_math,
 )
+from .transcendental import EXP_MAX, exp, log1p
 
 __all__ = [
     "CONDITION_KINDS",
@@ -78,9 +79,6 @@ __all__ = [
     "Integrand",
     "pathwise_functional",
 ]
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
 
 class UnsupportedModelError(ValueError):
     """The requested condition needs model data the model does not carry."""
@@ -134,38 +132,32 @@ class FunctionalValue:
 
     @classmethod
     def from_log(cls, log_value: float) -> "FunctionalValue":
-        return cls(log_value, log_value < _LOG_FLOAT_MAX)
+        return cls(log_value, log_value < EXP_MAX)
 
     @property
     def value(self) -> float:
         if not self.finite:
             return math.inf
-        return math.exp(self.log_value)
+        return exp(self.log_value)
 
 
 def exp_or_inf(x: float) -> float:
-    """``math.exp(x)``, with ``inf`` where the result overflows."""
-    try:
-        return math.exp(x)
-    except OverflowError:
+    """``exp(x)``, with ``inf`` where the result overflows."""
+    if x > EXP_MAX:
         return math.inf
+    return exp(x)
 
 
 def exp_or_inf_array(x: np.ndarray) -> np.ndarray:
-    out = np.empty(len(x))
-    # exp(709) ~ 8.2e307 cannot overflow; larger (and nan) arguments go
-    # through the scalar helper
-    safe = x <= 709.0
-    out[safe] = apply_math(math.exp, x[safe])
-    rest = ~safe
-    if rest.any():
-        out[rest] = apply_math(exp_or_inf, x[rest])
-    return out
+    """:func:`exp_or_inf` of every element: ``np.exp``, whose overflow past
+    ``EXP_MAX`` is ``inf`` without a warning."""
+    with np.errstate(over="ignore"):
+        return np.exp(x)
 
 
 def _jump_term(dm: float) -> float:
     # log(1+d) - d/(1+d); nonnegative, zero only at d = 0
-    return math.log1p(dm) - dm / (1.0 + dm)
+    return log1p(dm) - dm / (1.0 + dm)
 
 
 def _jump_term_array(dm: np.ndarray, log1p_dm: np.ndarray) -> np.ndarray:
@@ -179,7 +171,7 @@ def log_stoch_exponential(path: JumpPath, t: float) -> float:
     for ti, dm in path.jumps:
         if ti > t:
             break
-        s += math.log1p(dm)
+        s += log1p(dm)
     return path.drift(t) + s
 
 
@@ -206,7 +198,7 @@ def sde_residual(path: JumpPath, t: float) -> float:
     path._check_time(t)
     target = stoch_exponential(path, t)
     drift = path.drift
-    exp, at, derivative = math.exp, drift.__call__, drift.derivative
+    at, derivative = drift.__call__, drift.derivative
 
     # the gaps where the drift moves, each with the log of the jumps of E
     # before it; terms holds the jump terms in time order, None per gap
@@ -223,7 +215,7 @@ def sde_residual(path: JumpPath, t: float) -> float:
             terms.append(None)
         if dm is not None:
             terms.append(exp(at_ti + cum_jump_log) * dm)
-            cum_jump_log += math.log1p(dm)
+            cum_jump_log += log1p(dm)
             prev, at_prev = ti, at_ti
 
     def integrand(nodes, owners):
@@ -285,7 +277,7 @@ def lepingle_memin_A(path: JumpPath, t: float) -> float:
     for ti, dm in path.jumps:
         if ti > t:
             break
-        s += (1.0 + dm) * math.log1p(dm) - dm
+        s += (1.0 + dm) * log1p(dm) - dm
     return s
 
 
@@ -301,7 +293,7 @@ def _theorem1_log(path: JumpPath, a: PredictableControl, t: float) -> float:
         if ti > t:
             break
         av = a.value_at(ti)
-        s += _jump_term(dm) + math.log1p(av * dm)
+        s += _jump_term(dm) + log1p(av * dm)
     return drift_part + s
 
 
@@ -336,9 +328,9 @@ def lemma1_functional(path: JumpPath, t: float) -> float:
 # ----------------------------------------------------------------------
 
 def _log1p_columns(batch: PathBatch) -> Iterator[np.ndarray]:
-    """``log1p(dM)`` of each jump column in turn: the one ``math.log1p``
+    """``log1p(dM)`` of each jump column in turn: the one ``np.log1p``
     pass per column that the kernels below share."""
-    return (apply_math(math.log1p, dm) for dm in batch.jump_dm.T)
+    return (np.log1p(dm) for dm in batch.jump_dm.T)
 
 
 def _log_stoch_exponential_rows(batch: PathBatch,
@@ -361,13 +353,13 @@ def _log1p_scaled(av: np.ndarray, dm: np.ndarray, log1p_dm: np.ndarray) -> np.nd
 
     ``1 * dm`` is ``dm`` exactly and ``log1p(+-0)`` is ``+-0``, so rows
     with ``av == 1`` reuse ``log1p_dm`` and rows with ``av == 0`` keep
-    ``av * dm``; only the other rows take a ``math.log1p`` pass.
+    ``av * dm``; only the other rows take a ``np.log1p`` pass.
     """
     ad = av * dm
     out = np.where(av == 1.0, log1p_dm, ad)
     rest = (av != 0.0) & (av != 1.0)
     if rest.any():
-        out[rest] = apply_math(math.log1p, ad[rest])
+        out[rest] = np.log1p(ad[rest])
     return out
 
 

@@ -16,7 +16,7 @@ from doleans import (
     example3_model,
     make_first_jump_time,
 )
-from doleans.paths import apply_math
+from doleans.transcendental import expm1
 
 
 @pytest.fixture(scope="session")
@@ -53,14 +53,14 @@ class WitnessDrift:
     kind = "derived"
 
     def __call__(self, t: float) -> float:
-        return t + math.expm1(-t)
+        return t + expm1(-t)
 
     def array(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        return t + apply_math(math.expm1, -t)
+        return t + np.expm1(-t)
 
     def derivative(self, t: float) -> float:
-        return -math.expm1(-t)
+        return -expm1(-t)
 
 
 def witness_model() -> ProcessModel:
@@ -71,12 +71,12 @@ def witness_model() -> ProcessModel:
 
     def build(e: float) -> JumpPath:
         tau = min(max(e, 1e-300), WITNESS_JUMP_TIME_CAP)
-        return JumpPath(horizon=tau, jumps=((tau, math.expm1(-tau)),), drift=drift)
+        return JumpPath(horizon=tau, jumps=((tau, expm1(-tau)),), drift=drift)
 
     def build_batch(e: np.ndarray) -> PathBatch:
         tau = np.minimum(np.maximum(e, 1e-300), WITNESS_JUMP_TIME_CAP)
         return PathBatch(horizon=tau, jump_t=tau[:, None],
-                         jump_dm=apply_math(math.expm1, -tau)[:, None], drift=drift)
+                         jump_dm=np.expm1(-tau)[:, None], drift=drift)
 
     driver = Driver(name="tau", dist=make_first_jump_time(), anchor=1.0,
                     levels=(4.0, 8.0, 16.0, 32.0), growth="linear",

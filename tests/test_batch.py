@@ -35,6 +35,7 @@ from doleans import (
 )
 from doleans import mc, stochexp
 from doleans.stochexp import exp_or_inf, pathwise_functional
+from doleans.transcendental import exp, log
 
 MODELS = {m.name: m for m in (example1_model(), example2_model(), example3_model())}
 
@@ -340,13 +341,17 @@ class _ZeroUniforms:
     def random(self, size):
         return np.zeros(size)
 
+    @staticmethod
+    def stream_uniforms(seed, stream, count):
+        return [0.0] * count
+
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_sampler_floors_a_zero_uniform(name, monkeypatch):
     # a zero draw (2^-53 per uniform) is raised to the 1e-300 floor as in
     # driver_columns; xi at u = 0 would be the excluded jump size -1
     model = MODELS[name]
-    monkeypatch.setattr("doleans.paths.stream_generator", lambda seed, i: _ZeroUniforms())
+    monkeypatch.setattr("doleans.paths._stream_uniforms", _ZeroUniforms.stream_uniforms)
     row = model.build_batch(*model.driver_columns(_ZeroUniforms(), 1)).path(0)
     path = model.sampler(0, 0)
     assert bits([path.horizon]) == bits([row.horizon])
@@ -413,7 +418,7 @@ def reference_proposal(driver, log_integrand) -> mc._DriverProposal:
                 continue
             lo_list.append(lo)
             width_list.append(width)
-            logw_list.append(m + math.log(width))
+            logw_list.append(m + log(width))
     logw = np.asarray(logw_list)
     p = np.exp(logw - logw.max())
     p = np.maximum(p, 1e-12)
@@ -493,7 +498,7 @@ def reference_estimate(model, spec: ConditionSpec, seeds: SeedSpec, n: int) -> E
                 continue
             p = model.build(*(float(c[k]) for c in cols))
             try:
-                values.append(math.exp(f_path(p) + log_w[k]))
+                values.append(exp(f_path(p) + log_w[k]))
             except OverflowError:
                 values.append(math.inf)
     return reference_reduce(values, n)
@@ -580,18 +585,23 @@ def test_proposal_skips_nan_probes_as_scalar_max(name):
 
 
 class CountingLog1p:
-    """Counts the elements ``stochexp.apply_math`` hands ``math.log1p``."""
+    """Counts the elements that the ``np.log1p`` passes of ``stochexp``'s
+    batch kernels take, one column or part of a column per pass."""
 
     def __init__(self, monkeypatch):
         self.elements = 0
-        real = stochexp.apply_math
+        counter = self
 
-        def counted(fn, x):
-            if fn is math.log1p:
-                self.elements += np.size(x)
-            return real(fn, x)
+        class CountingNumPy:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        monkeypatch.setattr(stochexp, "apply_math", counted)
+            @staticmethod
+            def log1p(x):
+                counter.elements += np.size(x)
+                return np.log1p(x)
+
+        monkeypatch.setattr(stochexp, "np", CountingNumPy())
 
 
 @pytest.mark.parametrize("control, passes", [

@@ -38,11 +38,17 @@ from doleans.cli import (
     example3_tau_factor,
 )
 from doleans.mc import EstimationError
-from doleans.paths import apply_math
 from doleans.stochexp import pathwise_functional
+from doleans.transcendental import exp
 
 from conftest import example1_full_control_integrand, example2_closed_form
 from test_batch import reference_factors
+
+
+def elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """The scalar ``fn`` at every element of ``x``, one call each."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=len(x))
+
 
 XI = make_xi_distribution()
 EXP_LAW = make_first_jump_time()
@@ -770,18 +776,18 @@ class TestQuadRun:
             ld = dist.log_density(x)
             if ld == -math.inf:
                 return 0.0
-            return math.exp(g(x) + ld)
+            return exp(g(x) + ld)
 
         return f
 
     @classmethod
     def routes(cls, g_scalar):
         def rows(x):
-            return apply_math(g_scalar, x), None
+            return elementwise(g_scalar, x), None
 
         f = cls.scalar_exp_weighted(EXP_LAW, g_scalar)
         return (mc._exp_weighted_rows(EXP_LAW, rows, False),
-                lambda x: (apply_math(f, x), None))
+                lambda x: (elementwise(f, x), None))
 
     def test_overflow_fails_only_its_piece(self):
         # exp(800 - x) overflows near x = 5, in piece 1 only
@@ -798,7 +804,7 @@ class TestQuadRun:
         assert (exc.value.value, exc.value.achieved) == (math.inf, math.inf)
 
     def test_infinite_exponent_is_not_a_failure(self):
-        # math.exp(inf) is inf, without the OverflowError of a finite argument
+        # exp(inf) is inf, without the OverflowError of a finite argument
         batched, scalar = self.routes(lambda x: math.inf)
         out = mc._quad_run(batched, self.PIECES[:1])
         assert out[0] is not None
@@ -972,7 +978,7 @@ class TestFamilyTimes:
                 {k - driver.start for k in kinks})
             f = TestQuadRun.scalar_exp_weighted(driver.dist, g)
             try:
-                outcomes = mc._quad_run(lambda x: (apply_math(f, x), None),
+                outcomes = mc._quad_run(lambda x: (elementwise(f, x), None),
                                         mc._split_pieces(driver.dist.support, cuts))
             except OverflowError:
                 outcomes = [None]

@@ -3,9 +3,12 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doleans import (
     ExpCompensatorDrift,
@@ -16,7 +19,8 @@ from doleans import (
     path_from_json,
     path_to_json,
 )
-from doleans.paths import stream_generator
+from doleans.paths import _stream_uniforms, stream_generator
+from doleans.transcendental import exp
 
 
 class TestJumpPathInvariants:
@@ -87,7 +91,7 @@ class TestExampleModels:
         for i in range(200):
             p = model2.sampler(17, i)
             assert abs(p.value_at(p.horizon) - 1.0) < 1e-12
-            assert p.jumps[0][1] == math.exp(p.horizon)
+            assert p.jumps[0][1] == exp(p.horizon)
 
     def test_example2_stopped_mean_zero(self, model2):
         rng = np.random.Generator(np.random.Philox(key=12))
@@ -158,6 +162,45 @@ class TestStreamGenerator:
             stream_generator(0, -1)
         with pytest.raises(ValueError, match="stream index"):
             model1.sampler(0, -1)
+
+    @given(seed=st.integers(0, 2**64 - 1),
+           j=st.one_of(st.integers(0, 2**72), st.integers(2**128 - 4, 2**130)),
+           count=st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_reused_generator_draws_the_streams_uniforms(self, seed, j, count):
+        # the sampler's one Philox per thread, re-keyed per call, against a
+        # generator built for the stream; counters past 2^64 and the wrap
+        # modulo 2^256 included
+        assert _stream_uniforms(seed, j, count) == \
+            stream_generator(seed, j).random(count).tolist()
+        assert _stream_uniforms(np.uint64(seed), j, count) == \
+            _stream_uniforms(seed, j, count)
+
+    def test_sampler_in_two_threads_equals_a_serial_run(self, all_models):
+        cases = [(m, seed, j) for m in all_models for seed in (0, 7, 2**64 - 1)
+                 for j in range(150)]
+        serial = [m.sampler(seed, j) for m, seed, j in cases]
+        results = [None, None]
+
+        def run(k):
+            order = range(len(cases)) if k == 0 else reversed(range(len(cases)))
+            results[k] = {i: cases[i][0].sampler(*cases[i][1:]) for i in order}
+
+        # switch threads as often as the interpreter allows, so that a
+        # shared generator would be re-keyed between another thread's
+        # re-key and draw
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for out in results:
+            assert [out[i] for i in range(len(cases))] == serial
 
 
 class TestPredictableControl:

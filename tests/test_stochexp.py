@@ -32,6 +32,7 @@ from doleans import (
 from doleans import quadpack
 from doleans.paths import ExpCompensatorDrift, ScaledDrift, ZeroDrift
 from doleans.stochexp import pathwise_functional
+from doleans.transcendental import exp, log1p
 
 from conftest import WitnessDrift, random_two_jump_path, witness_model
 
@@ -84,12 +85,12 @@ def per_gap_residual(path, t):
     for ti, dm in [(ti, dm) for ti, dm in path.jumps if ti <= t] + [(t, None)]:
         if has_drift and ti > prev:
             def f(xs, owners, c=cum_jump_log):
-                return [math.exp(drift(s) + c) * drift.derivative(s) for s in xs], ()
+                return [exp(drift(s) + c) * drift.derivative(s) for s in xs], ()
 
             integral += quadpack.integrate(f, [(prev, ti)], 1e-12, 1e-12, 200)[0][0]
         if dm is not None:
-            integral += math.exp(drift(ti) + cum_jump_log) * dm
-            cum_jump_log += math.log1p(dm)
+            integral += exp(drift(ti) + cum_jump_log) * dm
+            cum_jump_log += log1p(dm)
             prev = ti
     return stoch_exponential(path, t) - 1.0 - integral
 
