@@ -18,7 +18,7 @@ import math
 import operator
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np

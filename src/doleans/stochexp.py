@@ -16,8 +16,8 @@ which never overflows for jump sizes up to e^700.
 
 The condition functionals share the per-jump building block
 ``log(1+d) - d/(1+d)`` and differ in the control-process terms.  The
-evaluator with control ``a == 0`` is arranged to reproduce the plain jump
-functional bit for bit.
+evaluator with control ``a == 0`` reproduces the plain jump functional bit
+for bit: its extra term per jump, ``log1p(a d)``, is ``log1p(+-0) = +-0``.
 
 Next to the scalar functionals sit batch kernels over a
 :class:`~doleans.paths.PathBatch`, evaluated at each row's horizon.  They
@@ -25,24 +25,22 @@ repeat the scalar arithmetic operation for operation (control segments
 summed in segment order), and both routes take their transcendentals
 from NumPy's ufuncs (:mod:`doleans.transcendental`: a ufunc pass on a
 column here, the same ufunc on one float there), so every row is
-bit-identical to the scalar value.  Each ufunc pass runs once per
-distinct value: ``log1p(dM)`` is shared by every term that needs it.
-:func:`pathwise_functional` gives each condition kind's integrand as an
-:class:`Integrand` record of an exponent, an optional weight and its
-batch kernel, whose :meth:`Integrand.rows` give the exponent and the
-weight row by row for the quadrature nodes.  Family times and the
-log-scale kinds build their rows from the exponent on one path at a time,
-so the table reads the float cores ``_jacod_log`` and ``_theorem1_log``
-that :func:`jacod_functional` and :func:`theorem1_functional` wrap,
-without their range checks and the :class:`FunctionalValue` around the
-result.
+bit-identical to the scalar value.  :func:`pathwise_functional` gives
+each condition kind's integrand as an :class:`Integrand` record of an
+exponent, an optional weight and its batch kernel, whose
+:meth:`Integrand.rows` give the exponent and the weight row by row for
+the quadrature nodes.  Family times and the log-scale kinds build their
+rows from the exponent on one path at a time, so the table reads the
+float cores ``_jacod_log`` and ``_theorem1_log`` that
+:func:`jacod_functional` and :func:`theorem1_functional` wrap, without
+their range checks and the :class:`FunctionalValue` around the result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -155,12 +153,9 @@ def exp_or_inf_array(x: np.ndarray) -> np.ndarray:
         return np.exp(x)
 
 
-def _jump_term(dm: float) -> float:
-    # log(1+d) - d/(1+d); nonnegative, zero only at d = 0
-    return log1p(dm) - dm / (1.0 + dm)
-
-
-def _jump_term_array(dm: np.ndarray, log1p_dm: np.ndarray) -> np.ndarray:
+def _jump_term(dm, log1p_dm):
+    # log(1+d) - d/(1+d), from log1p_dm = log1p(d), on floats or columns;
+    # nonnegative, zero only at d = 0
     return log1p_dm - dm / (1.0 + dm)
 
 
@@ -237,7 +232,7 @@ def _jacod_log(path: JumpPath, t: float) -> float:
     for ti, dm in path.jumps:
         if ti > t:
             break
-        s += _jump_term(dm)
+        s += _jump_term(dm, log1p(dm))
     return s
 
 
@@ -293,7 +288,7 @@ def _theorem1_log(path: JumpPath, a: PredictableControl, t: float) -> float:
         if ti > t:
             break
         av = a.value_at(ti)
-        s += _jump_term(dm) + log1p(av * dm)
+        s += _jump_term(dm, log1p(dm)) + log1p(av * dm)
     return drift_part + s
 
 
@@ -327,45 +322,12 @@ def lemma1_functional(path: JumpPath, t: float) -> float:
 # Batch kernels: the functionals above at every row's horizon.
 # ----------------------------------------------------------------------
 
-def _log1p_columns(batch: PathBatch) -> Iterator[np.ndarray]:
-    """``log1p(dM)`` of each jump column in turn: the one ``np.log1p``
-    pass per column that the kernels below share."""
-    return (np.log1p(dm) for dm in batch.jump_dm.T)
-
-
-def _log_stoch_exponential_rows(batch: PathBatch,
-                                log1p_dm: Iterable[np.ndarray]) -> np.ndarray:
-    s = np.zeros(len(batch))
-    for col in log1p_dm:
-        s = s + col
-    return batch.drift.array(batch.horizon) + s
-
-
-def _jacod_rows(batch: PathBatch, log1p_dm: Iterable[np.ndarray]) -> np.ndarray:
-    s = np.zeros(len(batch))
-    for dm, log1p in zip(batch.jump_dm.T, log1p_dm):
-        s = s + _jump_term_array(dm, log1p)
-    return s
-
-
-def _log1p_scaled(av: np.ndarray, dm: np.ndarray, log1p_dm: np.ndarray) -> np.ndarray:
-    """``log1p(av * dm)`` element by element, from ``log1p_dm = log1p(dm)``.
-
-    ``1 * dm`` is ``dm`` exactly and ``log1p(+-0)`` is ``+-0``, so rows
-    with ``av == 1`` reuse ``log1p_dm`` and rows with ``av == 0`` keep
-    ``av * dm``; only the other rows take a ``np.log1p`` pass.
-    """
-    ad = av * dm
-    out = np.where(av == 1.0, log1p_dm, ad)
-    rest = (av != 0.0) & (av != 1.0)
-    if rest.any():
-        out[rest] = np.log1p(ad[rest])
-    return out
-
-
 def log_stoch_exponential_batch(batch: PathBatch) -> np.ndarray:
     """:func:`log_stoch_exponential` at every row's horizon."""
-    return _log_stoch_exponential_rows(batch, _log1p_columns(batch))
+    s = np.zeros(len(batch))
+    for dm in batch.jump_dm.T:
+        s = s + np.log1p(dm)
+    return batch.drift.array(batch.horizon) + s
 
 
 def stoch_exponential_batch(batch: PathBatch) -> np.ndarray:
@@ -375,7 +337,10 @@ def stoch_exponential_batch(batch: PathBatch) -> np.ndarray:
 
 def jacod_batch(batch: PathBatch) -> np.ndarray:
     """:func:`jacod_functional` log values at every row's horizon."""
-    return _jacod_rows(batch, _log1p_columns(batch))
+    s = np.zeros(len(batch))
+    for dm in batch.jump_dm.T:
+        s = s + _jump_term(dm, np.log1p(dm))
+    return s
 
 
 def theorem1_batch(batch: PathBatch, a: PredictableControl) -> np.ndarray:
@@ -401,19 +366,17 @@ def theorem1_batch(batch: PathBatch, a: PredictableControl) -> np.ndarray:
     values = np.asarray(a.values)
     breaks = np.asarray(a.breaks, dtype=float)
     s = np.zeros(len(batch))
-    for t, dm, log1p in zip(batch.jump_t.T, batch.jump_dm.T, _log1p_columns(batch)):
+    for t, dm in zip(batch.jump_t.T, batch.jump_dm.T):
         av = values[np.searchsorted(breaks, t, side="left")]
-        s = s + (_jump_term_array(dm, log1p) + _log1p_scaled(av, dm, log1p))
+        s = s + (_jump_term(dm, np.log1p(dm)) + np.log1p(av * dm))
     return drift_part + s
 
 
 def _lemma1_rows(batch: PathBatch) -> tuple[np.ndarray, np.ndarray]:
     """The two factors of :func:`lemma1_functional` at every row's horizon,
     :func:`log_stoch_exponential` and the :func:`jacod_functional` log
-    value, from one ``log1p`` pass."""
-    log1p_dm = list(_log1p_columns(batch))
-    return (_log_stoch_exponential_rows(batch, log1p_dm),
-            _jacod_rows(batch, log1p_dm))
+    value."""
+    return log_stoch_exponential_batch(batch), jacod_batch(batch)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from doleans import (
     Driver,
     ExpCompensatorDrift,
+    InverseCdfDistribution,
     JumpPath,
     PathBatch,
     ProcessModel,
@@ -16,6 +17,7 @@ from doleans import (
     example3_model,
     make_first_jump_time,
 )
+from doleans import mc
 from doleans.transcendental import expm1
 
 
@@ -88,6 +90,39 @@ def witness_model() -> ProcessModel:
 @pytest.fixture(scope="session")
 def witness():
     return witness_model()
+
+
+def calibration_driver() -> Driver:
+    """The uniform law on (-1, 0), probed at example1's levels toward its
+    end -1: ``truncate(delta)`` keeps ``(-1 + delta, 0)``."""
+    def log_density(v):
+        return np.where((v > -1.0) & (v < 0.0), 0.0, -np.inf)
+
+    dist = InverseCdfDistribution(
+        name="uniform", density=lambda v: np.exp(log_density(v)),
+        log_density=log_density, cdf=lambda v: np.clip(np.add(v, 1.0), 0.0, 1.0),
+        inverse_cdf=lambda u: np.where((u >= 0.0) & (u <= 1.0), np.subtract(u, 1.0),
+                                       np.nan),
+        support=((-1.0, 0.0),))
+    return Driver(name="calibration", dist=dist, anchor=-0.5,
+                  levels=(1e-2, 1e-3, 1e-4, 1e-5), growth="log",
+                  truncate=lambda delta: (-1.0 + delta, None))
+
+
+def bertrand_values(p: float, q: float):
+    """Node values ``h(1 + x)`` against the law of
+    :func:`calibration_driver`, with ``h(d) = d^-p (1 + ln(1/d))^-q``.
+
+    ``int_0^1 h`` is finite iff ``p < 1``, or ``p = 1`` and ``q > 1``.  The
+    values are ``exp(log h + log_density)`` through the factor route's node
+    rule (``mc._exp_weighted_rows``): the naive ``d**-p`` overflows, and
+    warns, where ``x`` nears -1, and a node that rounds onto -1 is 0.0.
+    """
+    def log_h(x: np.ndarray):
+        log_d = np.log1p(x)
+        return -p * log_d - q * np.log1p(-log_d), None
+
+    return mc._exp_weighted_rows(calibration_driver().dist, log_h, False)
 
 
 def random_two_jump_path(rng: np.random.Generator) -> JumpPath:

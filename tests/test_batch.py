@@ -33,7 +33,7 @@ from doleans import (
     theorem1_batch,
     theorem1_functional,
 )
-from doleans import mc, stochexp
+from doleans import mc
 from doleans.stochexp import exp_or_inf, pathwise_functional
 from doleans.transcendental import exp, log
 
@@ -582,51 +582,6 @@ def test_proposal_skips_nan_probes_as_scalar_max(name):
     [(_, rows)] = engine_factors(model, f_batch)
     plain = mc._driver_proposal(driver, rows)
     assert bits(engine.prob) != bits(plain.prob)
-
-
-class CountingLog1p:
-    """Counts the elements that the ``np.log1p`` passes of ``stochexp``'s
-    batch kernels take, one column or part of a column per pass."""
-
-    def __init__(self, monkeypatch):
-        self.elements = 0
-        counter = self
-
-        class CountingNumPy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def log1p(x):
-                counter.elements += np.size(x)
-                return np.log1p(x)
-
-        monkeypatch.setattr(stochexp, "np", CountingNumPy())
-
-
-@pytest.mark.parametrize("control, passes", [
-    (PredictableControl.constant(0.0), 1),
-    (PredictableControl.constant(1.0), 1),
-    (control_indicator_after(1.0), 1),
-    (PredictableControl.constant(0.3), 2),
-])
-@pytest.mark.parametrize("name", sorted(MODELS))
-def test_theorem1_batch_log1p_passes(monkeypatch, name, control, passes):
-    # one log1p(dm) per jump; log1p(a dm) only where a is neither 0 nor 1
-    model = MODELS[name]
-    batch = model.build_batch(*model.driver_columns(np.random.default_rng(0), 200))
-    counter = CountingLog1p(monkeypatch)
-    theorem1_batch(batch, control)
-    assert counter.elements == passes * batch.jump_dm.size
-
-
-@pytest.mark.parametrize("name", sorted(MODELS))
-def test_lemma1_batch_takes_one_log1p_pass(monkeypatch, name):
-    model = MODELS[name]
-    batch = model.build_batch(*model.driver_columns(np.random.default_rng(0), 200))
-    counter = CountingLog1p(monkeypatch)
-    lemma1_batch(batch)
-    assert counter.elements == batch.jump_dm.size
 
 
 # ----------------------------------------------------------------------

@@ -148,6 +148,14 @@ class TestSdeResidual:
         for p, t in residual_cases(witness_model(), 5, 200):
             assert repr(sde_residual(p, t)) == repr(per_gap_residual(p, t))
 
+    @pytest.mark.filterwarnings("error")
+    def test_drift_overflow_in_the_last_gap_raises(self):
+        # the drift passes EXP_MAX inside the last gap, where E_t is already
+        # inf: the residual raises, never a nan
+        p = JumpPath(8.0, ((1.0, 1.0),), ScaledDrift(ExpCompensatorDrift(0.0), -1.0))
+        with pytest.raises(OverflowError):
+            sde_residual(p, 8.0)
+
     @pytest.mark.parametrize("model_name", ["model1", "model2", "model3"])
     def test_one_run_over_the_gaps_where_the_drift_moves(self, model_name, request,
                                                          monkeypatch):
