@@ -45,7 +45,7 @@ from __future__ import annotations
 import logging
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Collection, NamedTuple, Sequence
 
 import numpy as np
@@ -97,7 +97,8 @@ class QuadratureAccuracyError(RuntimeError):
 
 
 class EstimationError(RuntimeError):
-    """Too many non-finite functional values for a trustworthy estimate."""
+    """Too many non-finite functional values for a trustworthy estimate, or
+    an importance-sampling proposal that cannot be drawn from."""
 
 
 @dataclass(frozen=True)
@@ -501,17 +502,64 @@ class ConditionReport:
 # split the quadrature integrates, with one log_density call; each probe
 # equals the scalar functional bit for bit, so the proposal equals a
 # probe-by-probe scalar loop (tests/test_batch.py keeps that loop as its
-# reference).
+# reference).  Each bin comes from a guide table over the proposal CDF,
+# bit for bit ``Generator.choice`` on the same uniforms.
 # ----------------------------------------------------------------------
 
 _GEOM_DEPTH = 60
+#: Buckets of a proposal's guide table, a power of two.
+_GUIDE_BUCKETS = 4096
 
 
 @dataclass(frozen=True)
 class _DriverProposal:
+    """Piecewise-uniform proposal: bin ``i`` is ``[lo[i], lo[i] + width[i])``
+    and is drawn with probability ``prob[i]``.
+
+    The other fields are derived from those three.  ``cdf`` is
+    ``prob.cumsum()`` over its last element, computed as
+    ``Generator.choice`` computes it, and ``log_ratio`` is ``log(width) - log(prob)``, a draw's
+    log importance weight less its log density.  The guide table cuts
+    ``[0, 1)`` into ``K = _GUIDE_BUCKETS`` buckets: bucket ``k`` holds the
+    uniforms in ``[k/K, (k+1)/K)``, ``first[k]`` is ``#{cdf <= k/K}`` and
+    ``last[k]`` is ``#{cdf < (k+1)/K}``.
+
+    :meth:`draw_bins` draws bin ``#{cdf <= u}`` for a uniform ``u``, as
+    ``choice`` does by ``cdf.searchsorted(u, "right")``.  That count is
+    nondecreasing in ``u``, so within bucket ``k`` it lies between
+    ``first[k]`` and ``last[k]``: where they are equal it is ``first[k]``,
+    and only the rest of the draws are searched.  ``K`` is a power of two,
+    so ``u * K`` and ``k / K`` are exact and every ``u`` lands in the
+    bucket whose bounds the guide was built on.
+    """
+
     lo: np.ndarray
     width: np.ndarray
     prob: np.ndarray
+    cdf: np.ndarray = field(init=False, repr=False)
+    log_ratio: np.ndarray = field(init=False, repr=False)
+    first: np.ndarray = field(init=False, repr=False)
+    last: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        cdf = self.prob.cumsum()
+        cdf /= cdf[-1]
+        edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+        object.__setattr__(self, "cdf", cdf)
+        object.__setattr__(self, "log_ratio", np.log(self.width) - np.log(self.prob))
+        object.__setattr__(self, "first", cdf.searchsorted(edges[:-1], "right"))
+        object.__setattr__(self, "last", cdf.searchsorted(edges[1:], "left"))
+
+    def draw_bins(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """``m`` bin indices, equal to ``rng.choice(len(prob), size=m,
+        p=prob)`` and leaving ``rng`` in the same state: both take the
+        ``m`` uniforms of ``rng.random(m)``."""
+        u = rng.random(m)
+        k = (u * _GUIDE_BUCKETS).astype(np.intp)
+        idx = self.first[k]
+        split = np.flatnonzero(idx != self.last[k])
+        idx[split] = self.cdf.searchsorted(u[split], "right")
+        return idx
 
 
 def _piece_edges(lo: float, hi: float) -> np.ndarray:
@@ -534,7 +582,8 @@ def _driver_proposal(driver: Driver, rows: FactorRows) -> _DriverProposal:
     Each bin is probed at its quarter points, all in one call of ``rows``,
     and its weight is the largest probe that is not NaN (as Python's
     ``max`` from ``-inf`` keeps it); probes off the support are not
-    evaluated.
+    evaluated.  A proposal with no live bin or with a ``+inf`` probe
+    raises :class:`EstimationError`.
     """
     edges = [_piece_edges(a, b) for a, b in driver.dist.support]
     lo = np.concatenate([e[:-1] for e in edges])
@@ -552,6 +601,12 @@ def _driver_proposal(driver: Driver, rows: FactorRows) -> _DriverProposal:
     for probe in v.reshape(len(lo), 3).T:
         m = np.where(probe > m, probe, m)
     keep = m != -math.inf
+    law = driver.dist.name
+    if not keep.any():
+        raise EstimationError(
+            f"the {law} proposal has no bin where the integrand is positive")
+    if (m[keep] == math.inf).any():
+        raise EstimationError(f"the {law} proposal has a +inf probe")
     logw = m[keep] + np.log(width[keep])
     p = np.exp(logw - logw.max())
     p = np.maximum(p, 1e-12)
@@ -568,17 +623,16 @@ def _importance_estimate(
 ) -> Estimate:
     """IS estimate of ``E exp(F)``: ``f_batch`` evaluates ``F`` on whole
     batches, and each driver's proposal probes its factor of ``factors``."""
-    proposals = [_driver_proposal(d, rows) for d, rows in factors]
-    log_densities = [driver.dist.log_density for driver in model.drivers]
+    proposals = [(_driver_proposal(d, rows), d.dist.log_density)
+                 for d, rows in factors]
 
     def kernel(rng: np.random.Generator, m: int) -> np.ndarray:
         log_w = np.zeros(m)
         columns = []
-        for prop, log_density in zip(proposals, log_densities):
-            idx = rng.choice(len(prop.prob), size=m, p=prop.prob)
+        for prop, log_density in proposals:
+            idx = prop.draw_bins(rng, m)
             x = prop.lo[idx] + prop.width[idx] * rng.random(m)
-            log_w += (np.log(prop.width[idx]) - np.log(prop.prob[idx])
-                      + log_density(x))
+            log_w += prop.log_ratio[idx] + log_density(x)
             columns.append(x)
         # zero-weight draws (off the support) are never evaluated
         live = log_w != -math.inf
@@ -860,7 +914,8 @@ def evaluate_condition(
     :class:`QuadratureAccuracyError`.  With ``n >= 2`` a Monte Carlo
     estimate of the horizon value over ``n`` paths is attached as an
     independent cross-check, by plain draws (``pathwise``) with a weight
-    and by importance sampling otherwise; too many non-finite values raise
+    and by importance sampling otherwise; too many non-finite values, or
+    a proposal with no live bin or a ``+inf`` probe, raise
     :class:`EstimationError`.  Before any quadrature, ``ValueError`` is
     raised for an ``n`` other than 0 or at least 2 (``TypeError`` for a
     non-integer), ``times`` with a weight, ``n >= 2`` without a batch,

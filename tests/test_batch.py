@@ -1,6 +1,7 @@
 """Batch kernels over PathBatch against the scalar per-path functionals, bit for bit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from doleans import (
     theorem1_functional,
 )
 from doleans import mc
+from doleans.mc import EstimationError
+from doleans.paths import stream_generator
 from doleans.stochexp import exp_or_inf, pathwise_functional
 from doleans.transcendental import exp, log
 
@@ -487,6 +490,9 @@ def reference_estimate(model, spec: ConditionSpec, seeds: SeedSpec, n: int) -> E
         log_w = np.zeros(m)
         cols = []
         for prop, (driver, _) in zip(proposals, factors):
+            # Generator.choice and per-draw logs, not the engine's guide
+            # table (draw_bins) and log_ratio: a reference on the code under
+            # test would pass whatever that code does
             idx = rng.choice(len(prop.prob), size=m, p=prop.prob)
             x = prop.lo[idx] + prop.width[idx] * rng.random(m)
             log_w += (np.log(prop.width[idx]) - np.log(prop.prob[idx])
@@ -582,6 +588,138 @@ def test_proposal_skips_nan_probes_as_scalar_max(name):
     [(_, rows)] = engine_factors(model, f_batch)
     plain = mc._driver_proposal(driver, rows)
     assert bits(engine.prob) != bits(plain.prob)
+
+
+def test_proposal_without_a_live_bin_raises_before_any_draw(monkeypatch):
+    assert_no_draw_and_raises(monkeypatch, lambda x: (np.full(len(x), -math.inf), None),
+                              "xi proposal has no bin")
+
+
+def test_proposal_with_a_plus_inf_probe_raises_before_any_draw(monkeypatch):
+    assert_no_draw_and_raises(
+        monkeypatch, lambda x: (np.where(x > 0.5, math.inf, 0.0), None),
+        r"xi proposal has a \+inf probe")
+
+
+def assert_no_draw_and_raises(monkeypatch, rows, match):
+    # hand-built factor rows on example1's driver: the error names its law,
+    # comes before any stream generator and with no RuntimeWarning
+    model = MODELS["example1"]
+    f_batch = pathwise_functional(ConditionSpec("jacod"), model).batch
+
+    def no_stream(seed, j):
+        raise AssertionError("a stream was drawn")
+
+    monkeypatch.setattr(mc, "stream_generator", no_stream)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationError, match=match):
+            mc._importance_estimate(model, [(model.drivers[0], rows)], f_batch,
+                                    1000, SeedSpec(0))
+
+
+# ----------------------------------------------------------------------
+# Guide-table bin draws against Generator.choice
+# ----------------------------------------------------------------------
+
+def synthetic_proposal(prob: np.ndarray) -> mc._DriverProposal:
+    return mc._DriverProposal(lo=np.arange(len(prob), dtype=float),
+                              width=np.ones(len(prob)), prob=prob)
+
+
+def assert_draws_equal_choice(prop, seed=0) -> int:
+    """``prop.draw_bins`` against ``Generator.choice`` on twin streams for
+    ``m`` in 1, 2 and 12500: the same indices and dtype, and the same next
+    uniform after.  Returns how many of the 12500 draws were searched."""
+    for j, m in enumerate((1, 2, 12500)):
+        ours, theirs = stream_generator(seed, j), stream_generator(seed, j)
+        idx = prop.draw_bins(ours, m)
+        expected = theirs.choice(len(prop.prob), size=m, p=prop.prob)
+        assert idx.dtype == expected.dtype
+        assert np.array_equal(idx, expected)
+        assert ours.random() == theirs.random()
+    u = stream_generator(seed, 2).random(12500)
+    k = (u * mc._GUIDE_BUCKETS).astype(np.intp)
+    return int((prop.first[k] != prop.last[k]).sum())
+
+
+@pytest.mark.parametrize("spec", PROPOSAL_SPECS, ids=[s.label() for s in PROPOSAL_SPECS])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_proposal_draws_equal_choice(name, spec):
+    model = MODELS[name]
+    f_batch = pathwise_functional(spec, model).batch
+    for driver, rows in engine_factors(model, f_batch):
+        searched = assert_draws_equal_choice(mc._driver_proposal(driver, rows), 12345)
+        # both routes of the guide ran: most draws are looked up, some searched
+        assert 0 < searched < 12500 // 10
+
+
+def choice_cdf(prob):
+    # as Generator.choice builds it
+    cdf = prob.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+K = mc._GUIDE_BUCKETS
+RUN = np.array([0.3] + [1e-12] * 20 + [0.7])
+SYNTHETIC_PROBS = {
+    "single bin": np.array([1.0]),
+    "cdf on bucket edges": np.array([0.25, 0.5, 0.25]),
+    "cdf at 1/K": np.array([1.0 / K, 1.0 - 1.0 / K]),
+    "1e-12 run in one bucket": RUN / RUN.sum(),
+    "trailing cdf of 1.0": np.array([0.6, 0.4, 1e-17, 1e-17]),
+}
+
+
+@pytest.mark.parametrize("prob", SYNTHETIC_PROBS.values(), ids=SYNTHETIC_PROBS.keys())
+def test_synthetic_draws_equal_choice(prob):
+    assert_draws_equal_choice(synthetic_proposal(prob))
+
+
+def test_synthetic_vectors_hit_the_edge_cases():
+    cdf = choice_cdf(SYNTHETIC_PROBS["cdf on bucket edges"])
+    assert list(cdf * K) == [1024.0, 3072.0, 4096.0]
+    assert choice_cdf(SYNTHETIC_PROBS["cdf at 1/K"])[0] == 1.0 / K
+    run = choice_cdf(SYNTHETIC_PROBS["1e-12 run in one bucket"])[:21]
+    assert len(set((run * K).astype(int))) == 1 and len(set(run)) == 21
+    assert list(choice_cdf(SYNTHETIC_PROBS["trailing cdf of 1.0"])[1:]) == [1.0] * 3
+
+
+class _FixedUniforms:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, m):
+        assert m == len(self.u)
+        return self.u
+
+
+@pytest.mark.parametrize("prob", SYNTHETIC_PROBS.values(), ids=SYNTHETIC_PROBS.keys())
+def test_uniforms_on_bucket_edges_draw_the_choice_bin(prob):
+    # every bucket edge k/K, the float below it, every cdf value below 1
+    # and the largest uniform go where choice's searchsorted(u, "right")
+    # puts them
+    edges = np.arange(K) / K
+    cdf = choice_cdf(prob)
+    u = np.concatenate((edges, np.nextafter(edges[1:], 0.0), cdf[cdf < 1.0],
+                        [1.0 - 2.0 ** -53]))
+    idx = synthetic_proposal(prob).draw_bins(_FixedUniforms(u), len(u))
+    assert np.array_equal(idx, cdf.searchsorted(u, "right"))
+
+
+WEIGHTS = st.one_of(st.floats(0.0, 1.0), st.just(0.0),
+                    st.floats(-700.0, 0.0).map(math.exp))
+
+
+@given(weights=st.lists(WEIGHTS, min_size=1, max_size=300),
+       seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=100, deadline=None)
+def test_draws_equal_choice_property(weights, seed):
+    # floored and normalized as _driver_proposal makes its bin weights
+    prob = np.maximum(np.array(weights), 1e-12)
+    prob /= prob.sum()
+    assert_draws_equal_choice(synthetic_proposal(prob), seed)
 
 
 # ----------------------------------------------------------------------
